@@ -14,8 +14,8 @@ import numpy as np
 from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, pm_test_indices
 from .federation import aggregate_base, select_reporters
-from .nn import (InputError, MlpParams, backward, flatten_head, forward,
-                 init_mlp, sgd_step, zeros_like)
+from .nn import (InputError, MlpParams, backward, init_mlp, sgd_step,
+                 zeros_like)
 
 SCHEMES = ("local", "fedavg", "fedprox")
 
@@ -72,7 +72,7 @@ def _sgd_epochs(params: MlpParams, x: np.ndarray, y: np.ndarray,
         for start in range(0, n, batch):
             ix = perm[start:start + batch]
             extra = (proximal_grads(params, anchor, mu_prox)
-                     if mu_prox > 0 and anchor is not None else None)
+                     if mu_prox > 0 else None)
             grads = backward(params, x[ix], y[ix], extra_loss_grads=extra)
             params = sgd_step(params, grads, lr)
     return params
@@ -86,14 +86,6 @@ def local_train(x: np.ndarray, y: np.ndarray, params: MlpParams,
     return _sgd_epochs(params.copy(), x, y, cfg.lr, cfg.epochs, cfg.batch, rng)
 
 
-def _client_sgd(theta_full: MlpParams, x, y, cfg: BaselineConfig,
-                rng: np.random.Generator, proximal: bool) -> MlpParams:
-    anchor = theta_full.copy() if proximal else None
-    return _sgd_epochs(theta_full.copy(), x, y, cfg.lr, cfg.epochs, cfg.batch,
-                       rng, mu_prox=cfg.mu_prox if proximal else 0.0,
-                       anchor=anchor)
-
-
 def _aggregate_full(models: list[MlpParams], ns: list[int]) -> MlpParams:
     base = aggregate_base([m.base for m in models], ns)
     head = aggregate_base([[m.head] for m in models], ns)[0]
@@ -101,9 +93,11 @@ def _aggregate_full(models: list[MlpParams], ns: list[int]) -> MlpParams:
 
 
 def fedavg_round(theta_full: MlpParams, clients_xy: list[tuple[np.ndarray, np.ndarray]],
-                 cfg: BaselineConfig, t: int, proximal: bool = False) -> MlpParams:
+                 cfg: BaselineConfig, t: int) -> tuple[MlpParams, int]:
     """One round: reporters run local SGD from the broadcast, server averages.
 
+    Returns the new global model and the reporter count.  Under ``fedprox``
+    local gradients carry the proximal pull towards the broadcast.
     Reporter selection uses the same seeded stream layout as the federated
     protocol, so straggler draws match across schemes for a given seed.
     Non-reporting clients are stateless here, so their training is skipped.
@@ -111,20 +105,17 @@ def fedavg_round(theta_full: MlpParams, clients_xy: list[tuple[np.ndarray, np.nd
     reporters = select_reporters(len(clients_xy), cfg.s,
                                  rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, t))
     if len(reporters) == 0:
-        return theta_full
+        return theta_full, 0
+    mu_prox = cfg.mu_prox if cfg.scheme == "fedprox" else 0.0
     models, ns = [], []
     for j in reporters:
         x, y = clients_xy[j]
         rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, t, int(j))
-        models.append(_client_sgd(theta_full, x, y, cfg, rng, proximal))
+        models.append(_sgd_epochs(theta_full.copy(), x, y, cfg.lr, cfg.epochs,
+                                  cfg.batch, rng, mu_prox=mu_prox,
+                                  anchor=theta_full))
         ns.append(len(x))
-    return _aggregate_full(models, ns)
-
-
-def fedprox_round(theta_full: MlpParams, clients_xy, cfg: BaselineConfig,
-                  t: int) -> MlpParams:
-    """FedAvg round with the proximal penalty added to local gradients."""
-    return fedavg_round(theta_full, clients_xy, cfg, t, proximal=True)
+    return _aggregate_full(models, ns), len(reporters)
 
 
 def _gm_report(t: int, params: MlpParams, clients_xy, test_ds: Dataset,
@@ -189,14 +180,10 @@ def run_baseline(cfg: BaselineConfig, train_ds: Dataset, test_ds: Dataset,
             reporter_count=0, no_reporters=True)
         return [report]
 
-    proximal = cfg.scheme == "fedprox"
     params = params0
     reports = []
     for t in range(cfg.T):
-        reporters = select_reporters(
-            len(clients_xy), cfg.s,
-            rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, t))
-        params = fedavg_round(params, clients_xy, cfg, t, proximal=proximal)
+        params, reporter_count = fedavg_round(params, clients_xy, cfg, t)
         reports.append(_gm_report(t, params, clients_xy, test_ds, partition,
-                                  len(reporters)))
+                                  reporter_count))
     return reports

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import metrics
 from .baselines import run_baseline
 from .config import (ConfigError, ExperimentConfig, load_config, validate)
 from .data import Dataset, load_idx, make_partition, synth_pair
-from .federation import TrainingError, run_training
+from .federation import TrainingError, run_training, write_checkpoint
 from .nn import InputError
 
 
@@ -29,25 +30,32 @@ def _datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
         train = load_idx(cfg.train_images, cfg.train_labels)
         test = load_idx(cfg.test_images, cfg.test_labels)
         return train, test
-    spec = cfg.synth
-    spec.seed = seed
-    return synth_pair(spec)
+    return synth_pair(replace(cfg.synth, seed=seed))
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, workers: int = 1,
              checkpoint_dir=None) -> list[metrics.RoundReport]:
-    """One seeded end-to-end run of the configured scheme."""
+    """One seeded end-to-end run of the configured scheme.
+
+    ``cfg`` is left as it is; every section gets ``seed`` in a copy.  With a
+    ``checkpoint_dir``, pFedVEM writes a checkpoint every
+    ``cfg.checkpoint_every`` rounds.
+    """
     train, test = _datasets(cfg, seed)
-    cfg.partition.seed = seed
-    partition = make_partition(train, cfg.partition)
-    if cfg.scheme == "pfedvem":
-        cfg.train.seed = seed
-        _, _, reports = run_training(cfg.train, train, test, partition,
-                                     workers=workers,
-                                     checkpoint_dir=checkpoint_dir)
-    else:
-        cfg.baseline.seed = seed
-        reports = run_baseline(cfg.baseline, train, test, partition)
+    partition = make_partition(train, replace(cfg.partition, seed=seed))
+    if cfg.scheme != "pfedvem":
+        return run_baseline(replace(cfg.baseline, seed=seed), train, test,
+                            partition)
+
+    def checkpoint(globals_, clients):
+        if globals_.t % cfg.checkpoint_every == 0:
+            write_checkpoint(
+                os.path.join(checkpoint_dir, f"round{globals_.t:04d}.fvem"),
+                globals_, clients)
+
+    on_round = checkpoint if checkpoint_dir and cfg.checkpoint_every else None
+    _, _, reports = run_training(replace(cfg.train, seed=seed), train, test,
+                                 partition, workers=workers, on_round=on_round)
     return reports
 
 

@@ -11,7 +11,7 @@ functions of (spec, seed).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, pm_test_indices
 from .nn import (InputError, Layer, MlpParams, NumericError, backward,
-                 flatten_head, forward_base, init_mlp, sgd_step,
+                 flatten_head, forward_base, head_logits, init_mlp, sgd_step,
                  unflatten_head)
 from .variational import (IsotropicPrior, VariationalPosterior, confidence,
                           fit_posterior, head_loss_closure, sample,
@@ -154,9 +155,7 @@ def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
     prior = IsotropicPrior(center=globals_.w, tau=tau)
 
     features = forward_base(globals_.theta, client.x)
-    width = features.shape[1]
-    classes = d // (width + 1)
-    closure = head_loss_closure(features, client.y, classes)
+    closure = head_loss_closure(features, client.y)
     try:
         post = fit_posterior(client.posterior, prior, closure,
                              steps=cfg.R, lr=cfg.eta, K=cfg.K, rng=rng)
@@ -165,19 +164,16 @@ def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
             f"round {globals_.t}, client {client.id}: {exc}") from exc
 
     theta = [(w.copy(), b.copy()) for w, b in globals_.theta]
-    head_like = (np.zeros((classes, width)), np.zeros(classes))
+    width = features.shape[1]
     for _ in range(cfg.base_epochs):
         perm = rng.permutation(client.n)
         for start in range(0, client.n, cfg.base_batch):
             batch = perm[start:start + cfg.base_batch]
-            head_vec = sample(post, rng.standard_normal(d))
-            params = MlpParams(base=theta,
-                               head=unflatten_head(head_vec, head_like))
+            head = unflatten_head(sample(post, rng.standard_normal(d)), width)
+            params = MlpParams(base=theta, head=head)
             grads = backward(params, client.x[batch], client.y[batch])
             try:
-                theta = sgd_step(MlpParams(base=theta, head=params.head),
-                                 MlpParams(base=grads.base, head=grads.head),
-                                 cfg.base_lr).base
+                theta = sgd_step(params, grads, cfg.base_lr).base
             except NumericError as exc:
                 raise TrainingError(
                     f"round {globals_.t}, client {client.id}: {exc}") from exc
@@ -285,14 +281,9 @@ def _round_report(globals_: GlobalState, clients: list[ClientState],
                   test_ds: Dataset, partition: Partition,
                   reporters: np.ndarray) -> metrics.RoundReport:
     features = forward_base(globals_.theta, test_ds.images)
-    d = globals_.w.size
-    width = features.shape[1]
-    classes = d // (width + 1)
 
     def head_acc(head_vec, idx):
-        w = head_vec[: classes * width].reshape(classes, width)
-        b = head_vec[classes * width:]
-        logits = features[idx] @ w.T + b
+        logits = head_logits(features[idx], head_vec)
         return float((logits.argmax(axis=1) == test_ds.labels[idx]).mean())
 
     gm = head_acc(globals_.w, np.arange(len(test_ds)))
@@ -316,9 +307,14 @@ def _round_report(globals_: GlobalState, clients: list[ClientState],
 
 def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
                  partition: Partition, workers: int = 1,
-                 checkpoint_dir=None,
+                 on_round: Callable[[GlobalState, list[ClientState]], None]
+                 | None = None,
                  ) -> tuple[GlobalState, list[ClientState], list[metrics.RoundReport]]:
-    """Full T-round protocol with per-round evaluation."""
+    """Full T-round protocol with per-round evaluation.
+
+    ``on_round(globals_, clients)`` runs after every round's report, e.g.
+    to write a checkpoint.
+    """
     bad = cfg.violations()
     if bad:
         raise InputError("; ".join(bad))
@@ -330,10 +326,8 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
             globals_, clients, reporters = run_round(globals_, clients, cfg, pool)
             reports.append(_round_report(globals_, clients, test_ds,
                                          partition, reporters))
-            if checkpoint_dir is not None:
-                write_checkpoint(
-                    f"{checkpoint_dir}/round{globals_.t:04d}.fvem",
-                    globals_, clients)
+            if on_round is not None:
+                on_round(globals_, clients)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -10,36 +10,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .nn import MlpParams, forward, unflatten_head
-
-
-def _head_like(base, d: int):
-    width = base[-1][0].shape[0]
-    classes, rem = divmod(d, width + 1)
-    if rem != 0:
-        raise ValueError(f"head dim {d} incompatible with base width {width}")
-    return np.zeros((classes, width)), np.zeros(classes)
+from .nn import MlpParams, forward
 
 
 def accuracy(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
     logits = forward(params, x)
     return float((logits.argmax(axis=1) == np.asarray(y)).mean())
-
-
-def evaluate_pm(base, head_vec: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction correct with the personalized head on a filtered test subset."""
-    params = MlpParams(base=base,
-                       head=unflatten_head(head_vec, _head_like(base, head_vec.size)))
-    return accuracy(params, x, y)
-
-
-def evaluate_gm(w: np.ndarray, theta, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction correct with the shared latent head on the complete test set."""
-    return evaluate_pm(theta, w, x, y)
 
 
 def stats_snapshot(clients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -40,12 +40,6 @@ class MlpParams:
             head=(self.head[0].copy(), self.head[1].copy()),
         )
 
-    @property
-    def head_dim(self) -> int:
-        """Flattened head length, the dimension of the personalized parameter vector."""
-        w, b = self.head
-        return w.size + b.size
-
 
 def init_mlp(input_dim: int, hidden: tuple[int, ...], classes: int,
              rng: np.random.Generator) -> MlpParams:
@@ -67,11 +61,21 @@ def flatten_head(head: Layer) -> np.ndarray:
     return np.concatenate([w.ravel(), b.ravel()])
 
 
-def unflatten_head(vec: np.ndarray, like: Layer) -> Layer:
-    w, b = like
-    if vec.size != w.size + b.size:
-        raise ShapeError(f"head vector length {vec.size} != {w.size + b.size}")
-    return vec[: w.size].reshape(w.shape), vec[w.size:].copy()
+def unflatten_head(vec: np.ndarray, width: int) -> Layer:
+    """Views (W, b) of a flat head on ``width`` features; the class count is
+    the only one that fits ``len(vec) = classes * (width + 1)``."""
+    classes, rem = divmod(vec.size, width + 1)
+    if rem != 0 or classes < 1:
+        raise ShapeError(
+            f"head dim {vec.size} incompatible with feature width {width}")
+    split = classes * width
+    return vec[:split].reshape(classes, width), vec[split:]
+
+
+def head_logits(features: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Logits of the flat head ``vec`` on (B, width) features."""
+    w, b = unflatten_head(vec, features.shape[1])
+    return features @ w.T + b
 
 
 def _check_layer(x: np.ndarray, w: np.ndarray, name: str) -> None:
@@ -188,9 +192,3 @@ def sgd_step(params: MlpParams, grads: MlpParams, lr: float) -> MlpParams:
         head=step(params.head, grads.head, "head"),
     )
 
-
-def grad_norm(grads: MlpParams) -> float:
-    total = 0.0
-    for w, b in [*grads.base, grads.head]:
-        total += float((w ** 2).sum() + (b ** 2).sum())
-    return float(np.sqrt(total))

@@ -5,7 +5,7 @@ A client's head parameters carry a diagonal Gaussian posterior with mean
 positivity).  The conditional prior is an isotropic Gaussian centered at the
 shared latent head with precision tau.  This module provides reparametrized
 sampling, the closed-form KL with its analytic gradient, the Monte-Carlo
-training objective, and the confidence value used for aggregation.
+local objective, and the confidence value used for aggregation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nn import InputError, Layer, ShapeError, forward_base
+from .nn import InputError, ShapeError, head_logits
 
 TAU_MIN = 1e-8
 TAU_MAX = 1e8
@@ -95,8 +95,10 @@ def sample(post: VariationalPosterior, noise: np.ndarray) -> np.ndarray:
     return post.mu + post.sigma * noise
 
 
-def kl_to_prior(post: VariationalPosterior, prior: IsotropicPrior) -> float:
-    """Exact KL from the diagonal posterior to the isotropic prior.
+def kl_to_prior(post: VariationalPosterior, prior: IsotropicPrior,
+                ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact KL from the diagonal posterior to the isotropic prior, with its
+    analytic gradients w.r.t. (mu, pi), chained through the softplus.
 
     Per coordinate: ln(rho/sigma_i) + (sigma_i^2 + (mu_i - c_i)^2) * tau / 2 - 1/2,
     with rho = tau^{-1/2}.  The additive constant is kept so KL(q, q) == 0.
@@ -107,27 +109,22 @@ def kl_to_prior(post: VariationalPosterior, prior: IsotropicPrior) -> float:
     tau = prior.tau
     diff = post.mu - prior.center
     log_rho = -0.5 * np.log(tau)
-    return float(np.sum(log_rho - np.log(sigma)
-                        + (sigma ** 2 + diff ** 2) * tau / 2.0 - 0.5))
-
-
-def kl_gradients(post: VariationalPosterior,
-                 prior: IsotropicPrior) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic d(KL)/d(mu) and d(KL)/d(pi), chained through the softplus."""
-    sigma = post.sigma
-    tau = prior.tau
-    d_mu = (post.mu - prior.center) * tau
+    kl = float(np.sum(log_rho - np.log(sigma)
+                      + (sigma ** 2 + diff ** 2) * tau / 2.0 - 0.5))
     d_sigma = -1.0 / sigma + sigma * tau
-    return d_mu, d_sigma * _sigmoid(post.pi)
+    return kl, diff * tau, d_sigma * _sigmoid(post.pi)
 
 
-def mc_objective(post: VariationalPosterior, loss_grad_fn: LossGradFn,
-                 noise: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Monte-Carlo data term: mean over K draws of the total data loss.
+def mc_objective(post: VariationalPosterior, prior: IsotropicPrior,
+                 loss_grad_fn: LossGradFn, noise: np.ndarray,
+                 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """The local objective: (1/K) sum_k loss(w_k) + KL(q || prior).
 
-    ``noise`` is a (K, d) array of standard-normal draws; gradients flow to
-    (mu, pi) through the reparametrization while the callback treats the
-    sampled head as a constant parameter vector.
+    ``noise`` is a (K, d) array of standard-normal draws and w_k the
+    reparametrized heads; gradients w.r.t. (mu, pi) flow through the
+    reparametrization while the callback treats each sampled head as a
+    constant parameter vector.  This is the function ``fit_posterior``
+    descends and the one the gradient checks test.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=float))
     k = noise.shape[0]
@@ -137,17 +134,16 @@ def mc_objective(post: VariationalPosterior, loss_grad_fn: LossGradFn,
     loss = 0.0
     g_mu = np.zeros(post.d)
     g_pi = np.zeros(post.d)
-    for eps in noise:
-        w = sample(post, eps)
+    for w, eps in zip(sample(post, noise), noise):
         val, grad = loss_grad_fn(w)
         loss += val
         g_mu += grad
         g_pi += grad * eps * sig_grad
-    return loss / k, g_mu / k, g_pi / k
+    kl, k_mu, k_pi = kl_to_prior(post, prior)
+    return loss / k + kl, g_mu / k + k_mu, g_pi / k + k_pi
 
 
-def head_loss_closure(features: np.ndarray, labels: np.ndarray,
-                      classes: int) -> LossGradFn:
+def head_loss_closure(features: np.ndarray, labels: np.ndarray) -> LossGradFn:
     """Total (summed) cross-entropy of an affine head on fixed features.
 
     Returns a callback mapping the flattened head (weights then biases) to
@@ -155,12 +151,10 @@ def head_loss_closure(features: np.ndarray, labels: np.ndarray,
     the n_j * f_j scaling of the local objective.
     """
     labels = np.asarray(labels)
-    n, h = features.shape
+    n = len(features)
 
     def fn(w_flat: np.ndarray) -> tuple[float, np.ndarray]:
-        w = w_flat[: classes * h].reshape(classes, h)
-        b = w_flat[classes * h:]
-        logits = features @ w.T + b
+        logits = head_logits(features, w_flat)
         shifted = logits - logits.max(axis=1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=1))
         loss = float((lse - shifted[np.arange(n), labels]).sum())
@@ -172,43 +166,6 @@ def head_loss_closure(features: np.ndarray, labels: np.ndarray,
     return fn
 
 
-def mc_local_loss(post: VariationalPosterior, prior: IsotropicPrior,
-                  batch: np.ndarray, labels: np.ndarray,
-                  base_params: list[Layer], K: int,
-                  noise: np.ndarray | None = None,
-                  rng: np.random.Generator | None = None,
-                  ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Local training objective: (n/K) sum_k f(batch; w_k) + KL(q || prior).
-
-    Base parameters are constants here; gradients are returned w.r.t.
-    (mu, pi) only.  Noise may be passed explicitly (frozen, shape (K, d))
-    or drawn from ``rng``.
-    """
-    if K < 1:
-        raise InputError("K must be >= 1")
-    if len(batch) == 0:
-        raise InputError("empty data batch")
-    features = forward_base(base_params, batch)
-    classes = _infer_classes(post.d, features.shape[1])
-    fn = head_loss_closure(features, labels, classes)
-    if noise is None:
-        if rng is None:
-            raise InputError("provide either frozen noise or a generator")
-        noise = rng.standard_normal((K, post.d))
-    loss, g_mu, g_pi = mc_objective(post, fn, noise)
-    kl = kl_to_prior(post, prior)
-    k_mu, k_pi = kl_gradients(post, prior)
-    return loss + kl, g_mu + k_mu, g_pi + k_pi
-
-
-def _infer_classes(d: int, feature_width: int) -> int:
-    classes, rem = divmod(d, feature_width + 1)
-    if rem != 0 or classes < 1:
-        raise ShapeError(
-            f"head dim {d} incompatible with feature width {feature_width}")
-    return classes
-
-
 GRAD_CLIP = 1e3
 
 
@@ -216,7 +173,7 @@ def fit_posterior(post: VariationalPosterior, prior: IsotropicPrior,
                   loss_grad_fn: LossGradFn, steps: int, lr: float, K: int,
                   rng: np.random.Generator,
                   grad_clip: float = GRAD_CLIP) -> VariationalPosterior:
-    """Gradient descent on the MC objective plus KL, fresh noise each step.
+    """Gradient descent on ``mc_objective``, fresh noise each step.
 
     Steps whose joint gradient norm exceeds ``grad_clip`` are rescaled to
     that norm; ordinary training never reaches the threshold, it only tames
@@ -227,9 +184,7 @@ def fit_posterior(post: VariationalPosterior, prior: IsotropicPrior,
     for _ in range(steps):
         cur = VariationalPosterior(mu, pi)
         noise = rng.standard_normal((K, cur.d))
-        _, g_mu, g_pi = mc_objective(cur, loss_grad_fn, noise)
-        k_mu, k_pi = kl_gradients(cur, prior)
-        d_mu, d_pi = g_mu + k_mu, g_pi + k_pi
+        _, d_mu, d_pi = mc_objective(cur, prior, loss_grad_fn, noise)
         norm = float(np.sqrt((d_mu ** 2).sum() + (d_pi ** 2).sum()))
         if norm > grad_clip:
             d_mu = d_mu * (grad_clip / norm)

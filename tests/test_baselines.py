@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fedvem import rng as rng_mod
-from fedvem.baselines import (BaselineConfig, fedavg_round, fedprox_round,
-                              local_train, proximal_grads, run_baseline)
+from fedvem.baselines import (BaselineConfig, fedavg_round, local_train,
+                              proximal_grads, run_baseline)
 from fedvem.data import PartitionSpec, SynthSpec, make_partition, synth_pair
 from fedvem.federation import select_reporters
 from fedvem.nn import InputError, MlpParams, init_mlp
@@ -94,15 +94,17 @@ def test_local_train_rejects_empty_client():
 def test_fedavg_round_no_reporters_returns_broadcast():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     cfg = BaselineConfig(s=1e-12, seed=0)
-    out = fedavg_round(params, toy_clients(), cfg, t=0)
+    out, reporter_count = fedavg_round(params, toy_clients(), cfg, t=0)
     assert out is params
+    assert reporter_count == 0
 
 
 def test_fedavg_round_single_client_equals_local_sgd():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     clients = toy_clients(1)
     cfg = BaselineConfig(s=1.0, lr=0.05, epochs=2, batch=4, seed=3)
-    out = fedavg_round(params, clients, cfg, t=0)
+    out, reporter_count = fedavg_round(params, clients, cfg, t=0)
+    assert reporter_count == 1
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, 0, 0)
     x, y = clients[0]
     expected = local_train(x, y, params,
@@ -114,22 +116,22 @@ def test_fedavg_round_single_client_equals_local_sgd():
 def test_fedprox_zero_mu_equals_fedavg():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     clients = toy_clients()
-    avg = fedavg_round(params, clients, BaselineConfig(s=1.0, seed=1, epochs=1),
-                       t=0)
-    prox = fedprox_round(params, clients,
-                         BaselineConfig(scheme="fedprox", s=1.0, seed=1,
-                                        epochs=1, mu_prox=0.0), t=0)
+    avg, _ = fedavg_round(params, clients,
+                          BaselineConfig(s=1.0, seed=1, epochs=1), t=0)
+    prox, _ = fedavg_round(params, clients,
+                           BaselineConfig(scheme="fedprox", s=1.0, seed=1,
+                                          epochs=1, mu_prox=0.0), t=0)
     np.testing.assert_allclose(prox.head[0], avg.head[0], atol=1e-15)
 
 
 def test_fedprox_large_mu_pins_models_to_broadcast():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     clients = toy_clients()
-    prox = fedprox_round(params, clients,
-                         BaselineConfig(scheme="fedprox", s=1.0, seed=1,
-                                        epochs=3, lr=0.01, mu_prox=50.0), t=0)
-    avg = fedavg_round(params, clients,
-                       BaselineConfig(s=1.0, seed=1, epochs=3, lr=0.01), t=0)
+    prox, _ = fedavg_round(params, clients,
+                           BaselineConfig(scheme="fedprox", s=1.0, seed=1,
+                                          epochs=3, lr=0.01, mu_prox=50.0), t=0)
+    avg, _ = fedavg_round(params, clients,
+                          BaselineConfig(s=1.0, seed=1, epochs=3, lr=0.01), t=0)
     drift_prox = float(np.abs(prox.head[0] - params.head[0]).max())
     drift_avg = float(np.abs(avg.head[0] - params.head[0]).max())
     assert drift_prox < drift_avg

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fedvem.cli import main, run_experiment
+from fedvem.cli import main, run_experiment, run_seed
 from fedvem.config import (ConfigError, build_config, load_config, parse_kv,
                            validate)
 from fedvem.metrics import read_report
@@ -129,6 +129,26 @@ def test_run_experiment_checkpoints(tmp_path):
     run_experiment(cfg, out=str(out))
     ckpts = sorted((out / "checkpoints_seed0").iterdir())
     assert [p.name for p in ckpts] == ["round0001.fvem", "round0002.fvem"]
+
+
+def test_run_experiment_checkpoint_interval(tmp_path):
+    cfg = load_config(smoke_config(tmp_path, extra="checkpoint_every = 2\n",
+                                   replace={"train.T = 2": "train.T = 4"}))
+    out = tmp_path / "reports"
+    run_experiment(cfg, out=str(out))
+    ckpts = sorted((out / "checkpoints_seed0").iterdir())
+    assert [p.name for p in ckpts] == ["round0002.fvem", "round0004.fvem"]
+
+
+@pytest.mark.parametrize("scheme", ["pfedvem", "fedavg"])
+def test_run_seed_leaves_config_seeds_alone(tmp_path, scheme):
+    cfg = load_config(smoke_config(
+        tmp_path, replace={"scheme = pfedvem": f"scheme = {scheme}"}))
+    sections = (cfg.synth, cfg.partition, cfg.train, cfg.baseline)
+    before = [sec.seed for sec in sections]
+    assert 3 not in before
+    run_seed(cfg, 3)
+    assert [sec.seed for sec in sections] == before
 
 
 def test_main_run_exit_zero(tmp_path, capsys):

@@ -292,9 +292,10 @@ def test_run_training_learns_tiny_problem():
 def test_checkpoint_roundtrip(tmp_path):
     train, test, part = tiny_problem()
     cfg = tiny_config(T=1, s=1.0)
-    gs, clients, _ = run_training(cfg, train, test, part,
-                                  checkpoint_dir=tmp_path)
     path = tmp_path / "round0001.fvem"
+    gs, clients, _ = run_training(
+        cfg, train, test, part,
+        on_round=lambda g, c: write_checkpoint(path, g, c))
     assert path.exists()
     gs2, dumped = read_checkpoint(path)
     assert gs2.t == 1

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fedvem.metrics import (RoundReport, accuracy, evaluate_gm, evaluate_pm,
-                            read_report, sem, stats_snapshot, write_client_csv,
-                            write_report)
-from fedvem.nn import MlpParams, flatten_head, init_mlp
+from fedvem.metrics import (RoundReport, accuracy, read_report, sem,
+                            stats_snapshot, write_client_csv, write_report)
+from fedvem.nn import (MlpParams, flatten_head, forward_base, head_logits,
+                       init_mlp, unflatten_head)
 from fedvem.variational import VariationalPosterior
 
 
@@ -33,15 +33,17 @@ def test_evaluate_pm_matches_manual_forward():
     params = init_mlp(4, (5,), 3, np.random.default_rng(2))
     x = np.random.default_rng(3).standard_normal((10, 4))
     y = np.random.default_rng(4).integers(0, 3, size=10)
-    vec = flatten_head(params.head)
-    assert evaluate_pm(params.base, vec, x, y) == accuracy(params, x, y)
-    assert evaluate_gm(vec, params.base, x, y) == accuracy(params, x, y)
+    # PM and GM evaluation score a flat head on base features
+    logits = head_logits(forward_base(params.base, x), flatten_head(params.head))
+    assert float((logits.argmax(axis=1) == y).mean()) == accuracy(params, x, y)
 
 
 def test_evaluate_pm_rejects_incompatible_head():
-    params = init_mlp(4, (5,), 3, np.random.default_rng(2))
+    # 17 is no multiple of width + 1 = 6
     with pytest.raises(ValueError, match="incompatible"):
-        evaluate_pm(params.base, np.zeros(17), np.zeros((1, 4)), [0])
+        unflatten_head(np.zeros(17), 5)
+    with pytest.raises(ValueError, match="incompatible"):
+        unflatten_head(np.zeros(0), 5)   # zero classes
 
 
 def test_stats_snapshot_hand_case():

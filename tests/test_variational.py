@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvem.nn import InputError, init_mlp
+from fedvem.nn import (InputError, MlpParams, cross_entropy, flatten_head,
+                       forward, forward_base, init_mlp, unflatten_head)
 from fedvem.variational import (IsotropicPrior, VariationalPosterior,
                                 confidence, fit_posterior, head_loss_closure,
-                                kl_gradients, kl_to_prior, mc_local_loss,
-                                mc_objective, sample, softplus, softplus_inv)
+                                kl_to_prior, mc_objective, sample, softplus,
+                                softplus_inv)
 
 from helpers import central_diff, golden_max, rel_err
 
@@ -82,20 +83,20 @@ def test_kl_self_distance_is_zero():
     rho = tau ** -0.5
     post = posterior([1.0, -2.0, 0.5], rho)
     prior = IsotropicPrior(center=post.mu.copy(), tau=tau)
-    assert kl_to_prior(post, prior) == pytest.approx(0.0, abs=1e-12)
+    assert kl_to_prior(post, prior)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_unit_case():
     post = posterior([1.0], 1.0)
     prior = IsotropicPrior(center=np.array([0.0]), tau=1.0)
-    assert kl_to_prior(post, prior) == pytest.approx(0.5, abs=1e-12)
+    assert kl_to_prior(post, prior)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kl_hand_evaluated_case():
     post = posterior([0.0], 0.5)
     prior = IsotropicPrior(center=np.array([0.0]), tau=1.0)
     expected = np.log(2) + 0.125 - 0.5
-    assert kl_to_prior(post, prior) == pytest.approx(expected, abs=1e-12)
+    assert kl_to_prior(post, prior)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_kl_rejects_nonpositive_tau():
@@ -111,7 +112,7 @@ def test_kl_nonnegative(seed):
     post = VariationalPosterior(mu=rng.normal(0, 3, d), pi=rng.normal(0, 3, d))
     prior = IsotropicPrior(center=rng.normal(0, 3, d),
                            tau=float(rng.uniform(0.01, 100)))
-    assert kl_to_prior(post, prior) >= -1e-12
+    assert kl_to_prior(post, prior)[0] >= -1e-12
 
 
 def test_kl_gradients_match_finite_differences():
@@ -119,12 +120,14 @@ def test_kl_gradients_match_finite_differences():
     d = 6
     post = VariationalPosterior(mu=rng.normal(0, 1, d), pi=rng.normal(0, 1, d))
     prior = IsotropicPrior(center=rng.normal(0, 1, d), tau=2.5)
-    g_mu, g_pi = kl_gradients(post, prior)
+    _, g_mu, g_pi = kl_to_prior(post, prior)
 
     num_mu = central_diff(
-        lambda m: kl_to_prior(VariationalPosterior(m, post.pi), prior), post.mu)
+        lambda m: kl_to_prior(VariationalPosterior(m, post.pi), prior)[0],
+        post.mu)
     num_pi = central_diff(
-        lambda p: kl_to_prior(VariationalPosterior(post.mu, p), prior), post.pi)
+        lambda p: kl_to_prior(VariationalPosterior(post.mu, p), prior)[0],
+        post.pi)
     assert rel_err(g_mu, num_mu) <= 1e-6
     assert rel_err(g_pi, num_pi) <= 1e-6
 
@@ -142,64 +145,65 @@ def test_kl_jensen_lower_bound():
         dev = float(((post.mu - prior.center) ** 2).sum())
         c = -(d / 2) * np.log(prior.tau) - d / 2 + (d / 2) * np.log(d)
         bound = -(d / 2) * np.log(trace) + prior.tau / 2 * (trace + dev) + c
-        assert kl_to_prior(post, prior) >= bound - 1e-9
+        assert kl_to_prior(post, prior)[0] >= bound - 1e-9
 
 
 # ------------------------------------------------------------ MC objective
 
 def toy_problem(seed=0, n=12, dim=3, hidden=4, classes=3):
+    """Posterior, prior and the head-loss closure of a small MLP's features."""
     rng = np.random.default_rng(seed)
     params = init_mlp(dim, (hidden,), classes, rng)
     x = rng.standard_normal((n, dim))
     y = rng.integers(0, classes, size=n)
-    d = params.head_dim
+    d = flatten_head(params.head).size
     post = VariationalPosterior(mu=rng.normal(0, 0.5, d), pi=rng.normal(0, 0.5, d))
     prior = IsotropicPrior(center=rng.normal(0, 0.5, d), tau=1.7)
-    return params, x, y, post, prior
+    closure = head_loss_closure(forward_base(params.base, x), y)
+    return params, x, y, post, prior, closure
 
 
 def test_mc_local_loss_degenerate_posterior():
-    params, x, y, post, prior = toy_problem()
+    params, x, y, post, prior, closure = toy_problem()
     post = VariationalPosterior(mu=post.mu, pi=np.full(post.d, -40.0))
-    loss, _, _ = mc_local_loss(post, prior, x, y, params.base, K=1,
-                               noise=np.zeros((1, post.d)))
-    from fedvem.nn import MlpParams, cross_entropy, forward, unflatten_head
-    det = MlpParams(base=params.base, head=unflatten_head(post.mu, params.head))
-    expected = len(x) * cross_entropy(forward(det, x), y) + kl_to_prior(post, prior)
+    loss, _, _ = mc_objective(post, prior, closure, np.zeros((1, post.d)))
+    det = MlpParams(base=params.base, head=unflatten_head(post.mu, 4))
+    expected = (len(x) * cross_entropy(forward(det, x), y)
+                + kl_to_prior(post, prior)[0])
     assert loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_mc_local_loss_rejects_k_zero():
-    params, x, y, post, prior = toy_problem()
+    _, _, _, post, prior, closure = toy_problem()
     with pytest.raises(InputError):
-        mc_local_loss(post, prior, x, y, params.base, K=0, noise=np.zeros((0, post.d)))
+        mc_objective(post, prior, closure, np.zeros((0, post.d)))
 
 
 def test_mc_local_loss_gradients_match_finite_differences():
-    params, x, y, post, prior = toy_problem(seed=1)
+    _, _, _, post, prior, closure = toy_problem(seed=1)
     noise = np.random.default_rng(4).standard_normal((3, post.d))
-    _, g_mu, g_pi = mc_local_loss(post, prior, x, y, params.base, K=3, noise=noise)
+    _, g_mu, g_pi = mc_objective(post, prior, closure, noise)
 
     def loss_mu(m):
-        return mc_local_loss(VariationalPosterior(m, post.pi), prior, x, y,
-                             params.base, K=3, noise=noise)[0]
+        return mc_objective(VariationalPosterior(m, post.pi), prior, closure,
+                            noise)[0]
 
     def loss_pi(p):
-        return mc_local_loss(VariationalPosterior(post.mu, p), prior, x, y,
-                             params.base, K=3, noise=noise)[0]
+        return mc_objective(VariationalPosterior(post.mu, p), prior, closure,
+                            noise)[0]
 
     assert rel_err(g_mu, central_diff(loss_mu, post.mu)) <= 1e-4
     assert rel_err(g_pi, central_diff(loss_pi, post.pi)) <= 1e-4
 
 
 def test_mc_consistency_across_sample_counts():
-    params, x, y, post, prior = toy_problem(seed=2)
+    _, _, _, post, prior, closure = toy_problem(seed=2)
     rng = np.random.default_rng(5)
-    losses1 = [mc_local_loss(post, prior, x, y, params.base, K=1,
-                             noise=rng.standard_normal((1, post.d)))[0]
+    losses1 = [mc_objective(post, prior, closure,
+                            rng.standard_normal((1, post.d)))[0]
                for _ in range(200)]
-    losses4 = [mc_local_loss(post, prior, x, y, params.base, K=4,
-                             noise=rng.standard_normal((4, post.d)))[0]
+    losses4 = [mc_objective(post, prior, closure,
+                            rng.standard_normal((4, post.d)))[0]
                for _ in range(200)]
     m1, m4 = np.mean(losses1), np.mean(losses4)
     se = np.sqrt(np.var(losses1, ddof=1) / 200 + np.var(losses4, ddof=1) / 200)
@@ -292,6 +296,20 @@ def test_fit_posterior_pure_kl_step():
     out = fit_posterior(post, prior, lambda w: (0.0, np.zeros(d)),
                         steps=1, lr=eta, K=1, rng=np.random.default_rng(0))
     np.testing.assert_allclose(out.mu, post.mu - eta * post.mu * 3.0, atol=1e-15)
+
+
+def test_fit_posterior_steps_on_mc_objective():
+    # the trainer descends exactly the gradient the finite-difference checks
+    # test: one step is mu - eta * grad on the same noise draws
+    _, _, _, post, prior, closure = toy_problem(seed=3)
+    eta, K = 0.01, 3
+    noise = np.random.default_rng(8).standard_normal((K, post.d))
+    _, g_mu, g_pi = mc_objective(post, prior, closure, noise)
+    assert np.sqrt((g_mu ** 2).sum() + (g_pi ** 2).sum()) < 1e3  # no clipping
+    out = fit_posterior(post, prior, closure, steps=1, lr=eta, K=K,
+                        rng=np.random.default_rng(8))
+    np.testing.assert_array_equal(out.mu, post.mu - eta * g_mu)
+    np.testing.assert_array_equal(out.pi, post.pi - eta * g_pi)
 
 
 def test_fit_posterior_recovers_conjugate_gaussian_mean():
