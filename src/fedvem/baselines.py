@@ -14,8 +14,8 @@ import numpy as np
 from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, pm_test_indices
 from .federation import aggregate_base, select_reporters
-from .nn import (InputError, MlpParams, backward, init_mlp, sgd_step,
-                 zeros_like)
+from .nn import (InputError, MlpParams, backward, forward, init_mlp,
+                 sgd_step, zeros_like)
 
 SCHEMES = ("local", "fedavg", "fedprox")
 
@@ -119,19 +119,14 @@ def fedavg_round(theta_full: MlpParams, clients_xy: list[tuple[np.ndarray, np.nd
 
 
 def _gm_report(t: int, params: MlpParams, clients_xy, test_ds: Dataset,
-               partition: Partition, reporter_count: int) -> metrics.RoundReport:
-    gm = metrics.accuracy(params, test_ds.images, test_ds.labels)
-    pm = []
-    for j in range(len(clients_xy)):
-        idx = pm_test_indices(partition, test_ds, j)
-        if len(idx) == 0:
-            pm.append(None)
-        else:
-            pm.append(metrics.accuracy(params, test_ds.images[idx],
-                                       test_ds.labels[idx]))
+               pm_idx: list[np.ndarray], reporter_count: int) -> metrics.RoundReport:
+    """One forward of the global model over the test set serves every client:
+    client j's PM accuracy is the hit rate on ``pm_idx[j]``."""
+    hits = forward(params, test_ds.images).argmax(axis=1) == test_ds.labels
+    pm = [float(hits[idx].mean()) if len(idx) else None for idx in pm_idx]
     J = len(clients_xy)
     return metrics.RoundReport(
-        round=t, gm_accuracy=gm,
+        round=t, gm_accuracy=float(hits.mean()),
         client_ids=list(range(J)),
         client_sizes=[len(x) for x, _ in clients_xy],
         pm_accuracies=pm,
@@ -159,13 +154,15 @@ def run_baseline(cfg: BaselineConfig, train_ds: Dataset, test_ds: Dataset,
                        init_rng)
     clients_xy = [(train_ds.images[ix], train_ds.labels[ix])
                   for ix in partition.client_indices]
+    pm_idx = [pm_test_indices(partition, test_ds, j)
+              for j in range(len(clients_xy))]
 
     if cfg.scheme == "local":
         pm = []
         for j, (x, y) in enumerate(clients_xy):
             rng = rng_mod.stream(cfg.seed, rng_mod.TAG_BASELINE, j)
             model = local_train(x, y, params0, cfg, rng)
-            idx = pm_test_indices(partition, test_ds, j)
+            idx = pm_idx[j]
             pm.append(metrics.accuracy(model, test_ds.images[idx],
                                        test_ds.labels[idx])
                       if len(idx) else None)
@@ -184,6 +181,6 @@ def run_baseline(cfg: BaselineConfig, train_ds: Dataset, test_ds: Dataset,
     reports = []
     for t in range(cfg.T):
         params, reporter_count = fedavg_round(params, clients_xy, cfg, t)
-        reports.append(_gm_report(t, params, clients_xy, test_ds, partition,
+        reports.append(_gm_report(t, params, clients_xy, test_ds, pm_idx,
                                   reporter_count))
     return reports

@@ -1,11 +1,13 @@
 """Server/client protocol for confidence-weighted personalized training.
 
-Each round: the server broadcasts the latent head w and shared base theta;
-every client recomputes its confidence, trains its head posterior by
-full-batch gradient descent on the Monte-Carlo objective, then its base copy
-by mini-batch SGD; a binomial subset reports back and the server aggregates
-heads by confidence and bases by data size.  Non-reporters keep their local
-state (stragglers still train).
+Each round the server draws a binomial subset of reporters and broadcasts
+the latent head w, the shared base theta and the reporter ids.  Every client
+recomputes its confidence and trains its head posterior by full-batch
+gradient descent on the Monte-Carlo objective: stragglers fit their heads
+too, because the posterior feeds their next confidence and their PM
+accuracy.  Only reporters then train a base copy by mini-batch SGD, since
+only an uploaded base is ever read.  The server aggregates reporter heads by
+confidence and reporter bases by data size.
 
 Per-(seed, round, client) random streams make results independent of worker
 scheduling; client updates within a round may run on a process pool.
@@ -13,9 +15,10 @@ scheduling; client updates within a round may run on a process pool.
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -86,6 +89,7 @@ class GlobalState:
     w: np.ndarray          # latent head vector
     theta: list[Layer]     # shared base model
     t: int = 0
+    reporters: frozenset[int] = frozenset()   # ids that upload this round
 
 
 @dataclass
@@ -95,7 +99,7 @@ class ClientState:
     y: np.ndarray
     posterior: VariationalPosterior
     tau: float
-    theta_local: list[Layer]
+    theta_local: list[Layer]   # this round's base upload; [] for non-reporters
 
     @property
     def n(self) -> int:
@@ -143,8 +147,10 @@ def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
 
     Order per the protocol: recompute the confidence against the new w
     (round 0 uses the configured initial variance), train the head posterior
-    for R full-batch steps, then train the base copy with the head held as a
-    posterior sample per mini-batch.
+    for R full-batch steps, then, for a client in ``globals_.reporters``
+    only, train the base copy with the head held as a posterior sample per
+    mini-batch.  Base-SGD draws come last in the client's stream, so
+    skipping them leaves every other draw where it was.
     """
     d = client.posterior.d
     if globals_.t == 0:
@@ -163,6 +169,11 @@ def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
         raise TrainingError(
             f"round {globals_.t}, client {client.id}: {exc}") from exc
 
+    updated = ClientState(id=client.id, x=client.x, y=client.y,
+                          posterior=post, tau=tau, theta_local=[])
+    if client.id not in globals_.reporters:
+        return updated
+
     theta = [(w.copy(), b.copy()) for w, b in globals_.theta]
     width = features.shape[1]
     for _ in range(cfg.base_epochs):
@@ -177,9 +188,8 @@ def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
             except NumericError as exc:
                 raise TrainingError(
                     f"round {globals_.t}, client {client.id}: {exc}") from exc
-
-    return ClientState(id=client.id, x=client.x, y=client.y,
-                       posterior=post, tau=tau, theta_local=theta)
+    updated.theta_local = theta
+    return updated
 
 
 def _update_worker(args) -> ClientState:
@@ -222,12 +232,11 @@ def run_round(globals_: GlobalState, clients: list[ClientState],
     reporters = select_reporters(len(clients), cfg.s,
                                  rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS,
                                                 globals_.t))
-    if cfg.train_reporters_only:
-        to_train = set(reporters.tolist())
-    else:
-        to_train = set(range(len(clients)))
-
-    jobs = [(c, globals_, cfg) for c in clients if c.id in to_train]
+    broadcast = replace(globals_, reporters=frozenset(reporters.tolist()))
+    # last round's uploads are spent: neither shipped nor carried over
+    clients = [replace(c, theta_local=[]) for c in clients]
+    jobs = [(c, broadcast, cfg) for c in clients
+            if c.id in broadcast.reporters or not cfg.train_reporters_only]
     if pool is None:
         updated = list(map(_update_worker, jobs))
     else:
@@ -272,14 +281,14 @@ def init_state(cfg: TrainConfig, train_ds: Dataset,
         post = VariationalPosterior(mu=w0.copy(), pi=np.full(w0.size, pi0))
         clients.append(ClientState(
             id=j, x=train_ds.images[idx], y=train_ds.labels[idx],
-            posterior=post, tau=1.0 / cfg.rho0_sq,
-            theta_local=[(w.copy(), b.copy()) for w, b in params.base]))
+            posterior=post, tau=1.0 / cfg.rho0_sq, theta_local=[]))
     return GlobalState(w=w0, theta=params.base, t=0), clients
 
 
 def _round_report(globals_: GlobalState, clients: list[ClientState],
-                  test_ds: Dataset, partition: Partition,
+                  test_ds: Dataset, pm_idx: list[np.ndarray],
                   reporters: np.ndarray) -> metrics.RoundReport:
+    """``pm_idx[j]`` holds client j's PM test indices (``pm_test_indices``)."""
     features = forward_base(globals_.theta, test_ds.images)
 
     def head_acc(head_vec, idx):
@@ -287,10 +296,8 @@ def _round_report(globals_: GlobalState, clients: list[ClientState],
         return float((logits.argmax(axis=1) == test_ds.labels[idx]).mean())
 
     gm = head_acc(globals_.w, np.arange(len(test_ds)))
-    pm = []
-    for c in clients:
-        idx = pm_test_indices(partition, test_ds, c.id)
-        pm.append(head_acc(c.posterior.mu, idx) if len(idx) else None)
+    pm = [head_acc(c.posterior.mu, idx) if len(idx) else None
+          for c, idx in zip(clients, pm_idx)]
     ratios, deviations = metrics.stats_snapshot(clients, globals_.w)
     return metrics.RoundReport(
         round=globals_.t - 1,
@@ -319,13 +326,14 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     if bad:
         raise InputError("; ".join(bad))
     globals_, clients = init_state(cfg, train_ds, partition)
+    pm_idx = [pm_test_indices(partition, test_ds, c.id) for c in clients]
     reports: list[metrics.RoundReport] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for _ in range(cfg.T):
             globals_, clients, reporters = run_round(globals_, clients, cfg, pool)
-            reports.append(_round_report(globals_, clients, test_ds,
-                                         partition, reporters))
+            reports.append(_round_report(globals_, clients, test_ds, pm_idx,
+                                         reporters))
             if on_round is not None:
                 on_round(globals_, clients)
     finally:
@@ -340,10 +348,13 @@ def write_checkpoint(path, globals_: GlobalState,
 
     Layout: magic "FVEM", version u32, d u32, J u32, base layer count u32,
     per-layer (out, in) u32 pairs, round u64, then w, theta (row-major W
-    then b per layer), and per client mu, pi, tau.
+    then b per layer), and per client mu, pi, tau.  The file is written
+    beside ``path`` and renamed over it, so an interrupted write never
+    leaves a partial checkpoint under ``path``.
     """
     d = globals_.w.size
-    with open(path, "wb") as f:
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<III", CHECKPOINT_VERSION, d, len(clients)))
         f.write(struct.pack("<I", len(globals_.theta)))
@@ -358,25 +369,38 @@ def write_checkpoint(path, globals_: GlobalState,
             f.write(np.asarray(c.posterior.mu, dtype="<f8").tobytes())
             f.write(np.asarray(c.posterior.pi, dtype="<f8").tobytes())
             f.write(struct.pack("<d", c.tau))
+    os.replace(tmp, path)
 
 
 def read_checkpoint(path) -> tuple[GlobalState, list[dict]]:
-    """Inverse of write_checkpoint; clients come back as plain dicts."""
+    """Inverse of write_checkpoint; clients come back as plain dicts.
+
+    Raises InputError naming ``path`` unless the file is exactly as long as
+    its header says.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise InputError(f"{path}: bad checkpoint magic")
-    version, d, n_clients = struct.unpack_from("<III", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise InputError(f"{path}: unsupported checkpoint version {version}")
-    (n_layers,) = struct.unpack_from("<I", raw, 16)
-    offset = 20
-    shapes = []
-    for _ in range(n_layers):
-        shapes.append(struct.unpack_from("<II", raw, offset))
-        offset += 8
-    (t,) = struct.unpack_from("<Q", raw, offset)
+    try:
+        version, d, n_clients = struct.unpack_from("<III", raw, 4)
+        if version != CHECKPOINT_VERSION:
+            raise InputError(f"{path}: unsupported checkpoint version {version}")
+        (n_layers,) = struct.unpack_from("<I", raw, 16)
+        offset = 20
+        shapes = []
+        for _ in range(n_layers):
+            shapes.append(struct.unpack_from("<II", raw, offset))
+            offset += 8
+        (t,) = struct.unpack_from("<Q", raw, offset)
+    except struct.error as exc:
+        raise InputError(f"{path}: truncated checkpoint header") from exc
     offset += 8
+    size = offset + 8 * (d + sum(o * i + o for o, i in shapes)
+                         + n_clients * (2 * d + 1))
+    if len(raw) != size:
+        raise InputError(f"{path}: checkpoint holds {len(raw)} bytes, its "
+                         f"header implies {size}")
 
     def take(count):
         nonlocal offset

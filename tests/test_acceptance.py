@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedvem import rng as rng_mod
 from fedvem.baselines import BaselineConfig, proximal_grads, run_baseline
 from fedvem.data import (Dataset, PartitionSpec, SynthSpec, load_idx,
                          make_partition, slice_sizes, synth_pair)
-from fedvem.federation import TrainConfig, run_training, serialize_upload
+from fedvem.federation import (TrainConfig, run_training, select_reporters,
+                               serialize_upload)
 from fedvem.metrics import sem, write_report
 from fedvem.nn import backward, cross_entropy, forward, forward_base, init_mlp
 from fedvem.variational import (IsotropicPrior, VariationalPosterior,
@@ -362,11 +364,14 @@ def test_criterion_8_determinism_and_payload(tmp_path):
     identical = (tmp_path / "w1.jsonl").read_bytes() == (tmp_path / "w2.jsonl").read_bytes()
     identical &= bool(np.array_equal(gs1.w, gs2.w))
 
-    c = clients1[0]
+    # only a last-round reporter holds a base upload
+    last = select_reporters(len(clients1), cfg.s, rng_mod.stream(
+        cfg.seed, rng_mod.TAG_REPORTERS, cfg.T - 1))
+    c = clients1[last[0]]
     payload = serialize_upload(c.posterior.mu, c.tau, c.theta_local)
     base_params = sum(w.size + b.size for w, b in c.theta_local)
     expected = 8 * (gs1.w.size + base_params + 1)
-    size_ok = len(payload) == expected
+    size_ok = base_params > 0 and len(payload) == expected
 
     ok = identical and size_ok
     verdict(8, "determinism and payload", ok,

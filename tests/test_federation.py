@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,7 @@ def test_client_update_moves_posterior_and_base():
     train, _, part = tiny_problem()
     cfg = tiny_config()
     gs, clients = init_state(cfg, train, part)
+    gs.reporters = frozenset({0})
     out = client_update(clients[0], gs, cfg, np.random.default_rng(0))
     assert not np.array_equal(out.posterior.mu, clients[0].posterior.mu)
     assert not np.array_equal(out.theta_local[0][0], gs.theta[0][0])
@@ -183,9 +186,26 @@ def test_client_update_zero_rates_freeze_everything():
     train, _, part = tiny_problem()
     cfg = tiny_config(eta=0.0, base_lr=0.0)
     gs, clients = init_state(cfg, train, part)
+    gs.reporters = frozenset({0})
     out = client_update(clients[0], gs, cfg, np.random.default_rng(0))
     np.testing.assert_array_equal(out.posterior.mu, clients[0].posterior.mu)
     np.testing.assert_array_equal(out.theta_local[0][0], gs.theta[0][0])
+
+
+def test_client_update_non_reporter_fits_head_only():
+    train, _, part = tiny_problem()
+    cfg = tiny_config()
+    gs, clients = init_state(cfg, train, part)
+    gs.t = 2
+    reporter = client_update(clients[1], replace(gs, reporters=frozenset({1})),
+                             cfg, np.random.default_rng(5))
+    straggler = client_update(clients[1], gs, cfg, np.random.default_rng(5))
+    # base-SGD draws come after the head fit's, so the head is unaffected
+    np.testing.assert_array_equal(straggler.posterior.mu, reporter.posterior.mu)
+    np.testing.assert_array_equal(straggler.posterior.pi, reporter.posterior.pi)
+    assert straggler.tau == reporter.tau
+    assert straggler.theta_local == []
+    assert len(reporter.theta_local) == len(gs.theta)
 
 
 def test_client_update_failure_names_round_and_client():
@@ -312,4 +332,33 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bogus.fvem"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(InputError, match="magic"):
+        read_checkpoint(path)
+
+
+def _checkpoint_bytes(tmp_path) -> bytes:
+    train, test, part = tiny_problem()
+    path = tmp_path / "round0001.fvem"
+    run_training(tiny_config(T=1, s=1.0), train, test, part,
+                 on_round=lambda g, c: write_checkpoint(path, g, c))
+    assert [p.name for p in tmp_path.iterdir()] == ["round0001.fvem"]
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [1, 8, 100])
+def test_checkpoint_rejects_truncated_file(tmp_path, cut):
+    raw = _checkpoint_bytes(tmp_path)
+    path = tmp_path / "cut.fvem"
+    path.write_bytes(raw[:-cut])
+    with pytest.raises(InputError, match="cut.fvem"):
+        read_checkpoint(path)
+    path.write_bytes(raw[:30])   # inside the header
+    with pytest.raises(InputError, match="cut.fvem"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    raw = _checkpoint_bytes(tmp_path)
+    path = tmp_path / "long.fvem"
+    path.write_bytes(raw + b"\x00" * 8)
+    with pytest.raises(InputError, match="long.fvem"):
         read_checkpoint(path)

@@ -38,11 +38,12 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def smoke_run(tmp_path: Path, overrides: dict[str, str]) -> Path:
+def smoke_run(tmp_path: Path, overrides: dict[str, str],
+              workers: int = 1) -> Path:
     """Run the smoke config with some keys replaced; returns the report dir."""
     kv = {**parse_kv(SMOKE.read_text()), **overrides}
     out = tmp_path / "out"
-    run_experiment(build_config(kv), workers=1, out=str(out))
+    run_experiment(build_config(kv), workers=workers, out=str(out))
     return out
 
 
@@ -52,8 +53,9 @@ def versions() -> str:
     return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
 
 
-def test_golden_pfedvem_report_and_checkpoint(tmp_path):
-    out = smoke_run(tmp_path, {"checkpoint_every": "1"})
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_pfedvem_report_and_checkpoint(tmp_path, workers):
+    out = smoke_run(tmp_path, {"checkpoint_every": "1"}, workers)
     assert sha256(out / "seed0.jsonl") == PFEDVEM_JSONL, versions()
     assert sha256(out / "checkpoints_seed0" / "round0003.fvem") \
         == PFEDVEM_ROUND3, versions()
