@@ -9,9 +9,9 @@ only, and with deviation only; prints final PM accuracy per mode.
 """
 
 import argparse
-import copy
 import os
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -28,11 +28,10 @@ def main() -> int:
     args = parser.parse_args()
 
     base = load_config(args.config)
-    base.scheme = "pfedvem"
     results = {}
     for mode in MODES:
-        cfg = copy.deepcopy(base)
-        cfg.train.confidence_mode = mode
+        cfg = replace(base, scheme="pfedvem",
+                      train=replace(base.train, confidence_mode=mode))
         bad = validate(cfg)
         if bad:
             for v in bad:

@@ -9,9 +9,9 @@ the configured seeds.
 """
 
 import argparse
-import copy
 import os
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -31,9 +31,7 @@ def main() -> int:
     base = load_config(args.config)
     rows = []
     for scheme in args.schemes.split(","):
-        cfg = copy.deepcopy(base)
-        cfg.scheme = scheme
-        cfg.baseline.scheme = scheme if scheme != "pfedvem" else cfg.baseline.scheme
+        cfg = replace(base, scheme=scheme)
         bad = validate(cfg)
         if bad:
             for v in bad:

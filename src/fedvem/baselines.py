@@ -7,13 +7,13 @@ comparisons isolate the objective and aggregation differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, pm_test_indices
-from .federation import aggregate_base, select_reporters
+from .federation import TrainConfig, aggregate_base, select_reporters
 from .nn import (InputError, MlpParams, backward, forward, init_mlp,
                  sgd_step, zeros_like)
 
@@ -22,30 +22,26 @@ SCHEMES = ("local", "fedavg", "fedprox")
 
 @dataclass
 class BaselineConfig:
-    scheme: str = "fedavg"
+    """The ``baseline.*`` section; rounds, reporting, seed and width come
+    from the shared ``TrainConfig``."""
     lr: float = 1e-2
     epochs: int = 5            # R, local epochs per round (Local: total epochs)
     batch: int = 50
     mu_prox: float = 0.0       # FedProx proximal constant
-    T: int = 100
-    s: float = 0.1
-    seed: int = 0
-    hidden: tuple = (100,)
 
-    def violations(self) -> list[str]:
+    def violations(self, scheme: str) -> list[str]:
         out = []
-        if self.scheme not in SCHEMES:
-            out.append(f"BaselineConfig.scheme: unknown scheme {self.scheme!r}")
         if self.lr < 0:
-            out.append("BaselineConfig.lr: must be >= 0")
+            out.append("baseline.lr: must be >= 0")
         if self.epochs < 1:
-            out.append("BaselineConfig.epochs: must be >= 1")
+            out.append("baseline.epochs: must be >= 1")
         if self.batch < 1:
-            out.append("BaselineConfig.batch: must be >= 1")
-        if self.mu_prox < 0:
-            out.append("BaselineConfig.mu_prox: must be >= 0")
-        if self.scheme != "local" and not 0 < self.s <= 1:
-            out.append(f"BaselineConfig.s: must satisfy 0 < s <= 1, got {self.s}")
+            out.append("baseline.batch: must be >= 1")
+        if scheme == "fedprox" and not self.mu_prox > 0:
+            out.append(f"baseline.mu_prox: fedprox needs mu_prox > 0, "
+                       f"got {self.mu_prox}")
+        elif self.mu_prox < 0:
+            out.append("baseline.mu_prox: must be >= 0")
         return out
 
 
@@ -93,11 +89,13 @@ def _aggregate_full(models: list[MlpParams], ns: list[int]) -> MlpParams:
 
 
 def fedavg_round(theta_full: MlpParams, clients_xy: list[tuple[np.ndarray, np.ndarray]],
-                 cfg: BaselineConfig, t: int) -> tuple[MlpParams, int]:
+                 cfg: TrainConfig, bl: BaselineConfig,
+                 t: int) -> tuple[MlpParams, int]:
     """One round: reporters run local SGD from the broadcast, server averages.
 
-    Returns the new global model and the reporter count.  Under ``fedprox``
-    local gradients carry the proximal pull towards the broadcast.
+    Returns the new global model and the reporter count.  With
+    ``bl.mu_prox > 0`` local gradients carry the proximal pull towards the
+    broadcast (FedProx); FedAvg is the case ``mu_prox = 0``.
     Reporter selection uses the same seeded stream layout as the federated
     protocol, so straggler draws match across schemes for a given seed.
     Non-reporting clients are stateless here, so their training is skipped.
@@ -106,13 +104,12 @@ def fedavg_round(theta_full: MlpParams, clients_xy: list[tuple[np.ndarray, np.nd
                                  rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, t))
     if len(reporters) == 0:
         return theta_full, 0
-    mu_prox = cfg.mu_prox if cfg.scheme == "fedprox" else 0.0
     models, ns = [], []
     for j in reporters:
         x, y = clients_xy[j]
         rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, t, int(j))
-        models.append(_sgd_epochs(theta_full.copy(), x, y, cfg.lr, cfg.epochs,
-                                  cfg.batch, rng, mu_prox=mu_prox,
+        models.append(_sgd_epochs(theta_full.copy(), x, y, bl.lr, bl.epochs,
+                                  bl.batch, rng, mu_prox=bl.mu_prox,
                                   anchor=theta_full))
         ns.append(len(x))
     return _aggregate_full(models, ns), len(reporters)
@@ -137,16 +134,21 @@ def _gm_report(t: int, params: MlpParams, clients_xy, test_ds: Dataset,
     )
 
 
-def run_baseline(cfg: BaselineConfig, train_ds: Dataset, test_ds: Dataset,
+def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
+                 train_ds: Dataset, test_ds: Dataset,
                  partition: Partition) -> list[metrics.RoundReport]:
     """Run a baseline end to end and return per-round reports.
 
+    ``cfg`` supplies the rounds ``T``, the reporting probability ``s``, the
+    seed and the hidden widths, as for pFedVEM; ``bl`` the local SGD.
     For `local`, a single report is produced after per-client training; its
     pm_accuracies are the clients' own models on their filtered test sets.
     For `fedavg`/`fedprox`, pm_accuracies hold the global model applied to
-    each client's filtered test set.
+    each client's filtered test set; `fedavg` ignores ``bl.mu_prox``.
     """
-    bad = cfg.violations()
+    if scheme not in SCHEMES:
+        raise InputError(f"scheme: unknown baseline scheme {scheme!r}")
+    bad = cfg.violations() + bl.violations(scheme)
     if bad:
         raise InputError("; ".join(bad))
     init_rng = rng_mod.stream(cfg.seed, rng_mod.TAG_INIT)
@@ -157,11 +159,11 @@ def run_baseline(cfg: BaselineConfig, train_ds: Dataset, test_ds: Dataset,
     pm_idx = [pm_test_indices(partition, test_ds, j)
               for j in range(len(clients_xy))]
 
-    if cfg.scheme == "local":
+    if scheme == "local":
         pm = []
         for j, (x, y) in enumerate(clients_xy):
             rng = rng_mod.stream(cfg.seed, rng_mod.TAG_BASELINE, j)
-            model = local_train(x, y, params0, cfg, rng)
+            model = local_train(x, y, params0, bl, rng)
             idx = pm_idx[j]
             pm.append(metrics.accuracy(model, test_ds.images[idx],
                                        test_ds.labels[idx])
@@ -177,10 +179,12 @@ def run_baseline(cfg: BaselineConfig, train_ds: Dataset, test_ds: Dataset,
             reporter_count=0, no_reporters=True)
         return [report]
 
+    if scheme == "fedavg":
+        bl = replace(bl, mu_prox=0.0)
     params = params0
     reports = []
     for t in range(cfg.T):
-        params, reporter_count = fedavg_round(params, clients_xy, cfg, t)
+        params, reporter_count = fedavg_round(params, clients_xy, cfg, bl, t)
         reports.append(_gm_report(t, params, clients_xy, test_ds, pm_idx,
                                   reporter_count))
     return reports

@@ -37,14 +37,15 @@ def run_seed(cfg: ExperimentConfig, seed: int, workers: int = 1,
              checkpoint_dir=None) -> list[metrics.RoundReport]:
     """One seeded end-to-end run of the configured scheme.
 
-    ``cfg`` is left as it is; every section gets ``seed`` in a copy.  With a
-    ``checkpoint_dir``, pFedVEM writes a checkpoint every
+    ``cfg`` is left as it is; every section that draws gets ``seed`` in a
+    copy.  With a ``checkpoint_dir``, pFedVEM writes a checkpoint every
     ``cfg.checkpoint_every`` rounds.
     """
     train, test = _datasets(cfg, seed)
     partition = make_partition(train, replace(cfg.partition, seed=seed))
+    run_cfg = replace(cfg.train, seed=seed)
     if cfg.scheme != "pfedvem":
-        return run_baseline(replace(cfg.baseline, seed=seed), train, test,
+        return run_baseline(cfg.scheme, run_cfg, cfg.baseline, train, test,
                             partition)
 
     def checkpoint(globals_, clients):
@@ -54,8 +55,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, workers: int = 1,
                 globals_, clients)
 
     on_round = checkpoint if checkpoint_dir and cfg.checkpoint_every else None
-    _, _, reports = run_training(replace(cfg.train, seed=seed), train, test,
-                                 partition, workers=workers, on_round=on_round)
+    _, _, reports = run_training(run_cfg, train, test, partition,
+                                 workers=workers, on_round=on_round)
     return reports
 
 
@@ -91,13 +92,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     return summary
 
 
-def _default_workers() -> int:
-    env = os.environ.get("FVEM_WORKERS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fvem")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -105,7 +99,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         if name == "run":
-            p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
             p.add_argument("--out", default=None)
             p.add_argument("--seed-offset", type=int, default=0)
     args = parser.parse_args(argv)
@@ -129,9 +123,8 @@ def main(argv=None) -> int:
             print(v, file=sys.stderr)
         return 2
 
-    workers = args.workers if args.workers is not None else _default_workers()
     try:
-        summary = run_experiment(cfg, workers=workers, out=args.out,
+        summary = run_experiment(cfg, workers=args.workers, out=args.out,
                                  seed_offset=args.seed_offset)
     except (TrainingError, FloatingPointError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)

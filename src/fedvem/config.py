@@ -11,8 +11,15 @@ Example::
     seeds = 0,1,2,3,4
     out = reports/synth
 
+Each key sets exactly one field.  `model.hidden` and `train.*` fill the
+`TrainConfig` that every scheme reads: the baselines take its `T`, `s` and
+`hidden` (Local trains once and ignores `T` and `s`), pFedVEM all of it.
+`baseline.*` holds the local SGD of Local, FedAvg and FedProx, and FedProx's
+`mu_prox`, which must be positive under `fedprox`.
+
 Unknown keys are validation errors, as are out-of-range values; `validate`
-returns the full list of violations with field names.
+checks every `train.*` field whatever the scheme, and returns the full list
+of violations with field names, one per bad value.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ class ExperimentConfig:
     scheme: str = "pfedvem"
     train: TrainConfig = field(default_factory=TrainConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
-    hidden: tuple = (100,)
     seeds: tuple = (0,)
     out: str = "reports"
     checkpoint_every: int = 0
@@ -107,7 +113,7 @@ _SCHEMA = {
     "partition.clients": ("partition", "clients", int),
     "partition.labels_per_client": ("partition", "labels_per_client", int),
     "scheme": ("root", "scheme", str),
-    "model.hidden": ("root", "hidden", "int_tuple"),
+    "model.hidden": ("train", "hidden", "int_tuple"),
     "train.T": ("train", "T", int),
     "train.R": ("train", "R", int),
     "train.K": ("train", "K", int),
@@ -140,12 +146,6 @@ def build_config(kv: dict[str, str]) -> ExperimentConfig:
         parsed = (_int_tuple(key, value) if kind == "int_tuple"
                   else _convert(key, value, kind))
         setattr(targets[target], attr, parsed)
-    # shared fields propagated from the root
-    cfg.train.hidden = cfg.hidden
-    cfg.baseline.hidden = cfg.hidden
-    cfg.baseline.scheme = cfg.scheme if cfg.scheme in SCHEMES else cfg.baseline.scheme
-    cfg.baseline.s = cfg.train.s
-    cfg.baseline.T = cfg.train.T
     return cfg
 
 
@@ -175,14 +175,11 @@ def validate(cfg: ExperimentConfig, check_paths: bool = True) -> list[str]:
     out.extend(cfg.partition.violations(classes))
     if cfg.scheme not in ALL_SCHEMES:
         out.append(f"scheme: unknown scheme {cfg.scheme!r}")
-    if cfg.scheme == "pfedvem":
-        out.extend(cfg.train.violations())
-    else:
-        out.extend(cfg.baseline.violations())
+    out.extend(cfg.train.violations())
+    if cfg.scheme in SCHEMES:
+        out.extend(cfg.baseline.violations(cfg.scheme))
     if not cfg.seeds:
         out.append("seeds: at least one seed required")
     if cfg.checkpoint_every < 0:
         out.append("checkpoint_every: must be >= 0")
-    if not cfg.hidden or any(h < 1 for h in cfg.hidden):
-        out.append("model.hidden: hidden widths must be positive")
     return out

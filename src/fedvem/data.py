@@ -91,13 +91,6 @@ class Partition:
         if any(len(ix) == 0 for ix in self.client_indices):
             raise InputError("partition contains an empty client")
 
-    def export(self, path) -> None:
-        """Audit dump: one 'client_id<TAB>index' line per assigned point."""
-        with open(path, "w") as f:
-            for j, ix in enumerate(self.client_indices):
-                for i in ix:
-                    f.write(f"{j}\t{int(i)}\n")
-
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse the big-endian IDX pair (images + labels), scaling pixels by 1/255."""
@@ -329,14 +322,6 @@ def _synth_points(spec: SynthSpec, per_subclass: int, tag: int) -> Dataset:
         subs.extend([mode] * per_subclass)
     return Dataset(images=np.concatenate(images), labels=np.array(labels),
                    classes=spec.classes, subclasses=np.array(subs))
-
-
-def synth_clusters(spec: SynthSpec) -> Dataset:
-    """Training split of the synthetic mixture."""
-    bad = spec.violations()
-    if bad:
-        raise InputError("; ".join(bad))
-    return _synth_points(spec, spec.points_per_subclass, tag=1)
 
 
 def synth_pair(spec: SynthSpec) -> tuple[Dataset, Dataset]:

@@ -42,6 +42,11 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """The run config every scheme reads.
+
+    ``T``, ``s``, ``seed`` and ``hidden`` are shared with the baselines; the
+    other fields are pFedVEM's own.
+    """
     T: int = 100                 # communication rounds
     R: int = 10                  # local head epochs (full-batch GD steps)
     K: int = 5                   # MC samples per head step
@@ -79,8 +84,9 @@ class TrainConfig:
         if self.confidence_mode not in ("full", "uncertainty_only", "deviation_only"):
             out.append(
                 f"TrainConfig.confidence_mode: unknown mode {self.confidence_mode!r}")
-        if not self.hidden:
-            out.append("TrainConfig.hidden: need at least one hidden layer")
+        if not self.hidden or any(h < 1 for h in self.hidden):
+            out.append("TrainConfig.hidden: need at least one hidden layer, "
+                       f"all widths positive, got {self.hidden}")
         return out
 
 

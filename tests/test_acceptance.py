@@ -243,13 +243,12 @@ def run_pfedvem_seed(seed, mode="full"):
 
 def run_baseline_seed(seed, scheme):
     train, test, part = bench_datasets(seed)
+    cfg = TrainConfig(T=50, s=0.1, seed=seed, hidden=HIDDEN)
     if scheme == "local":
-        cfg = BaselineConfig(scheme="local", lr=0.01, epochs=20, batch=50,
-                             seed=seed, hidden=HIDDEN)
+        bl = BaselineConfig(lr=0.01, epochs=20, batch=50)
     else:
-        cfg = BaselineConfig(scheme="fedavg", lr=0.01, epochs=5, batch=50,
-                             T=50, s=0.1, seed=seed, hidden=HIDDEN)
-    reports = run_baseline(cfg, train, test, part)
+        bl = BaselineConfig(lr=0.01, epochs=5, batch=50)
+    reports = run_baseline(scheme, cfg, bl, train, test, part)
     return reports[-1].mean_pm()
 
 
@@ -329,12 +328,12 @@ def test_criterion_6_fmnist_table():
         _, _, reports = run_training(cfg, train, test, part)
         pm_vals.append(reports[-1].mean_pm())
         gm_vals.append(reports[-1].gm_accuracy)
-        fa = run_baseline(BaselineConfig(scheme="fedavg", lr=0.01, epochs=5,
-                                         batch=50, T=100, s=0.1, seed=seed,
-                                         hidden=(100,)), train, test, part)
+        fa = run_baseline("fedavg", cfg,
+                          BaselineConfig(lr=0.01, epochs=5, batch=50),
+                          train, test, part)
         fa_gm.append(fa[-1].gm_accuracy)
-        lo = run_baseline(BaselineConfig(scheme="local", lr=0.01, epochs=20,
-                                         batch=50, seed=seed, hidden=(100,)),
+        lo = run_baseline("local", cfg,
+                          BaselineConfig(lr=0.01, epochs=20, batch=50),
                           train, test, part)
         local_pm.append(lo[-1].mean_pm())
 

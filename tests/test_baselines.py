@@ -7,7 +7,7 @@ from fedvem import rng as rng_mod
 from fedvem.baselines import (BaselineConfig, fedavg_round, local_train,
                               proximal_grads, run_baseline)
 from fedvem.data import PartitionSpec, SynthSpec, make_partition, synth_pair
-from fedvem.federation import select_reporters
+from fedvem.federation import TrainConfig, select_reporters
 from fedvem.nn import InputError, MlpParams, init_mlp
 
 from helpers import central_diff, flatten_params, rel_err, unflatten_params
@@ -67,7 +67,7 @@ def test_proximal_grads_match_finite_differences():
 def test_local_train_zero_lr_is_identity():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     x, y = toy_clients(1)[0]
-    cfg = BaselineConfig(scheme="local", lr=0.0, epochs=3, batch=4)
+    cfg = BaselineConfig(lr=0.0, epochs=3, batch=4)
     out = local_train(x, y, params, cfg, np.random.default_rng(0))
     np.testing.assert_array_equal(out.head[0], params.head[0])
 
@@ -76,14 +76,14 @@ def test_local_train_does_not_mutate_input():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     before = params.head[0].copy()
     x, y = toy_clients(1)[0]
-    cfg = BaselineConfig(scheme="local", lr=0.1, epochs=2, batch=4)
+    cfg = BaselineConfig(lr=0.1, epochs=2, batch=4)
     local_train(x, y, params, cfg, np.random.default_rng(0))
     np.testing.assert_array_equal(params.head[0], before)
 
 
 def test_local_train_rejects_empty_client():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
-    cfg = BaselineConfig(scheme="local")
+    cfg = BaselineConfig()
     with pytest.raises(InputError):
         local_train(np.zeros((0, 4)), np.zeros(0, dtype=int), params, cfg,
                     np.random.default_rng(0))
@@ -93,8 +93,9 @@ def test_local_train_rejects_empty_client():
 
 def test_fedavg_round_no_reporters_returns_broadcast():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
-    cfg = BaselineConfig(s=1e-12, seed=0)
-    out, reporter_count = fedavg_round(params, toy_clients(), cfg, t=0)
+    out, reporter_count = fedavg_round(params, toy_clients(),
+                                       TrainConfig(s=1e-12, seed=0),
+                                       BaselineConfig(), t=0)
     assert out is params
     assert reporter_count == 0
 
@@ -102,43 +103,41 @@ def test_fedavg_round_no_reporters_returns_broadcast():
 def test_fedavg_round_single_client_equals_local_sgd():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     clients = toy_clients(1)
-    cfg = BaselineConfig(s=1.0, lr=0.05, epochs=2, batch=4, seed=3)
-    out, reporter_count = fedavg_round(params, clients, cfg, t=0)
+    cfg = TrainConfig(s=1.0, seed=3)
+    bl = BaselineConfig(lr=0.05, epochs=2, batch=4)
+    out, reporter_count = fedavg_round(params, clients, cfg, bl, t=0)
     assert reporter_count == 1
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, 0, 0)
     x, y = clients[0]
-    expected = local_train(x, y, params,
-                           BaselineConfig(scheme="local", lr=0.05, epochs=2,
-                                          batch=4), rng)
+    expected = local_train(x, y, params, bl, rng)
     np.testing.assert_allclose(out.head[0], expected.head[0], atol=1e-15)
 
 
 def test_fedprox_zero_mu_equals_fedavg():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     clients = toy_clients()
-    avg, _ = fedavg_round(params, clients,
-                          BaselineConfig(s=1.0, seed=1, epochs=1), t=0)
-    prox, _ = fedavg_round(params, clients,
-                           BaselineConfig(scheme="fedprox", s=1.0, seed=1,
-                                          epochs=1, mu_prox=0.0), t=0)
+    cfg = TrainConfig(s=1.0, seed=1)
+    avg, _ = fedavg_round(params, clients, cfg, BaselineConfig(epochs=1), t=0)
+    prox, _ = fedavg_round(params, clients, cfg,
+                           BaselineConfig(epochs=1, mu_prox=0.0), t=0)
     np.testing.assert_allclose(prox.head[0], avg.head[0], atol=1e-15)
 
 
 def test_fedprox_large_mu_pins_models_to_broadcast():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     clients = toy_clients()
-    prox, _ = fedavg_round(params, clients,
-                           BaselineConfig(scheme="fedprox", s=1.0, seed=1,
-                                          epochs=3, lr=0.01, mu_prox=50.0), t=0)
-    avg, _ = fedavg_round(params, clients,
-                          BaselineConfig(s=1.0, seed=1, epochs=3, lr=0.01), t=0)
+    cfg = TrainConfig(s=1.0, seed=1)
+    prox, _ = fedavg_round(params, clients, cfg,
+                           BaselineConfig(epochs=3, lr=0.01, mu_prox=50.0), t=0)
+    avg, _ = fedavg_round(params, clients, cfg,
+                          BaselineConfig(epochs=3, lr=0.01), t=0)
     drift_prox = float(np.abs(prox.head[0] - params.head[0]).max())
     drift_avg = float(np.abs(avg.head[0] - params.head[0]).max())
     assert drift_prox < drift_avg
 
 
 def test_reporter_draws_match_federated_stream():
-    cfg = BaselineConfig(s=0.3, seed=9)
+    cfg = TrainConfig(s=0.3, seed=9)
     for t in range(5):
         ours = select_reporters(10, cfg.s,
                                 rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, t))
@@ -151,9 +150,9 @@ def test_reporter_draws_match_federated_stream():
 
 def test_run_baseline_local_single_report():
     train, test, part = tiny_problem()
-    cfg = BaselineConfig(scheme="local", lr=0.1, epochs=40, batch=16,
-                         hidden=(5,), seed=0)
-    reports = run_baseline(cfg, train, test, part)
+    reports = run_baseline("local", TrainConfig(hidden=(5,), seed=0),
+                           BaselineConfig(lr=0.1, epochs=40, batch=16),
+                           train, test, part)
     assert len(reports) == 1
     assert math.isnan(reports[0].gm_accuracy)
     assert reports[0].mean_pm() > 0.5
@@ -161,9 +160,10 @@ def test_run_baseline_local_single_report():
 
 def test_run_baseline_fedavg_improves():
     train, test, part = tiny_problem()
-    cfg = BaselineConfig(scheme="fedavg", lr=0.05, epochs=3, batch=16, T=15,
-                         s=1.0, hidden=(5,), seed=0)
-    reports = run_baseline(cfg, train, test, part)
+    reports = run_baseline("fedavg",
+                           TrainConfig(T=15, s=1.0, hidden=(5,), seed=0),
+                           BaselineConfig(lr=0.05, epochs=3, batch=16),
+                           train, test, part)
     assert len(reports) == 15
     assert reports[-1].gm_accuracy > reports[0].gm_accuracy
     assert reports[-1].gm_accuracy > 0.5
@@ -171,14 +171,20 @@ def test_run_baseline_fedavg_improves():
 
 def test_run_baseline_is_deterministic():
     train, test, part = tiny_problem()
-    cfg = BaselineConfig(scheme="fedavg", lr=0.05, epochs=2, batch=16, T=3,
-                         s=0.5, hidden=(5,), seed=4)
-    r1 = run_baseline(cfg, train, test, part)
-    r2 = run_baseline(cfg, train, test, part)
+    cfg = TrainConfig(T=3, s=0.5, hidden=(5,), seed=4)
+    bl = BaselineConfig(lr=0.05, epochs=2, batch=16)
+    r1 = run_baseline("fedavg", cfg, bl, train, test, part)
+    r2 = run_baseline("fedavg", cfg, bl, train, test, part)
     assert [r.to_record() for r in r1] == [r.to_record() for r in r2]
 
 
 def test_run_baseline_rejects_bad_config():
     train, test, part = tiny_problem()
-    with pytest.raises(InputError, match="BaselineConfig.scheme"):
-        run_baseline(BaselineConfig(scheme="sgd"), train, test, part)
+    with pytest.raises(InputError, match="scheme: unknown"):
+        run_baseline("sgd", TrainConfig(), BaselineConfig(), train, test, part)
+    with pytest.raises(InputError, match="baseline.mu_prox"):
+        run_baseline("fedprox", TrainConfig(), BaselineConfig(), train, test,
+                     part)
+    with pytest.raises(InputError, match="TrainConfig.T"):
+        run_baseline("fedavg", TrainConfig(T=-3), BaselineConfig(), train,
+                     test, part)

@@ -1,7 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 
+from fedvem import baselines
+from fedvem.baselines import BaselineConfig
 from fedvem.cli import main, run_experiment, run_seed
 from fedvem.config import (ConfigError, build_config, load_config, parse_kv,
                            validate)
@@ -66,14 +69,16 @@ def test_build_config_type_error_names_key():
         build_config({"train.eta": "fast"})
 
 
-def test_build_config_propagates_shared_fields():
+def test_build_config_shared_fields_have_one_home():
     cfg = build_config({"scheme": "fedprox", "model.hidden": "32,16",
                         "train.s": "0.25", "train.T": "7"})
+    assert [f.name for f in fields(BaselineConfig)] == \
+        ["lr", "epochs", "batch", "mu_prox"]
+    assert not hasattr(cfg, "hidden")
+    assert cfg.scheme == "fedprox"
     assert cfg.train.hidden == (32, 16)
-    assert cfg.baseline.hidden == (32, 16)
-    assert cfg.baseline.scheme == "fedprox"
-    assert cfg.baseline.s == 0.25
-    assert cfg.baseline.T == 7
+    assert cfg.train.s == 0.25
+    assert cfg.train.T == 7
 
 
 def test_validate_reports_field_names(tmp_path):
@@ -144,7 +149,7 @@ def test_run_experiment_checkpoint_interval(tmp_path):
 def test_run_seed_leaves_config_seeds_alone(tmp_path, scheme):
     cfg = load_config(smoke_config(
         tmp_path, replace={"scheme = pfedvem": f"scheme = {scheme}"}))
-    sections = (cfg.synth, cfg.partition, cfg.train, cfg.baseline)
+    sections = (cfg.synth, cfg.partition, cfg.train)
     before = [sec.seed for sec in sections]
     assert 3 not in before
     run_seed(cfg, 3)
@@ -166,6 +171,52 @@ def test_main_validate_ok_and_bad(tmp_path, capsys):
     bad.write_text(SMOKE.replace("train.s = 1.0", "train.s = 0"))
     assert main(["validate", "--config", str(bad)]) == 2
     assert "TrainConfig.s" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scheme", ["pfedvem", "fedavg", "fedprox", "local"])
+@pytest.mark.parametrize("old,new,field", [
+    ("train.T = 2", "train.T = -3", "TrainConfig.T"),
+    ("model.hidden = 5", "model.hidden = 0", "TrainConfig.hidden"),
+    ("model.hidden = 5", "model.hidden =", "TrainConfig.hidden"),
+])
+def test_main_validate_reports_bad_value_once(tmp_path, capsys, scheme, old,
+                                              new, field):
+    path = smoke_config(tmp_path, extra="baseline.mu_prox = 0.1\n",
+                        replace={"scheme = pfedvem": f"scheme = {scheme}",
+                                 old: new})
+    assert main(["validate", "--config", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(field), lines
+
+
+def test_validate_fedprox_needs_positive_mu(tmp_path):
+    cfg = load_config(smoke_config(
+        tmp_path, replace={"scheme = pfedvem": "scheme = fedprox"}))
+    bad = validate(cfg)
+    assert len(bad) == 1 and bad[0].startswith("baseline.mu_prox"), bad
+    cfg = load_config(smoke_config(
+        tmp_path, replace={"scheme = pfedvem": "scheme = fedavg"}))
+    assert validate(cfg) == []
+
+
+@pytest.mark.parametrize("scheme,reached", [("fedprox", True),
+                                            ("fedavg", False)])
+def test_run_seed_proximal_term_follows_scheme(tmp_path, monkeypatch, scheme,
+                                               reached):
+    calls = []
+    real = baselines.proximal_grads
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "proximal_grads", counting)
+    cfg = load_config(smoke_config(
+        tmp_path, extra="baseline.mu_prox = 0.1\n",
+        replace={"scheme = pfedvem": f"scheme = {scheme}"}))
+    assert validate(cfg) == []
+    run_seed(cfg, 0)
+    assert bool(calls) == reached
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvem.data import (Dataset, FormatError, Partition, PartitionSpec,
-                         SynthSpec, load_idx, make_partition,
-                         partition_concept_drift, partition_label_skew,
-                         partition_quantity, pm_test_indices, slice_sizes,
-                         synth_clusters, synth_pair)
+from fedvem.data import (Dataset, FormatError, PartitionSpec, SynthSpec,
+                         load_idx, make_partition, partition_concept_drift,
+                         partition_label_skew, partition_quantity,
+                         pm_test_indices, slice_sizes, synth_pair)
 from fedvem.nn import InputError
 
 
@@ -206,14 +205,6 @@ def test_pm_test_indices_mirror_client_labels():
         assert set(test.labels[idx].tolist()) <= set(p.client_labels[j])
 
 
-def test_partition_export_format(tmp_path):
-    p = Partition(client_indices=[np.array([2, 0]), np.array([1])])
-    path = tmp_path / "partition.tsv"
-    p.export(path)
-    lines = path.read_text().splitlines()
-    assert lines == ["0\t2", "0\t0", "1\t1"]
-
-
 def test_quantity_partition_sizes_sum():
     ds = toy_dataset(n=777)
     p = partition_quantity(ds, clients=13, seed=5)
@@ -225,7 +216,7 @@ def test_quantity_partition_sizes_sum():
 def test_synth_zero_noise_points_equal_centers():
     spec = SynthSpec(classes=2, subclasses_per_class=1, dim=4,
                      points_per_subclass=1, noise=0.0, seed=0)
-    ds = synth_clusters(spec)
+    ds = synth_pair(spec)[0]
     from fedvem.data import _synth_centers
     np.testing.assert_allclose(ds.images, _synth_centers(spec), atol=1e-15)
 
@@ -236,10 +227,10 @@ def test_synth_separable_classes_local_fit():
     from fedvem.nn import init_mlp
     spec = SynthSpec(classes=2, subclasses_per_class=1, dim=4,
                      points_per_subclass=50, noise=0.05, separation=2.0, seed=0)
-    ds = synth_clusters(spec)
+    ds = synth_pair(spec)[0]
     rng = np.random.default_rng(0)
     params = init_mlp(4, (8,), 2, rng)
-    cfg = BaselineConfig(scheme="local", lr=0.1, epochs=50, batch=20)
+    cfg = BaselineConfig(lr=0.1, epochs=50, batch=20)
     model = local_train(ds.images, ds.labels, params, cfg, rng)
     assert accuracy(model, ds.images, ds.labels) == 1.0
 
@@ -252,7 +243,7 @@ def test_synth_default_spec_centrally_learnable():
     train, test = synth_pair(SynthSpec(seed=0))
     rng = np.random.default_rng(0)
     params = init_mlp(train.input_dim, (32,), train.classes, rng)
-    cfg = BaselineConfig(scheme="local", lr=0.05, epochs=40, batch=50)
+    cfg = BaselineConfig(lr=0.05, epochs=40, batch=50)
     model = local_train(train.images, train.labels, params, cfg, rng)
     assert accuracy(model, test.images, test.labels) >= 0.95
 
@@ -267,4 +258,4 @@ def test_synth_pair_shares_centers():
 
 def test_synth_rejects_degenerate_spec():
     with pytest.raises(InputError):
-        synth_clusters(SynthSpec(classes=1))
+        synth_pair(SynthSpec(classes=1))
