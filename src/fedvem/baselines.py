@@ -13,9 +13,9 @@ import numpy as np
 
 from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, pm_test_indices
-from .federation import TrainConfig, aggregate_base, select_reporters
-from .nn import (InputError, MlpParams, backward, forward, init_mlp,
-                 sgd_step, zeros_like)
+from .federation import (TrainConfig, TrainingError, aggregate_base,
+                         select_reporters)
+from .nn import InputError, MlpParams, forward, init_mlp, sgd_epochs, zeros_like
 
 SCHEMES = ("local", "fedavg", "fedprox")
 
@@ -57,29 +57,12 @@ def proximal_grads(params: MlpParams, anchor: MlpParams,
     return out
 
 
-def _sgd_epochs(params: MlpParams, x: np.ndarray, y: np.ndarray,
-                lr: float, epochs: int, batch: int,
-                rng: np.random.Generator,
-                mu_prox: float = 0.0,
-                anchor: MlpParams | None = None) -> MlpParams:
-    n = len(x)
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch):
-            ix = perm[start:start + batch]
-            extra = (proximal_grads(params, anchor, mu_prox)
-                     if mu_prox > 0 else None)
-            grads = backward(params, x[ix], y[ix], extra_loss_grads=extra)
-            params = sgd_step(params, grads, lr)
-    return params
-
-
 def local_train(x: np.ndarray, y: np.ndarray, params: MlpParams,
                 cfg: BaselineConfig, rng: np.random.Generator) -> MlpParams:
     """Standalone per-client training; no communication."""
     if len(x) == 0:
         raise InputError("client dataset is empty")
-    return _sgd_epochs(params.copy(), x, y, cfg.lr, cfg.epochs, cfg.batch, rng)
+    return sgd_epochs(params, x, y, cfg.lr, cfg.epochs, cfg.batch, rng)
 
 
 def _aggregate_full(models: list[MlpParams], ns: list[int]) -> MlpParams:
@@ -104,13 +87,17 @@ def fedavg_round(theta_full: MlpParams, clients_xy: list[tuple[np.ndarray, np.nd
                                  rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, t))
     if len(reporters) == 0:
         return theta_full, 0
+    extra = ((lambda p: proximal_grads(p, theta_full, bl.mu_prox))
+             if bl.mu_prox > 0 else None)
     models, ns = [], []
     for j in reporters:
         x, y = clients_xy[j]
         rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, t, int(j))
-        models.append(_sgd_epochs(theta_full.copy(), x, y, bl.lr, bl.epochs,
-                                  bl.batch, rng, mu_prox=bl.mu_prox,
-                                  anchor=theta_full))
+        try:
+            models.append(sgd_epochs(theta_full, x, y, bl.lr, bl.epochs,
+                                     bl.batch, rng, extra=extra))
+        except FloatingPointError as exc:
+            raise TrainingError(f"round {t}, client {j}: {exc}") from exc
         ns.append(len(x))
     return _aggregate_full(models, ns), len(reporters)
 
@@ -163,7 +150,10 @@ def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
         pm = []
         for j, (x, y) in enumerate(clients_xy):
             rng = rng_mod.stream(cfg.seed, rng_mod.TAG_BASELINE, j)
-            model = local_train(x, y, params0, bl, rng)
+            try:
+                model = local_train(x, y, params0, bl, rng)
+            except FloatingPointError as exc:
+                raise TrainingError(f"client {j}: {exc}") from exc
             idx = pm_idx[j]
             pm.append(metrics.accuracy(model, test_ds.images[idx],
                                        test_ds.labels[idx])

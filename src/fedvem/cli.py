@@ -103,6 +103,9 @@ def main(argv=None) -> int:
             p.add_argument("--out", default=None)
             p.add_argument("--seed-offset", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.command == "run" and args.workers < 1:
+        print(f"--workers: must be >= 1, got {args.workers}", file=sys.stderr)
+        return 2
 
     try:
         cfg = load_config(args.config)

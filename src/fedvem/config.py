@@ -76,12 +76,6 @@ def parse_kv(text: str) -> dict[str, str]:
 
 def _convert(key: str, value: str, kind):
     try:
-        if kind is bool:
-            if value.lower() in ("1", "true", "yes"):
-                return True
-            if value.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(value)
         return kind(value)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {value!r} as {kind.__name__}") from exc
@@ -124,7 +118,6 @@ _SCHEMA = {
     "train.s": ("train", "s", float),
     "train.rho0_sq": ("train", "rho0_sq", float),
     "train.confidence_mode": ("train", "confidence_mode", str),
-    "train.train_reporters_only": ("train", "train_reporters_only", bool),
     "baseline.lr": ("baseline", "lr", float),
     "baseline.epochs": ("baseline", "epochs", int),
     "baseline.batch": ("baseline", "batch", int),

@@ -5,9 +5,9 @@ the latent head w, the shared base theta and the reporter ids.  Every client
 recomputes its confidence and trains its head posterior by full-batch
 gradient descent on the Monte-Carlo objective: stragglers fit their heads
 too, because the posterior feeds their next confidence and their PM
-accuracy.  Only reporters then train a base copy by mini-batch SGD, since
-only an uploaded base is ever read.  The server aggregates reporter heads by
-confidence and reporter bases by data size.
+accuracy.  Only reporters then train a base copy by mini-batch SGD
+(``nn.sgd_epochs``), since only an uploaded base is ever read.  The server
+aggregates reporter heads by confidence and reporter bases by data size.
 
 Per-(seed, round, client) random streams make results independent of worker
 scheduling; client updates within a round may run on a process pool.
@@ -25,9 +25,8 @@ import numpy as np
 
 from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, pm_test_indices
-from .nn import (InputError, Layer, MlpParams, NumericError, backward,
-                 flatten_head, forward_base, head_logits, init_mlp, sgd_step,
-                 unflatten_head)
+from .nn import (InputError, Layer, MlpParams, flatten_head, forward_base,
+                 head_logits, init_mlp, sgd_epochs, unflatten_head)
 from .variational import (IsotropicPrior, VariationalPosterior, confidence,
                           fit_posterior, head_loss_closure, sample,
                           softplus_inv)
@@ -59,7 +58,6 @@ class TrainConfig:
     confidence_mode: str = "full"
     seed: int = 0
     hidden: tuple = (100,)
-    train_reporters_only: bool = False  # literal protocol trains everyone
 
     def violations(self) -> list[str]:
         out = []
@@ -168,34 +166,22 @@ def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
 
     features = forward_base(globals_.theta, client.x)
     closure = head_loss_closure(features, client.y)
+    theta_local: list[Layer] = []
     try:
         post = fit_posterior(client.posterior, prior, closure,
                              steps=cfg.R, lr=cfg.eta, K=cfg.K, rng=rng)
+        if client.id in globals_.reporters:
+            theta_local = sgd_epochs(
+                MlpParams(base=globals_.theta, head=None), client.x, client.y,
+                cfg.base_lr, cfg.base_epochs, cfg.base_batch, rng,
+                head=lambda: unflatten_head(
+                    sample(post, rng.standard_normal(d)),
+                    features.shape[1])).base
     except FloatingPointError as exc:
         raise TrainingError(
             f"round {globals_.t}, client {client.id}: {exc}") from exc
-
-    updated = ClientState(id=client.id, x=client.x, y=client.y,
-                          posterior=post, tau=tau, theta_local=[])
-    if client.id not in globals_.reporters:
-        return updated
-
-    theta = [(w.copy(), b.copy()) for w, b in globals_.theta]
-    width = features.shape[1]
-    for _ in range(cfg.base_epochs):
-        perm = rng.permutation(client.n)
-        for start in range(0, client.n, cfg.base_batch):
-            batch = perm[start:start + cfg.base_batch]
-            head = unflatten_head(sample(post, rng.standard_normal(d)), width)
-            params = MlpParams(base=theta, head=head)
-            grads = backward(params, client.x[batch], client.y[batch])
-            try:
-                theta = sgd_step(params, grads, cfg.base_lr).base
-            except NumericError as exc:
-                raise TrainingError(
-                    f"round {globals_.t}, client {client.id}: {exc}") from exc
-    updated.theta_local = theta
-    return updated
+    return ClientState(id=client.id, x=client.x, y=client.y, posterior=post,
+                       tau=tau, theta_local=theta_local)
 
 
 def _update_worker(args) -> ClientState:
@@ -241,14 +227,11 @@ def run_round(globals_: GlobalState, clients: list[ClientState],
     broadcast = replace(globals_, reporters=frozenset(reporters.tolist()))
     # last round's uploads are spent: neither shipped nor carried over
     clients = [replace(c, theta_local=[]) for c in clients]
-    jobs = [(c, broadcast, cfg) for c in clients
-            if c.id in broadcast.reporters or not cfg.train_reporters_only]
+    jobs = [(c, broadcast, cfg) for c in clients]
     if pool is None:
-        updated = list(map(_update_worker, jobs))
+        new_clients = list(map(_update_worker, jobs))
     else:
-        updated = list(pool.map(_update_worker, jobs))
-    by_id = {c.id: c for c in updated}
-    new_clients = [by_id.get(c.id, c) for c in clients]
+        new_clients = list(pool.map(_update_worker, jobs))
 
     if len(reporters) == 0:
         new_globals = GlobalState(w=globals_.w.copy(),

@@ -4,11 +4,13 @@ The network is a fixed topology: ReLU hidden layers (the "base") followed
 by one affine classifier layer (the "head").  Everything is float64 numpy;
 gradients are derived by hand for this topology, which keeps the whole
 training loop dependency-free and easy to check against finite differences.
+`sgd_epochs` is the one mini-batch SGD loop; every scheme trains through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -192,3 +194,26 @@ def sgd_step(params: MlpParams, grads: MlpParams, lr: float) -> MlpParams:
         head=step(params.head, grads.head, "head"),
     )
 
+
+def sgd_epochs(params: MlpParams, x: np.ndarray, y: np.ndarray, lr: float,
+               epochs: int, batch: int, rng: np.random.Generator,
+               head: Callable[[], Layer] | None = None,
+               extra: Callable[[MlpParams], MlpParams] | None = None,
+               ) -> MlpParams:
+    """Mini-batch SGD: one ``rng.permutation`` per epoch, then its batches.
+
+    Before each batch, ``head()`` (if given) replaces the head, and
+    ``extra(params)`` (if given) adds a regularizer's gradients, e.g. a
+    proximal pull.  ``params`` is not modified.
+    """
+    n = len(x)
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch):
+            ix = perm[start:start + batch]
+            if head is not None:
+                params = MlpParams(base=params.base, head=head())
+            grads = backward(params, x[ix], y[ix], extra_loss_grads=(
+                None if extra is None else extra(params)))
+            params = sgd_step(params, grads, lr)
+    return params

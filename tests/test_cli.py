@@ -1,6 +1,8 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedvem import baselines
@@ -92,6 +94,15 @@ def test_validate_reports_field_names(tmp_path):
 def test_validate_clean_synth_config(tmp_path):
     cfg = load_config(smoke_config(tmp_path))
     assert validate(cfg) == []
+
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs")
+                 .glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    assert validate(load_config(path), check_paths=False) == []
 
 
 def test_validate_fmnist_missing_paths(tmp_path):
@@ -217,6 +228,29 @@ def test_run_seed_proximal_term_follows_scheme(tmp_path, monkeypatch, scheme,
     assert validate(cfg) == []
     run_seed(cfg, 0)
     assert bool(calls) == reached
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_main_rejects_worker_count_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(smoke_config(tmp_path)), "--out",
+                 str(out), "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme,where", [("fedavg", "round 0, client "),
+                                          ("local", "client ")],
+                         ids=["fedavg", "local"])
+def test_main_baseline_numeric_failure_names_client(tmp_path, capsys, scheme,
+                                                    where):
+    path = smoke_config(tmp_path, extra="baseline.lr = 1e300\n",
+                        replace={"scheme = pfedvem": f"scheme = {scheme}"})
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"runtime failure: {where}" in err, err
 
 
 def test_main_missing_config_file(tmp_path, capsys):

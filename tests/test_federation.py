@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvem import rng as rng_mod
+from fedvem import nn, rng as rng_mod
 from fedvem.data import Dataset, PartitionSpec, SynthSpec, make_partition, synth_pair
 from fedvem.federation import (ClientState, GlobalState, TrainConfig,
                                TrainingError, aggregate_base, aggregate_heads,
@@ -208,11 +208,23 @@ def test_client_update_non_reporter_fits_head_only():
     assert len(reporter.theta_local) == len(gs.theta)
 
 
-def test_client_update_failure_names_round_and_client():
+@pytest.mark.parametrize("stage", ["head_fit", "base_sgd"])
+def test_client_update_failure_names_round_and_client(monkeypatch, stage):
     train, _, part = tiny_problem()
-    cfg = tiny_config(eta=1e12)  # guaranteed blowup in head training
+    if stage == "head_fit":
+        cfg = tiny_config(eta=1e12)  # guaranteed blowup in head training
+    else:
+        cfg = tiny_config()
+        real = nn.backward
+
+        def nonfinite(*args, **kwargs):
+            grads = real(*args, **kwargs)
+            grads.base[0][0][...] = np.inf
+            return grads
+
+        monkeypatch.setattr(nn, "backward", nonfinite)
     gs, clients = init_state(cfg, train, part)
-    gs.t = 4
+    gs = replace(gs, t=4, reporters=frozenset({0}))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match=r"round 4, client 0"):
             client_update(clients[0], gs, cfg, np.random.default_rng(0))
@@ -258,15 +270,6 @@ def test_run_round_single_reporter_adopts_its_head():
     if reporters.size == 1:
         j = reporters[0]
         np.testing.assert_allclose(gs2.w, clients2[j].posterior.mu, atol=1e-12)
-
-
-def test_run_round_reporters_only_mode_skips_others():
-    train, _, part = tiny_problem()
-    cfg = tiny_config(s=1e-12, train_reporters_only=True)
-    gs, clients = init_state(cfg, train, part)
-    _, clients2, _ = run_round(gs, clients, cfg)
-    for before, after in zip(clients, clients2):
-        np.testing.assert_array_equal(before.posterior.mu, after.posterior.mu)
 
 
 # ------------------------------------------------------------ run_training
