@@ -127,8 +127,11 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        summary = run_experiment(cfg, workers=args.workers, out=args.out,
-                                 seed_offset=args.seed_offset)
+        # numpy warnings would print before the failure line; the explicit
+        # finiteness checks are what detect a numeric failure
+        with np.errstate(all="ignore"):
+            summary = run_experiment(cfg, workers=args.workers, out=args.out,
+                                     seed_offset=args.seed_offset)
     except (TrainingError, FloatingPointError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1

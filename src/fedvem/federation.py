@@ -19,6 +19,7 @@ import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -317,7 +318,10 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     globals_, clients = init_state(cfg, train_ds, partition)
     pm_idx = [pm_test_indices(partition, test_ds, c.id) for c in clients]
     reports: list[metrics.RoundReport] = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:   # workers take the caller's floating-point error handling
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=partial(
+            np.seterr, **np.geterr()))
     try:
         for _ in range(cfg.T):
             globals_, clients, reporters = run_round(globals_, clients, cfg, pool)

@@ -15,13 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .nn import InputError, ShapeError, head_logits
+from .nn import InputError, ShapeError, unflatten_head
 
 TAU_MIN = 1e-8
 TAU_MAX = 1e8
 
-# Objective callback: head vector -> (total data loss, gradient w.r.t. head).
-LossGradFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# Objective callback: (K, d) stack of heads -> (K,) losses, (K, d) gradients.
+LossGradFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def softplus(x):
@@ -121,9 +121,9 @@ def mc_objective(post: VariationalPosterior, prior: IsotropicPrior,
     """The local objective: (1/K) sum_k loss(w_k) + KL(q || prior).
 
     ``noise`` is a (K, d) array of standard-normal draws and w_k the
-    reparametrized heads; gradients w.r.t. (mu, pi) flow through the
-    reparametrization while the callback treats each sampled head as a
-    constant parameter vector.  This is the function ``fit_posterior``
+    reparametrized heads, one stack the callback treats as constant; the K
+    terms are added in the order k = 0..K-1.  Gradients w.r.t. (mu, pi) flow
+    through the reparametrization.  This is the function ``fit_posterior``
     descends and the one the gradient checks test.
     """
     noise = np.atleast_2d(np.asarray(noise, dtype=float))
@@ -131,11 +131,9 @@ def mc_objective(post: VariationalPosterior, prior: IsotropicPrior,
     if k < 1:
         raise InputError("at least one MC sample required")
     sig_grad = _sigmoid(post.pi)
-    loss = 0.0
-    g_mu = np.zeros(post.d)
-    g_pi = np.zeros(post.d)
-    for w, eps in zip(sample(post, noise), noise):
-        val, grad = loss_grad_fn(w)
+    losses, grads = loss_grad_fn(sample(post, noise))
+    loss, g_mu, g_pi = 0.0, np.zeros(post.d), np.zeros(post.d)
+    for val, grad, eps in zip(losses, grads, noise):
         loss += val
         g_mu += grad
         g_pi += grad * eps * sig_grad
@@ -146,22 +144,25 @@ def mc_objective(post: VariationalPosterior, prior: IsotropicPrior,
 def head_loss_closure(features: np.ndarray, labels: np.ndarray) -> LossGradFn:
     """Total (summed) cross-entropy of an affine head on fixed features.
 
-    Returns a callback mapping the flattened head (weights then biases) to
-    the summed loss and its gradient; summing rather than averaging gives
-    the n_j * f_j scaling of the local objective.
+    Returns a callback mapping a (K, d) stack of flattened heads (weights
+    then biases) to the K summed losses and gradients with one stacked
+    matmul each way; summing rather than averaging gives the n_j * f_j
+    scaling of the local objective.
     """
     labels = np.asarray(labels)
-    n = len(features)
+    rows = np.arange(len(features))
 
-    def fn(w_flat: np.ndarray) -> tuple[float, np.ndarray]:
-        logits = head_logits(features, w_flat)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        loss = float((lse - shifted[np.arange(n), labels]).sum())
-        d_logits = np.exp(shifted - lse[:, None])
-        d_logits[np.arange(n), labels] -= 1.0
-        return loss, np.concatenate([(d_logits.T @ features).ravel(),
-                                     d_logits.sum(axis=0)])
+    def fn(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w, _ = unflatten_head(heads[0], features.shape[1])   # checks d
+        w_t = heads[:, :w.size].reshape(-1, *w.shape).transpose(0, 2, 1)
+        shifted = features @ w_t + heads[:, None, w.size:]
+        shifted -= shifted.max(axis=2, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=2))
+        d_logits = np.exp(shifted - lse[..., None])
+        d_logits[:, rows, labels] -= 1.0
+        d_w = (d_logits.transpose(0, 2, 1) @ features).reshape(len(heads), -1)
+        return ((lse - shifted[:, rows, labels]).sum(axis=1),
+                np.concatenate([d_w, d_logits.sum(axis=1)], axis=1))
 
     return fn
 
@@ -173,27 +174,26 @@ def fit_posterior(post: VariationalPosterior, prior: IsotropicPrior,
                   loss_grad_fn: LossGradFn, steps: int, lr: float, K: int,
                   rng: np.random.Generator,
                   grad_clip: float = GRAD_CLIP) -> VariationalPosterior:
-    """Gradient descent on ``mc_objective``, fresh noise each step.
+    """Gradient descent on ``mc_objective``, the noise of all steps drawn
+    as one (steps, K, d) block: the same numbers as a (K, d) draw per step.
 
     Steps whose joint gradient norm exceeds ``grad_clip`` are rescaled to
     that norm; ordinary training never reaches the threshold, it only tames
     the KL pull when tau sits at its clamp (near-zero posterior variance or
-    near-zero deviation from the prior center).
+    near-zero deviation from the prior center).  A non-finite norm raises.
     """
-    mu, pi = post.mu.copy(), post.pi.copy()
-    for _ in range(steps):
-        cur = VariationalPosterior(mu, pi)
-        noise = rng.standard_normal((K, cur.d))
-        _, d_mu, d_pi = mc_objective(cur, prior, loss_grad_fn, noise)
+    for noise in rng.standard_normal((steps, K, post.d)):
+        _, d_mu, d_pi = mc_objective(post, prior, loss_grad_fn, noise)
         norm = float(np.sqrt((d_mu ** 2).sum() + (d_pi ** 2).sum()))
+        if not np.isfinite(norm):
+            raise FloatingPointError("posterior gradient norm is not finite")
         if norm > grad_clip:
             d_mu = d_mu * (grad_clip / norm)
             d_pi = d_pi * (grad_clip / norm)
-        mu = mu - lr * d_mu
-        pi = pi - lr * d_pi
-        if not (np.isfinite(mu).all() and np.isfinite(pi).all()):
+        post = VariationalPosterior(post.mu - lr * d_mu, post.pi - lr * d_pi)
+        if not (np.isfinite(post.mu).all() and np.isfinite(post.pi).all()):
             raise FloatingPointError("posterior update produced non-finite values")
-    return VariationalPosterior(mu, pi)
+    return post
 
 
 @dataclass

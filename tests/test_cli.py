@@ -1,10 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedvem
 from fedvem import baselines
 from fedvem.baselines import BaselineConfig
 from fedvem.cli import main, run_experiment, run_seed
@@ -96,8 +101,8 @@ def test_validate_clean_synth_config(tmp_path):
     assert validate(cfg) == []
 
 
-SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs")
-                 .glob("*.cfg"))
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(CONFIGS.glob("*.cfg"))
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
@@ -251,6 +256,41 @@ def test_main_baseline_numeric_failure_names_client(tmp_path, capsys, scheme,
                      str(tmp_path / "out"), "--workers", "1"]) == 1
     err = capsys.readouterr().err
     assert f"runtime failure: {where}" in err, err
+
+
+HUGE_BASE_LR = ("train.base_lr = 0.01", "train.base_lr = 1e300")
+
+
+# The CLI entry with spawned pool workers, which inherit no numpy state
+SPAWN = ("import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
+         "from fedvem.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("edit,workers,entry", [
+    (HUGE_BASE_LR, "1", ["-m", "fedvem.cli"]),
+    (HUGE_BASE_LR, "2", ["-m", "fedvem.cli"]),
+    (HUGE_BASE_LR, "2", ["-c", SPAWN]),
+    (("scheme = pfedvem", "scheme = fedavg\nbaseline.lr = 1e300"), "1",
+     ["-m", "fedvem.cli"]),
+], ids=["pfedvem-w1", "pfedvem-w2", "pfedvem-w2-spawn", "fedavg-w1"])
+def test_cli_failure_line_comes_first(tmp_path, edit, workers, entry):
+    # a huge base step makes the next round's head gradients overflow, which
+    # the clip used to scale to a zero step (exit 0); numpy warnings from the
+    # seed process or the pool workers must not print before the line that
+    # names round and client
+    old, new = edit
+    text = (CONFIGS / "smoke.cfg").read_text()
+    assert old in text
+    path = tmp_path / "smoke.cfg"
+    path.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(Path(fedvem.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *entry, "run", "--config", str(path),
+         "--out", str(tmp_path / "out"), "--workers", workers],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert re.match(r"runtime failure: round \d+, client \d+: ",
+                    proc.stderr.splitlines()[0]), proc.stderr
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvem.nn import (InputError, MlpParams, cross_entropy, flatten_head,
-                       forward, forward_base, init_mlp, unflatten_head)
+from fedvem.nn import (InputError, MlpParams, backward, cross_entropy,
+                       flatten_head, forward, forward_base, init_mlp,
+                       unflatten_head)
 from fedvem.variational import (IsotropicPrior, VariationalPosterior,
                                 confidence, fit_posterior, head_loss_closure,
                                 kl_to_prior, mc_objective, sample, softplus,
@@ -163,6 +164,24 @@ def toy_problem(seed=0, n=12, dim=3, hidden=4, classes=3):
     return params, x, y, post, prior, closure
 
 
+def test_head_loss_closure_stack_rows_match_single_heads():
+    # a stacked call is K independent head losses: row k equals the K = 1
+    # call on head k bit for bit, and the nn module's loss and gradient
+    params, x, y, post, _, closure = toy_problem(seed=6, n=13)
+    heads = sample(post, np.random.default_rng(9).standard_normal((4, post.d)))
+    losses, grads = closure(heads)
+    assert losses.shape == (4,) and grads.shape == (4, post.d)
+    for head, loss, grad in zip(heads, losses, grads):
+        one_loss, one_grad = closure(head[None, :])
+        assert loss == one_loss[0]
+        np.testing.assert_array_equal(grad, one_grad[0])
+        p = MlpParams(base=params.base, head=unflatten_head(head, 4))
+        assert loss == pytest.approx(len(x) * cross_entropy(forward(p, x), y),
+                                     rel=1e-12)
+        expected = len(x) * flatten_head(backward(p, x, y).head)
+        assert rel_err(grad, expected) <= 1e-12
+
+
 def test_mc_local_loss_degenerate_posterior():
     params, x, y, post, prior, closure = toy_problem()
     post = VariationalPosterior(mu=post.mu, pi=np.full(post.d, -40.0))
@@ -293,23 +312,59 @@ def test_fit_posterior_pure_kl_step():
     post = posterior(np.array([1.0, -1.0, 2.0, 0.5]), 0.8)
     prior = IsotropicPrior(center=np.zeros(d), tau=3.0)
     eta = 0.05
-    out = fit_posterior(post, prior, lambda w: (0.0, np.zeros(d)),
+    out = fit_posterior(post, prior,
+                        lambda heads: (np.zeros(len(heads)), np.zeros_like(heads)),
                         steps=1, lr=eta, K=1, rng=np.random.default_rng(0))
     np.testing.assert_allclose(out.mu, post.mu - eta * post.mu * 3.0, atol=1e-15)
 
 
 def test_fit_posterior_steps_on_mc_objective():
     # the trainer descends exactly the gradient the finite-difference checks
-    # test: one step is mu - eta * grad on the same noise draws
+    # test: each step is mu - eta * grad on the same noise draws, taken from
+    # one (steps, K, d) draw that equals one (K, d) draw per step and leaves
+    # the stream where those leave it
     _, _, _, post, prior, closure = toy_problem(seed=3)
-    eta, K = 0.01, 3
-    noise = np.random.default_rng(8).standard_normal((K, post.d))
-    _, g_mu, g_pi = mc_objective(post, prior, closure, noise)
-    assert np.sqrt((g_mu ** 2).sum() + (g_pi ** 2).sum()) < 1e3  # no clipping
-    out = fit_posterior(post, prior, closure, steps=1, lr=eta, K=K,
-                        rng=np.random.default_rng(8))
-    np.testing.assert_array_equal(out.mu, post.mu - eta * g_mu)
-    np.testing.assert_array_equal(out.pi, post.pi - eta * g_pi)
+    eta, K, steps = 0.01, 3, 3
+    ref = np.random.default_rng(8)
+    noise = ref.standard_normal((steps, K, post.d))
+    per_step = np.random.default_rng(8)
+    for eps in noise:
+        np.testing.assert_array_equal(eps, per_step.standard_normal((K, post.d)))
+    expected = post
+    for eps in noise:
+        _, g_mu, g_pi = mc_objective(expected, prior, closure, eps)
+        assert np.sqrt((g_mu ** 2).sum() + (g_pi ** 2).sum()) < 1e3  # no clipping
+        expected = VariationalPosterior(expected.mu - eta * g_mu,
+                                        expected.pi - eta * g_pi)
+    rng = np.random.default_rng(8)
+    out = fit_posterior(post, prior, closure, steps=steps, lr=eta, K=K, rng=rng)
+    np.testing.assert_array_equal(out.mu, expected.mu)
+    np.testing.assert_array_equal(out.pi, expected.pi)
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def fit_on_constant_gradient(scale):
+    """One clipped step on a callback whose head gradients all equal scale."""
+    post = posterior(np.zeros(3), 1.0)
+    prior = IsotropicPrior(center=np.zeros(3), tau=1.0)
+    with np.errstate(over="ignore"):
+        out = fit_posterior(
+            post, prior,
+            lambda heads: (np.zeros(len(heads)), np.full(heads.shape, scale)),
+            steps=1, lr=0.01, K=1, rng=np.random.default_rng(0))
+    return np.concatenate([out.mu - post.mu, out.pi - post.pi])
+
+
+def test_fit_posterior_clips_huge_gradient_to_clip_norm():
+    step = fit_on_constant_gradient(1e100)
+    assert np.linalg.norm(step) == pytest.approx(0.01 * 1e3, rel=1e-12)
+
+
+def test_fit_posterior_nonfinite_gradient_norm_raises():
+    # the squares of 1e200 overflow; rescaling by 1000 / inf would make the
+    # step a silent no-op
+    with pytest.raises(FloatingPointError, match="norm"):
+        fit_on_constant_gradient(1e200)
 
 
 def test_fit_posterior_recovers_conjugate_gaussian_mean():
@@ -320,9 +375,9 @@ def test_fit_posterior_recovers_conjugate_gaussian_mean():
     post = posterior([0.0], 1.0)
     prior = IsotropicPrior(center=np.array([center]), tau=tau)
 
-    def quad(w):
-        return (n * a / 2 * float((w[0] - b) ** 2),
-                np.array([n * a * (w[0] - b)]))
+    def quad(heads):
+        w = heads[:, 0]
+        return n * a / 2 * (w - b) ** 2, (n * a * (w - b))[:, None]
 
     out = fit_posterior(post, prior, quad, steps=200, lr=0.02, K=5,
                         rng=np.random.default_rng(7))
