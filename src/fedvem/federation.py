@@ -5,12 +5,16 @@ the latent head w, the shared base theta and the reporter ids.  Every client
 recomputes its confidence and trains its head posterior by full-batch
 gradient descent on the Monte-Carlo objective: stragglers fit their heads
 too, because the posterior feeds their next confidence and their PM
-accuracy.  Only reporters then train a base copy by mini-batch SGD
-(``nn.sgd_epochs``), since only an uploaded base is ever read.  The server
-aggregates reporter heads by confidence and reporter bases by data size.
+accuracy.  The heads of ``HEAD_GROUP`` clients at a time are fitted as one
+stack (``update_clients``); rows never mix, so a client's fit does not
+depend on its group.  Only reporters then train a base copy by mini-batch
+SGD (``nn.sgd_epochs``), since only an uploaded base is ever read.  The
+server aggregates reporter heads by confidence and reporter bases by data
+size.
 
 Per-(seed, round, client) random streams make results independent of worker
-scheduling; client updates within a round may run on a process pool.
+scheduling and grouping; client updates within a round may run on a process
+pool, one client per job.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -28,12 +33,18 @@ from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, pm_test_indices
 from .nn import (InputError, Layer, MlpParams, flatten_head, forward_base,
                  head_logits, init_mlp, sgd_epochs, unflatten_head)
-from .variational import (IsotropicPrior, VariationalPosterior, confidence,
-                          fit_posterior, head_loss_closure, sample,
-                          softplus_inv)
+from .variational import (IsotropicPrior, PosteriorError,
+                          VariationalPosterior, confidence, fit_posterior,
+                          head_loss_closure, sample, softplus_inv)
 
 CHECKPOINT_MAGIC = b"FVEM"
 CHECKPOINT_VERSION = 1
+
+# Clients whose heads are fitted as one stack.  Memory grows with the group:
+# on the drift50 benchmark shape peak RSS rose 1.6 % at 10, 2.9 % at 17 and
+# 9 % at all 50 clients over one client at a time, and 17 ran no faster
+# than 10.
+HEAD_GROUP = 10
 
 
 class TrainingError(RuntimeError):
@@ -146,49 +157,77 @@ def aggregate_base(thetas: list[list[Layer]], ns: list[int]) -> list[Layer]:
     return out
 
 
-def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
-                  rng: np.random.Generator) -> ClientState:
+def update_clients(clients: list[ClientState], globals_: GlobalState,
+                   cfg: TrainConfig) -> list[ClientState]:
     """One round of local work against the freshly received (w, theta).
 
-    Order per the protocol: recompute the confidence against the new w
-    (round 0 uses the configured initial variance), train the head posterior
-    for R full-batch steps, then, for a client in ``globals_.reporters``
-    only, train the base copy with the head held as a posterior sample per
-    mini-batch.  Base-SGD draws come last in the client's stream, so
-    skipping them leaves every other draw where it was.
+    Order per the protocol: every client recomputes its confidence against
+    the new w (round 0 uses the configured initial variance) and trains its
+    head posterior for R full-batch steps, ``HEAD_GROUP`` clients to a
+    stack, each on its own (seed, round, client) stream; then each client
+    in ``globals_.reporters`` trains its base copy (``client_update``) on
+    the rest of that stream.
     """
-    d = client.posterior.d
-    if globals_.t == 0:
-        tau = 1.0 / cfg.rho0_sq
-    else:
-        tau = confidence(client.posterior, globals_.w,
-                         mode=cfg.confidence_mode).tau
-    prior = IsotropicPrior(center=globals_.w, tau=tau)
+    out = []
+    for start in range(0, len(clients), HEAD_GROUP):
+        group = clients[start:start + HEAD_GROUP]
+        rngs = [rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, globals_.t, c.id)
+                for c in group]
+        out += [client_update(c, globals_, cfg, rng)
+                if c.id in globals_.reporters else c
+                for c, rng in zip(_fit_heads(group, globals_, cfg, rngs), rngs)]
+    return out
 
-    features = forward_base(globals_.theta, client.x)
-    closure = head_loss_closure(features, client.y)
-    theta_local: list[Layer] = []
+
+def _fit_heads(group: list[ClientState], globals_: GlobalState,
+               cfg: TrainConfig, rngs: list[np.random.Generator],
+               ) -> list[ClientState]:
+    """The group's confidences and head posteriors, fitted as one stack."""
+    if globals_.t == 0:
+        taus = [1.0 / cfg.rho0_sq] * len(group)
+    else:
+        taus = [confidence(c.posterior, globals_.w,
+                           mode=cfg.confidence_mode).tau for c in group]
+    closure = head_loss_closure(
+        [forward_base(globals_.theta, c.x) for c in group],
+        [c.y for c in group])
+    post = VariationalPosterior(np.stack([c.posterior.mu for c in group]),
+                                np.stack([c.posterior.pi for c in group]))
     try:
-        post = fit_posterior(client.posterior, prior, closure,
-                             steps=cfg.R, lr=cfg.eta, K=cfg.K, rng=rng)
-        if client.id in globals_.reporters:
-            theta_local = sgd_epochs(
-                MlpParams(base=globals_.theta, head=None), client.x, client.y,
-                cfg.base_lr, cfg.base_epochs, cfg.base_batch, rng,
-                head=lambda: unflatten_head(
-                    sample(post, rng.standard_normal(d)),
-                    features.shape[1])).base
+        post = fit_posterior(post, IsotropicPrior(globals_.w, np.array(taus)),
+                             closure, steps=cfg.R, lr=cfg.eta, K=cfg.K,
+                             rngs=rngs)
+    except PosteriorError as exc:
+        raise TrainingError(f"round {globals_.t}, client "
+                            f"{group[exc.row].id}: {exc}") from exc
+    return [replace(c, posterior=VariationalPosterior(mu, pi), tau=tau)
+            for c, mu, pi, tau in zip(group, post.mu, post.pi, taus)]
+
+
+def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
+                  rng: np.random.Generator) -> ClientState:
+    """A reporter's base training, after its head fit: a copy of the
+    broadcast base by mini-batch SGD, with the head held as a draw from the
+    client's fitted posterior per mini-batch.  ``rng`` is the client's
+    stream after the head fit's draws."""
+    post = client.posterior
+    width = globals_.theta[-1][0].shape[0]
+    try:
+        theta_local = sgd_epochs(
+            MlpParams(base=globals_.theta, head=None), client.x, client.y,
+            cfg.base_lr, cfg.base_epochs, cfg.base_batch, rng,
+            head=lambda: unflatten_head(
+                sample(post, rng.standard_normal(post.d)), width)).base
     except FloatingPointError as exc:
         raise TrainingError(
             f"round {globals_.t}, client {client.id}: {exc}") from exc
-    return ClientState(id=client.id, x=client.x, y=client.y, posterior=post,
-                       tau=tau, theta_local=theta_local)
+    return replace(client, theta_local=theta_local)
 
 
 def _update_worker(args) -> ClientState:
+    """Pool job: one client's ``update_clients``, a group of one."""
     client, globals_, cfg = args
-    rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, globals_.t, client.id)
-    return client_update(client, globals_, cfg, rng)
+    return update_clients([client], globals_, cfg)[0]
 
 
 def serialize_upload(mu: np.ndarray, tau: float, theta: list[Layer]) -> bytes:
@@ -228,11 +267,15 @@ def run_round(globals_: GlobalState, clients: list[ClientState],
     broadcast = replace(globals_, reporters=frozenset(reporters.tolist()))
     # last round's uploads are spent: neither shipped nor carried over
     clients = [replace(c, theta_local=[]) for c in clients]
-    jobs = [(c, broadcast, cfg) for c in clients]
     if pool is None:
-        new_clients = list(map(_update_worker, jobs))
+        new_clients = update_clients(clients, broadcast, cfg)
     else:
-        new_clients = list(pool.map(_update_worker, jobs))
+        try:
+            new_clients = list(pool.map(_update_worker, [
+                (c, broadcast, cfg) for c in clients]))
+        except BrokenProcessPool as exc:
+            raise TrainingError(
+                f"round {globals_.t}: worker pool failed: {exc}") from exc
 
     if len(reporters) == 0:
         new_globals = GlobalState(w=globals_.w.copy(),

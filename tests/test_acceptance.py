@@ -50,13 +50,16 @@ def test_criterion_1_gradient_correctness():
     prior = IsotropicPrior(center=rng.standard_normal(d) * 0.3, tau=1.7)
     noise = rng.standard_normal((3, d))
 
-    closure = head_loss_closure(forward_base(base, batch), labels)
-    _, g_mu, g_pi = mc_objective(post, prior, closure, noise)
-    analytic = np.concatenate([g_mu, g_pi])
+    # the objective of one client, as a stack of one
+    closure = head_loss_closure([forward_base(base, batch)], [labels])
+    _, g_mu, g_pi = mc_objective(
+        VariationalPosterior(post.mu[None], post.pi[None]), prior, closure,
+        noise[None])
+    analytic = np.concatenate([g_mu[0], g_pi[0]])
 
     def objective(vec):
-        p = VariationalPosterior(mu=vec[:d], pi=vec[d:])
-        return mc_objective(p, prior, closure, noise)[0]
+        p = VariationalPosterior(mu=vec[None, :d], pi=vec[None, d:])
+        return mc_objective(p, prior, closure, noise[None])[0][0]
 
     numeric = central_diff(objective, np.concatenate([post.mu, post.pi]))
     err_mc = rel_err(analytic, numeric)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fedvem
-from fedvem import baselines
+from fedvem import baselines, federation
 from fedvem.baselines import BaselineConfig
 from fedvem.cli import main, run_experiment, run_seed
 from fedvem.config import (ConfigError, build_config, load_config, parse_kv,
@@ -291,6 +291,23 @@ def test_cli_failure_line_comes_first(tmp_path, edit, workers, entry):
     assert proc.returncode == 1, proc.stderr
     assert re.match(r"runtime failure: round \d+, client \d+: ",
                     proc.stderr.splitlines()[0]), proc.stderr
+
+
+def _worker_dying_in_round_1(job):
+    """A pool job that kills its worker process in round 1."""
+    client, globals_, cfg = job
+    if globals_.t == 1:
+        os._exit(1)
+    return federation.update_clients([client], globals_, cfg)[0]
+
+
+def test_main_broken_pool_names_round(tmp_path, capsys, monkeypatch):
+    # forked workers see the patched job function
+    monkeypatch.setattr(federation, "_update_worker", _worker_dying_in_round_1)
+    assert main(["run", "--config", str(smoke_config(tmp_path)), "--out",
+                 str(tmp_path / "out"), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: round 1: worker pool failed: "), err
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from fedvem import nn, rng as rng_mod
 from fedvem.data import Dataset, PartitionSpec, SynthSpec, make_partition, synth_pair
-from fedvem.federation import (ClientState, GlobalState, TrainConfig,
-                               TrainingError, aggregate_base, aggregate_heads,
-                               client_update, deserialize_upload, init_state,
+from fedvem.federation import (HEAD_GROUP, ClientState, GlobalState,
+                               TrainConfig, TrainingError, aggregate_base,
+                               aggregate_heads, deserialize_upload, init_state,
                                read_checkpoint, run_round, run_training,
                                select_reporters, serialize_upload,
-                               write_checkpoint)
+                               update_clients, write_checkpoint)
 from fedvem.nn import InputError
 from fedvem.variational import VariationalPosterior, confidence
 
@@ -150,13 +150,13 @@ def test_init_state_is_seed_deterministic():
     assert not np.array_equal(gs1.w, gs3.w)
 
 
-# ------------------------------------------------------------ client_update
+# ----------------------------------------------------------- update_clients
 
 def test_client_update_round0_uses_initial_variance():
     train, _, part = tiny_problem()
     cfg = tiny_config()
     gs, clients = init_state(cfg, train, part)
-    out = client_update(clients[0], gs, cfg, np.random.default_rng(0))
+    out = update_clients([clients[0]], gs, cfg)[0]
     assert out.tau == pytest.approx(1.0 / cfg.rho0_sq)
 
 
@@ -166,7 +166,7 @@ def test_client_update_later_rounds_recompute_confidence():
     gs, clients = init_state(cfg, train, part)
     gs.t = 3
     expected = confidence(clients[1].posterior, gs.w).tau
-    out = client_update(clients[1], gs, cfg, np.random.default_rng(0))
+    out = update_clients([clients[1]], gs, cfg)[0]
     assert out.tau == pytest.approx(expected)
 
 
@@ -175,7 +175,7 @@ def test_client_update_moves_posterior_and_base():
     cfg = tiny_config()
     gs, clients = init_state(cfg, train, part)
     gs.reporters = frozenset({0})
-    out = client_update(clients[0], gs, cfg, np.random.default_rng(0))
+    out = update_clients([clients[0]], gs, cfg)[0]
     assert not np.array_equal(out.posterior.mu, clients[0].posterior.mu)
     assert not np.array_equal(out.theta_local[0][0], gs.theta[0][0])
     # broadcast state must be untouched
@@ -187,7 +187,7 @@ def test_client_update_zero_rates_freeze_everything():
     cfg = tiny_config(eta=0.0, base_lr=0.0)
     gs, clients = init_state(cfg, train, part)
     gs.reporters = frozenset({0})
-    out = client_update(clients[0], gs, cfg, np.random.default_rng(0))
+    out = update_clients([clients[0]], gs, cfg)[0]
     np.testing.assert_array_equal(out.posterior.mu, clients[0].posterior.mu)
     np.testing.assert_array_equal(out.theta_local[0][0], gs.theta[0][0])
 
@@ -197,15 +197,33 @@ def test_client_update_non_reporter_fits_head_only():
     cfg = tiny_config()
     gs, clients = init_state(cfg, train, part)
     gs.t = 2
-    reporter = client_update(clients[1], replace(gs, reporters=frozenset({1})),
-                             cfg, np.random.default_rng(5))
-    straggler = client_update(clients[1], gs, cfg, np.random.default_rng(5))
+    reporter = update_clients([clients[1]],
+                              replace(gs, reporters=frozenset({1})), cfg)[0]
+    straggler = update_clients([clients[1]], gs, cfg)[0]
     # base-SGD draws come after the head fit's, so the head is unaffected
     np.testing.assert_array_equal(straggler.posterior.mu, reporter.posterior.mu)
     np.testing.assert_array_equal(straggler.posterior.pi, reporter.posterior.pi)
     assert straggler.tau == reporter.tau
     assert straggler.theta_local == []
     assert len(reporter.theta_local) == len(gs.theta)
+
+
+def test_update_clients_group_equals_one_client_groups():
+    # a client's update does not depend on the clients fitted beside it
+    train, _, part = tiny_problem(clients=HEAD_GROUP + 3)
+    cfg = tiny_config()
+    gs, clients = init_state(cfg, train, part)
+    gs = replace(gs, t=1, reporters=frozenset({2, HEAD_GROUP + 1}))
+    together = update_clients(clients, gs, cfg)
+    for c, out in zip(clients, together):
+        alone = update_clients([c], gs, cfg)[0]
+        np.testing.assert_array_equal(out.posterior.mu, alone.posterior.mu)
+        np.testing.assert_array_equal(out.posterior.pi, alone.posterior.pi)
+        assert out.tau == alone.tau
+        assert len(out.theta_local) == len(alone.theta_local)
+        for (w, b), (w1, b1) in zip(out.theta_local, alone.theta_local):
+            np.testing.assert_array_equal(w, w1)
+            np.testing.assert_array_equal(b, b1)
 
 
 @pytest.mark.parametrize("stage", ["head_fit", "base_sgd"])
@@ -227,7 +245,18 @@ def test_client_update_failure_names_round_and_client(monkeypatch, stage):
     gs = replace(gs, t=4, reporters=frozenset({0}))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match=r"round 4, client 0"):
-            client_update(clients[0], gs, cfg, np.random.default_rng(0))
+            update_clients([clients[0]], gs, cfg)
+
+
+def test_update_clients_failure_in_a_group_names_its_client():
+    # only client 2 diverges: its rows overflow the head gradient's norm
+    train, _, part = tiny_problem(clients=5)
+    cfg = tiny_config()
+    gs, clients = init_state(cfg, train, part)
+    clients[2] = replace(clients[2], x=clients[2].x * 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match=r"round 4, client 2: posterior"):
+            update_clients(clients, replace(gs, t=4), cfg)
 
 
 # --------------------------------------------------------------- run_round
@@ -293,13 +322,20 @@ def test_run_training_rejects_invalid_config():
         run_training(tiny_config(s=0.0), train, test, part)
 
 
-def test_run_training_worker_count_invariance():
-    train, test, part = tiny_problem()
-    cfg = tiny_config(T=2, s=1.0)
-    gs1, _, reports1 = run_training(cfg, train, test, part, workers=1)
-    gs2, _, reports2 = run_training(cfg, train, test, part, workers=2)
+@pytest.mark.parametrize("clients,s", [(3, 1.0), (2 * HEAD_GROUP + 3, 0.3)])
+def test_run_training_worker_count_invariance(clients, s):
+    # 23 clients are fitted in groups of 10, 10 and 3 on one worker and one
+    # at a time on two
+    train, test, part = tiny_problem(clients=clients)
+    cfg = tiny_config(T=2, s=s)
+    gs1, clients1, reports1 = run_training(cfg, train, test, part, workers=1)
+    gs2, clients2, reports2 = run_training(cfg, train, test, part, workers=2)
     np.testing.assert_array_equal(gs1.w, gs2.w)
     assert [r.to_record() for r in reports1] == [r.to_record() for r in reports2]
+    for c1, c2 in zip(clients1, clients2, strict=True):
+        np.testing.assert_array_equal(c1.posterior.mu, c2.posterior.mu)
+        np.testing.assert_array_equal(c1.posterior.pi, c2.posterior.pi)
+        assert c1.tau == c2.tau
 
 
 def test_run_training_learns_tiny_problem():

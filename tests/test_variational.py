@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedvem import variational
 from fedvem.nn import (InputError, MlpParams, backward, cross_entropy,
                        flatten_head, forward, forward_base, init_mlp,
                        unflatten_head)
-from fedvem.variational import (IsotropicPrior, VariationalPosterior,
-                                confidence, fit_posterior, head_loss_closure,
-                                kl_to_prior, mc_objective, sample, softplus,
-                                softplus_inv)
+from fedvem.variational import (GRAD_CLIP, IsotropicPrior, PosteriorError,
+                                VariationalPosterior, confidence,
+                                fit_posterior, head_loss_closure, kl_to_prior,
+                                mc_objective, sample, softplus, softplus_inv)
 
 from helpers import central_diff, golden_max, rel_err
 
@@ -19,6 +20,18 @@ def posterior(mu, sigma):
     return VariationalPosterior(mu=mu, pi=softplus_inv(np.full(mu.size, sigma))
                                 if np.isscalar(sigma)
                                 else softplus_inv(np.asarray(sigma, float)))
+
+
+def stack(*posts):
+    """The (G, d) posterior stack of one-client posteriors."""
+    return VariationalPosterior(np.stack([p.mu for p in posts]),
+                                np.stack([p.pi for p in posts]))
+
+
+def one_client(post, prior, closure, noise):
+    """``mc_objective`` of one client as a stack of one: (loss, d_mu, d_pi)."""
+    loss, d_mu, d_pi = mc_objective(stack(post), prior, closure, noise[None])
+    return loss[0], d_mu[0], d_pi[0]
 
 
 # ---------------------------------------------------------------- softplus
@@ -160,7 +173,7 @@ def toy_problem(seed=0, n=12, dim=3, hidden=4, classes=3):
     d = flatten_head(params.head).size
     post = VariationalPosterior(mu=rng.normal(0, 0.5, d), pi=rng.normal(0, 0.5, d))
     prior = IsotropicPrior(center=rng.normal(0, 0.5, d), tau=1.7)
-    closure = head_loss_closure(forward_base(params.base, x), y)
+    closure = head_loss_closure([forward_base(params.base, x)], [y])
     return params, x, y, post, prior, closure
 
 
@@ -169,12 +182,12 @@ def test_head_loss_closure_stack_rows_match_single_heads():
     # call on head k bit for bit, and the nn module's loss and gradient
     params, x, y, post, _, closure = toy_problem(seed=6, n=13)
     heads = sample(post, np.random.default_rng(9).standard_normal((4, post.d)))
-    losses, grads = closure(heads)
-    assert losses.shape == (4,) and grads.shape == (4, post.d)
-    for head, loss, grad in zip(heads, losses, grads):
-        one_loss, one_grad = closure(head[None, :])
-        assert loss == one_loss[0]
-        np.testing.assert_array_equal(grad, one_grad[0])
+    losses, grads = closure(heads[None])
+    assert losses.shape == (1, 4) and grads.shape == (1, 4, post.d)
+    for head, loss, grad in zip(heads, losses[0], grads[0]):
+        one_loss, one_grad = closure(head[None, None, :])
+        assert loss == one_loss[0, 0]
+        np.testing.assert_array_equal(grad, one_grad[0, 0])
         p = MlpParams(base=params.base, head=unflatten_head(head, 4))
         assert loss == pytest.approx(len(x) * cross_entropy(forward(p, x), y),
                                      rel=1e-12)
@@ -185,7 +198,7 @@ def test_head_loss_closure_stack_rows_match_single_heads():
 def test_mc_local_loss_degenerate_posterior():
     params, x, y, post, prior, closure = toy_problem()
     post = VariationalPosterior(mu=post.mu, pi=np.full(post.d, -40.0))
-    loss, _, _ = mc_objective(post, prior, closure, np.zeros((1, post.d)))
+    loss, _, _ = one_client(post, prior, closure, np.zeros((1, post.d)))
     det = MlpParams(base=params.base, head=unflatten_head(post.mu, 4))
     expected = (len(x) * cross_entropy(forward(det, x), y)
                 + kl_to_prior(post, prior)[0])
@@ -195,21 +208,21 @@ def test_mc_local_loss_degenerate_posterior():
 def test_mc_local_loss_rejects_k_zero():
     _, _, _, post, prior, closure = toy_problem()
     with pytest.raises(InputError):
-        mc_objective(post, prior, closure, np.zeros((0, post.d)))
+        one_client(post, prior, closure, np.zeros((0, post.d)))
 
 
 def test_mc_local_loss_gradients_match_finite_differences():
     _, _, _, post, prior, closure = toy_problem(seed=1)
     noise = np.random.default_rng(4).standard_normal((3, post.d))
-    _, g_mu, g_pi = mc_objective(post, prior, closure, noise)
+    _, g_mu, g_pi = one_client(post, prior, closure, noise)
 
     def loss_mu(m):
-        return mc_objective(VariationalPosterior(m, post.pi), prior, closure,
-                            noise)[0]
+        return one_client(VariationalPosterior(m, post.pi), prior, closure,
+                          noise)[0]
 
     def loss_pi(p):
-        return mc_objective(VariationalPosterior(post.mu, p), prior, closure,
-                            noise)[0]
+        return one_client(VariationalPosterior(post.mu, p), prior, closure,
+                          noise)[0]
 
     assert rel_err(g_mu, central_diff(loss_mu, post.mu)) <= 1e-4
     assert rel_err(g_pi, central_diff(loss_pi, post.pi)) <= 1e-4
@@ -218,15 +231,75 @@ def test_mc_local_loss_gradients_match_finite_differences():
 def test_mc_consistency_across_sample_counts():
     _, _, _, post, prior, closure = toy_problem(seed=2)
     rng = np.random.default_rng(5)
-    losses1 = [mc_objective(post, prior, closure,
-                            rng.standard_normal((1, post.d)))[0]
+    losses1 = [one_client(post, prior, closure,
+                          rng.standard_normal((1, post.d)))[0]
                for _ in range(200)]
-    losses4 = [mc_objective(post, prior, closure,
-                            rng.standard_normal((4, post.d)))[0]
+    losses4 = [one_client(post, prior, closure,
+                          rng.standard_normal((4, post.d)))[0]
                for _ in range(200)]
     m1, m4 = np.mean(losses1), np.mean(losses4)
     se = np.sqrt(np.var(losses1, ddof=1) / 200 + np.var(losses4, ddof=1) / 200)
     assert abs(m1 - m4) <= 3 * se
+
+
+def client_stack(sizes, seed=0, width=4, classes=3):
+    """Features, labels, a posterior stack and per-row priors of clients
+    holding ``sizes`` rows each."""
+    rng = np.random.default_rng(seed)
+    d = classes * (width + 1)
+    feats = [np.maximum(rng.standard_normal((n, width)), 0.0) for n in sizes]
+    labels = [rng.integers(0, classes, size=n) for n in sizes]
+    post = VariationalPosterior(mu=rng.normal(0, 0.5, (len(sizes), d)),
+                                pi=rng.normal(-1, 0.5, (len(sizes), d)))
+    prior = IsotropicPrior(center=rng.normal(0, 0.5, d),
+                           tau=rng.uniform(0.5, 5.0, len(sizes)))
+    return feats, labels, post, prior
+
+
+@pytest.mark.parametrize("classes,K", [(3, 3), (1, 4), (4, 9)])
+def test_stacked_calls_equal_one_client_calls(classes, K):
+    # a G-client closure call and objective are G one-client calls, bit for
+    # bit: a client with no rows, one class and K >= 8 included
+    sizes = [7, 0, 13, 1, 9]
+    feats, labels, post, prior = client_stack(sizes, seed=classes,
+                                              classes=classes)
+    noise = np.random.default_rng(K).standard_normal((len(sizes), K, post.d))
+    heads = post.mu[:, None] + post.sigma[:, None] * noise
+    closure = head_loss_closure(feats, labels)
+    losses, grads = closure(heads)
+    assert losses.shape == (len(sizes), K) and grads.shape == heads.shape
+    loss, d_mu, d_pi = mc_objective(post, prior, closure, noise)
+    for j in range(len(sizes)):
+        single = head_loss_closure([feats[j]], [labels[j]])
+        one_losses, one_grads = single(heads[j:j + 1])
+        np.testing.assert_array_equal(losses[j], one_losses[0])
+        np.testing.assert_array_equal(grads[j], one_grads[0])
+        one_prior = IsotropicPrior(prior.center, prior.tau[j:j + 1])
+        one = mc_objective(VariationalPosterior(post.mu[j:j + 1],
+                                                post.pi[j:j + 1]),
+                           one_prior, single, noise[j:j + 1])
+        assert loss[j] == one[0][0]
+        np.testing.assert_array_equal(d_mu[j], one[1][0])
+        np.testing.assert_array_equal(d_pi[j], one[2][0])
+    assert not losses[1].any() and not grads[1].any()   # no rows
+
+
+def test_stacked_objective_gradients_match_finite_differences():
+    feats, labels, post, prior = client_stack([5, 8, 3], seed=7)
+    closure = head_loss_closure(feats, labels)
+    noise = np.random.default_rng(3).standard_normal((3, 2, post.d))
+    _, g_mu, g_pi = mc_objective(post, prior, closure, noise)
+    shape = post.mu.shape
+
+    def total(mu, pi):
+        return mc_objective(VariationalPosterior(mu.reshape(shape),
+                                                 pi.reshape(shape)),
+                            prior, closure, noise)[0].sum()
+
+    num_mu = central_diff(lambda m: total(m, post.pi), post.mu.ravel())
+    num_pi = central_diff(lambda p: total(post.mu, p), post.pi.ravel())
+    assert rel_err(g_mu.ravel(), num_mu) <= 1e-4
+    assert rel_err(g_pi.ravel(), num_pi) <= 1e-4
 
 
 # -------------------------------------------------------------- confidence
@@ -312,17 +385,19 @@ def test_fit_posterior_pure_kl_step():
     post = posterior(np.array([1.0, -1.0, 2.0, 0.5]), 0.8)
     prior = IsotropicPrior(center=np.zeros(d), tau=3.0)
     eta = 0.05
-    out = fit_posterior(post, prior,
-                        lambda heads: (np.zeros(len(heads)), np.zeros_like(heads)),
-                        steps=1, lr=eta, K=1, rng=np.random.default_rng(0))
-    np.testing.assert_allclose(out.mu, post.mu - eta * post.mu * 3.0, atol=1e-15)
+    out = fit_posterior(stack(post), prior,
+                        lambda heads: (np.zeros(heads.shape[:2]),
+                                       np.zeros_like(heads)),
+                        steps=1, lr=eta, K=1, rngs=[np.random.default_rng(0)])
+    np.testing.assert_allclose(out.mu[0], post.mu - eta * post.mu * 3.0,
+                               atol=1e-15)
 
 
 def test_fit_posterior_steps_on_mc_objective():
     # the trainer descends exactly the gradient the finite-difference checks
-    # test: each step is mu - eta * grad on the same noise draws, taken from
-    # one (steps, K, d) draw that equals one (K, d) draw per step and leaves
-    # the stream where those leave it
+    # test: each step is mu - eta * grad on the same noise draws, one (K, d)
+    # draw per step, which equals one (steps, K, d) draw and leaves the
+    # stream where that leaves it
     _, _, _, post, prior, closure = toy_problem(seed=3)
     eta, K, steps = 0.01, 3, 3
     ref = np.random.default_rng(8)
@@ -332,15 +407,64 @@ def test_fit_posterior_steps_on_mc_objective():
         np.testing.assert_array_equal(eps, per_step.standard_normal((K, post.d)))
     expected = post
     for eps in noise:
-        _, g_mu, g_pi = mc_objective(expected, prior, closure, eps)
+        _, g_mu, g_pi = one_client(expected, prior, closure, eps)
         assert np.sqrt((g_mu ** 2).sum() + (g_pi ** 2).sum()) < 1e3  # no clipping
         expected = VariationalPosterior(expected.mu - eta * g_mu,
                                         expected.pi - eta * g_pi)
     rng = np.random.default_rng(8)
-    out = fit_posterior(post, prior, closure, steps=steps, lr=eta, K=K, rng=rng)
-    np.testing.assert_array_equal(out.mu, expected.mu)
-    np.testing.assert_array_equal(out.pi, expected.pi)
+    out = fit_posterior(stack(post), prior, closure, steps=steps, lr=eta, K=K,
+                        rngs=[rng])
+    np.testing.assert_array_equal(out.mu[0], expected.mu)
+    np.testing.assert_array_equal(out.pi[0], expected.pi)
     assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_fit_posterior_draws_each_rows_noise_from_its_stream(monkeypatch):
+    # row j's noise at step s is step s of client j's one (R, K, d) draw,
+    # and every stream is left where that draw leaves it
+    feats, labels, post, prior = client_stack([6, 0, 9], seed=4)
+    steps, K = 4, 2
+    seen = []
+
+    def recording(post, prior, fn, noise):
+        seen.append(noise.copy())
+        return mc_objective(post, prior, fn, noise)
+
+    monkeypatch.setattr(variational, "mc_objective", recording)
+    rngs = [np.random.default_rng(s) for s in (3, 4, 5)]
+    fit_posterior(post, prior, head_loss_closure(feats, labels), steps=steps,
+                  lr=0.01, K=K, rngs=rngs)
+    assert len(seen) == steps
+    for j, seed in enumerate((3, 4, 5)):
+        ref = np.random.default_rng(seed)
+        block = ref.standard_normal((steps, K, post.d))
+        for s in range(steps):
+            np.testing.assert_array_equal(seen[s][j], block[s])
+        assert rngs[j].standard_normal() == ref.standard_normal()
+
+
+def test_fit_posterior_clip_fires_for_one_row_only():
+    # row 0's gradient is clipped to the clip norm; row 1 takes its own step
+    post = stack(posterior(np.zeros(3), 1.0), posterior(np.ones(3), 0.5))
+    prior = IsotropicPrior(center=np.zeros(3), tau=np.array([1.0, 2.0]))
+    scale = np.array([1e100, 1.0])
+
+    def constant(heads):
+        return (np.zeros(heads.shape[:2]),
+                np.broadcast_to(scale[:, None, None], heads.shape).copy())
+
+    noise = np.stack([np.random.default_rng(s).standard_normal((1, 3))
+                      for s in (10, 11)])
+    rngs = [np.random.default_rng(s) for s in (10, 11)]
+    with np.errstate(over="ignore"):
+        _, g_mu, g_pi = mc_objective(post, prior, constant, noise)
+        out = fit_posterior(post, prior, constant, steps=1, lr=0.01, K=1,
+                            rngs=rngs)
+    step0 = np.concatenate([out.mu[0] - post.mu[0], out.pi[0] - post.pi[0]])
+    assert np.linalg.norm(step0) == pytest.approx(0.01 * GRAD_CLIP, rel=1e-12)
+    assert np.linalg.norm(np.concatenate([g_mu[1], g_pi[1]])) < GRAD_CLIP
+    np.testing.assert_array_equal(out.mu[1], post.mu[1] - 0.01 * g_mu[1])
+    np.testing.assert_array_equal(out.pi[1], post.pi[1] - 0.01 * g_pi[1])
 
 
 def fit_on_constant_gradient(scale):
@@ -349,10 +473,11 @@ def fit_on_constant_gradient(scale):
     prior = IsotropicPrior(center=np.zeros(3), tau=1.0)
     with np.errstate(over="ignore"):
         out = fit_posterior(
-            post, prior,
-            lambda heads: (np.zeros(len(heads)), np.full(heads.shape, scale)),
-            steps=1, lr=0.01, K=1, rng=np.random.default_rng(0))
-    return np.concatenate([out.mu - post.mu, out.pi - post.pi])
+            stack(post), prior,
+            lambda heads: (np.zeros(heads.shape[:2]),
+                           np.full(heads.shape, scale)),
+            steps=1, lr=0.01, K=1, rngs=[np.random.default_rng(0)])
+    return np.concatenate([out.mu[0] - post.mu, out.pi[0] - post.pi])
 
 
 def test_fit_posterior_clips_huge_gradient_to_clip_norm():
@@ -367,6 +492,20 @@ def test_fit_posterior_nonfinite_gradient_norm_raises():
         fit_on_constant_gradient(1e200)
 
 
+def test_fit_posterior_failure_names_first_failing_row():
+    post = stack(*(posterior(np.zeros(2), 1.0) for _ in range(4)))
+    prior = IsotropicPrior(center=np.zeros(2), tau=np.ones(4))
+    scale = np.array([1.0, 1.0, 1e200, 1e200])
+    with np.errstate(over="ignore"), pytest.raises(PosteriorError,
+                                                   match="norm") as info:
+        fit_posterior(post, prior,
+                      lambda heads: (np.zeros(heads.shape[:2]),
+                                     scale[:, None, None] + 0 * heads),
+                      steps=1, lr=0.01, K=1,
+                      rngs=[np.random.default_rng(j) for j in range(4)])
+    assert info.value.row == 2
+
+
 def test_fit_posterior_recovers_conjugate_gaussian_mean():
     # quadratic total loss n*a/2*(w-b)^2 with Gaussian prior has closed-form
     # posterior mean (tau*c + n*a*b) / (tau + n*a)
@@ -376,10 +515,10 @@ def test_fit_posterior_recovers_conjugate_gaussian_mean():
     prior = IsotropicPrior(center=np.array([center]), tau=tau)
 
     def quad(heads):
-        w = heads[:, 0]
-        return n * a / 2 * (w - b) ** 2, (n * a * (w - b))[:, None]
+        w = heads[..., 0]
+        return n * a / 2 * (w - b) ** 2, (n * a * (w - b))[..., None]
 
-    out = fit_posterior(post, prior, quad, steps=200, lr=0.02, K=5,
-                        rng=np.random.default_rng(7))
+    out = fit_posterior(stack(post), prior, quad, steps=200, lr=0.02, K=5,
+                        rngs=[np.random.default_rng(7)])
     analytic = (tau * center + n * a * b) / (tau + n * a)
-    assert abs(out.mu[0] - analytic) / abs(analytic) < 0.05
+    assert abs(out.mu[0, 0] - analytic) / abs(analytic) < 0.05
