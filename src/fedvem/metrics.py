@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,8 @@ class RoundReport:
         return float(np.mean(vals)) if vals else float("nan")
 
     def to_record(self) -> dict:
-        return {"type": "round", **asdict(self)}
+        # the fields themselves, not the deep copy ``asdict`` makes
+        return {"type": "round", **vars(self)}
 
     @classmethod
     def from_record(cls, rec: dict) -> "RoundReport":

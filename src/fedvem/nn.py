@@ -156,7 +156,8 @@ def backward(params: MlpParams, batch: np.ndarray, labels: np.ndarray,
     for k in range(len(params.base) - 1, -1, -1):
         dz = dh * (acts[k + 1] > 0)
         g_base[k] = (dz.T @ acts[k], dz.sum(axis=0))
-        dh = dz @ params.base[k][0]
+        if k:   # nothing reads the gradient w.r.t. the input batch
+            dh = dz @ params.base[k][0]
 
     grads = MlpParams(base=g_base, head=g_head)
     if extra_loss_grads is not None:

@@ -118,16 +118,23 @@ def kl_to_prior(post: VariationalPosterior, prior: IsotropicPrior,
     with rho = tau^{-1/2}.  The additive constant is kept so KL(q, q) == 0.
     A (G, d) stack gives (G,) KLs and (G, d) gradients.
     """
+    return _kl_terms(post, prior, post.sigma, _sigmoid(post.pi))
+
+
+def _kl_terms(post: VariationalPosterior, prior: IsotropicPrior,
+              sigma: np.ndarray, sigma_slope: np.ndarray,
+              ) -> tuple[float, np.ndarray, np.ndarray]:
+    """``kl_to_prior`` given sigma = softplus(pi) and its slope sigmoid(pi),
+    so a caller that already holds them computes neither again."""
     if prior.center.shape[-1:] != post.mu.shape[-1:]:
         raise ShapeError("prior center dimension mismatch")
-    sigma = post.sigma
     tau = np.asarray(prior.tau, dtype=float)[..., None]
     diff = post.mu - prior.center
     log_rho = -0.5 * np.log(tau)
     kl = np.sum(log_rho - np.log(sigma)
                 + (sigma ** 2 + diff ** 2) * tau / 2.0 - 0.5, axis=-1)
     d_sigma = -1.0 / sigma + sigma * tau
-    return kl, diff * tau, d_sigma * _sigmoid(post.pi)
+    return kl, diff * tau, d_sigma * sigma_slope
 
 
 def mc_objective(post: VariationalPosterior, prior: IsotropicPrior,
@@ -150,12 +157,13 @@ def mc_objective(post: VariationalPosterior, prior: IsotropicPrior,
     k = noise.shape[1]
     if k < 1:
         raise InputError("at least one MC sample required")
-    losses, grads = loss_grad_fn(post.mu[:, None] + post.sigma[:, None] * noise)
+    sigma, sigma_slope = post.sigma, _sigmoid(post.pi)
+    losses, grads = loss_grad_fn(post.mu[:, None] + sigma[:, None] * noise)
     loss = 0.0
     for column in losses.T:   # in order: sum(axis=1) pairs from K = 8 on
         loss = loss + column
-    g_pi = grads * noise * _sigmoid(post.pi)[:, None]
-    kl, k_mu, k_pi = kl_to_prior(post, prior)
+    g_pi = grads * noise * sigma_slope[:, None]
+    kl, k_mu, k_pi = _kl_terms(post, prior, sigma, sigma_slope)
     return (loss / k + kl, grads.sum(axis=1, initial=0.0) / k + k_mu,
             g_pi.sum(axis=1, initial=0.0) / k + k_pi)
 

@@ -1,3 +1,5 @@
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -5,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvem import nn, rng as rng_mod
+from fedvem import federation, nn, rng as rng_mod
 from fedvem.data import Dataset, PartitionSpec, SynthSpec, make_partition, synth_pair
 from fedvem.federation import (HEAD_GROUP, ClientState, GlobalState,
                                TrainConfig, TrainingError, aggregate_base,
                                aggregate_heads, deserialize_upload, init_state,
-                               read_checkpoint, run_round, run_training,
-                               select_reporters, serialize_upload,
-                               update_clients, write_checkpoint)
+                               pool_chunksize, read_checkpoint, run_round,
+                               run_training, select_reporters,
+                               serialize_upload, update_clients,
+                               write_checkpoint)
 from fedvem.nn import InputError
 from fedvem.variational import VariationalPosterior, confidence
 
@@ -301,6 +304,54 @@ def test_run_round_single_reporter_adopts_its_head():
         np.testing.assert_allclose(gs2.w, clients2[j].posterior.mu, atol=1e-12)
 
 
+def test_pool_chunksize_gives_two_workers_two_chunks():
+    assert pool_chunksize(1, 2) == 1
+    for n in range(2, 500):
+        size = pool_chunksize(n, 2)
+        assert 1 <= size and -(-n // size) >= 2, n
+
+
+def test_run_round_pool_keeps_the_seed_process_rows():
+    train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
+    cfg = tiny_config(s=0.3)
+    gs, clients = init_state(cfg, train, part)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        _, pooled, _ = run_round(gs, clients, cfg, pool)
+    _, serial, _ = run_round(gs, clients, cfg)
+    for c, p, s in zip(clients, pooled, serial, strict=True):
+        assert p.x is c.x and p.y is c.y
+        np.testing.assert_array_equal(p.posterior.mu, s.posterior.mu)
+        np.testing.assert_array_equal(p.posterior.pi, s.posterior.pi)
+        assert p.tau == s.tau
+        assert len(p.theta_local) == len(s.theta_local)
+        for (wp, bp), (ws, bs) in zip(p.theta_local, s.theta_local):
+            np.testing.assert_array_equal(wp, ws)
+            np.testing.assert_array_equal(bp, bs)
+
+
+def _worker_dying_on_last_client(job):
+    """A pool job that kills its worker process on client 2 * HEAD_GROUP + 2."""
+    client, globals_, cfg = job
+    if client.id == 2 * HEAD_GROUP + 2:
+        os._exit(1)
+    return update_clients([client], globals_, cfg)[0]
+
+
+def test_run_round_worker_dying_in_a_later_chunk_names_round(monkeypatch):
+    train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
+    cfg = tiny_config()
+    gs, clients = init_state(cfg, train, part)
+    # the dying job is in the last chunk, not the first
+    assert pool_chunksize(len(clients), 2) < len(clients) - 1
+    # forked workers see the patched job function
+    monkeypatch.setattr(federation, "_update_worker",
+                        _worker_dying_on_last_client)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(TrainingError,
+                           match=r"^round 3: worker pool failed: "):
+            run_round(replace(gs, t=3), clients, cfg, pool)
+
+
 # ------------------------------------------------------------ run_training
 
 def test_run_training_produces_per_round_reports():
@@ -325,7 +376,8 @@ def test_run_training_rejects_invalid_config():
 @pytest.mark.parametrize("clients,s", [(3, 1.0), (2 * HEAD_GROUP + 3, 0.3)])
 def test_run_training_worker_count_invariance(clients, s):
     # 23 clients are fitted in groups of 10, 10 and 3 on one worker and one
-    # at a time on two
+    # at a time on two, which take them in several chunks of jobs
+    assert -(-clients // pool_chunksize(clients, 2)) >= 2
     train, test, part = tiny_problem(clients=clients)
     cfg = tiny_config(T=2, s=s)
     gs1, clients1, reports1 = run_training(cfg, train, test, part, workers=1)

@@ -91,6 +91,16 @@ def test_report_lines_are_json_objects(tmp_path):
         assert rec["type"] == "round"
 
 
+def test_to_record_serializes_like_asdict():
+    import json
+    from dataclasses import asdict, replace
+    for rep in [sample_report(), sample_report(pm=(None, None, None)),
+                replace(sample_report(), gm_accuracy=float("nan"),
+                        no_reporters=True)]:
+        assert (json.dumps(rep.to_record())
+                == json.dumps({"type": "round", **asdict(rep)}))
+
+
 def test_client_csv_format_and_precision(tmp_path):
     rep = sample_report(pm=(1 / 3, None, 1.0))
     path = tmp_path / "clients.csv"

@@ -139,16 +139,20 @@ def test_backward_single_layer_closed_form():
 
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(8)
-    params = init_mlp(3, (4,), 3, rng)   # ~35 parameters
-    x = rng.standard_normal((5, 3))
-    labels = rng.integers(0, 3, size=5)
-    analytic = flatten_params(backward(params, x, labels))
+    # one hidden layer (~35 parameters), then two, whose upper layer
+    # back-propagates into the lower one
+    for hidden in [(4,), (4, 3)]:
+        params = init_mlp(3, hidden, 3, rng)
+        x = rng.standard_normal((5, 3))
+        labels = rng.integers(0, 3, size=5)
+        analytic = flatten_params(backward(params, x, labels))
 
-    def loss(vec):
-        return cross_entropy(forward(unflatten_params(vec, params), x), labels)
+        def loss(vec):
+            return cross_entropy(forward(unflatten_params(vec, params), x),
+                                 labels)
 
-    numeric = central_diff(loss, flatten_params(params))
-    assert rel_err(analytic, numeric) <= 1e-4
+        numeric = central_diff(loss, flatten_params(params))
+        assert rel_err(analytic, numeric) <= 1e-4, hidden
 
 
 def test_backward_injected_extra_grads_are_added():
