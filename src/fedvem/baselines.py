@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics, rng as rng_mod
-from .data import Dataset, Partition, pm_test_indices
+from .data import Dataset, Partition, client_rows, pm_test_indices
 from .federation import (TrainConfig, TrainingError, aggregate_base,
                          select_reporters)
 from .nn import InputError, MlpParams, forward, init_mlp, sgd_epochs, zeros_like
@@ -141,8 +141,7 @@ def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
     init_rng = rng_mod.stream(cfg.seed, rng_mod.TAG_INIT)
     params0 = init_mlp(train_ds.input_dim, tuple(cfg.hidden), train_ds.classes,
                        init_rng)
-    clients_xy = [(train_ds.images[ix], train_ds.labels[ix])
-                  for ix in partition.client_indices]
+    clients_xy = [client_rows(train_ds, ix) for ix in partition.client_indices]
     pm_idx = [pm_test_indices(partition, test_ds, j)
               for j in range(len(clients_xy))]
 

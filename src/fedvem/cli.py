@@ -20,7 +20,8 @@ import numpy as np
 from . import metrics
 from .baselines import run_baseline
 from .config import (ConfigError, ExperimentConfig, load_config, validate)
-from .data import Dataset, load_idx, make_partition, synth_pair
+from .data import (Dataset, group_by_client, load_idx, make_partition,
+                   synth_pair)
 from .federation import TrainingError, run_training, write_checkpoint
 from .nn import InputError
 
@@ -38,11 +39,14 @@ def run_seed(cfg: ExperimentConfig, seed: int, workers: int = 1,
     """One seeded end-to-end run of the configured scheme.
 
     ``cfg`` is left as it is; every section that draws gets ``seed`` in a
-    copy.  With a ``checkpoint_dir``, pFedVEM writes a checkpoint every
-    ``cfg.checkpoint_every`` rounds.
+    copy.  With a ``checkpoint_dir``, pFedVEM creates it and writes a
+    checkpoint every ``cfg.checkpoint_every`` rounds.  The training set is
+    regrouped by client once, so every client's rows are a view of one
+    array and the ungrouped original is freed.
     """
     train, test = _datasets(cfg, seed)
-    partition = make_partition(train, replace(cfg.partition, seed=seed))
+    train, partition = group_by_client(
+        train, make_partition(train, replace(cfg.partition, seed=seed)))
     run_cfg = replace(cfg.train, seed=seed)
     if cfg.scheme != "pfedvem":
         return run_baseline(cfg.scheme, run_cfg, cfg.baseline, train, test,
@@ -54,7 +58,10 @@ def run_seed(cfg: ExperimentConfig, seed: int, workers: int = 1,
                 os.path.join(checkpoint_dir, f"round{globals_.t:04d}.fvem"),
                 globals_, clients)
 
-    on_round = checkpoint if checkpoint_dir and cfg.checkpoint_every else None
+    on_round = None
+    if checkpoint_dir and cfg.checkpoint_every:
+        os.makedirs(checkpoint_dir, exist_ok=True)
+        on_round = checkpoint
     _, _, reports = run_training(run_cfg, train, test, partition,
                                  workers=workers, on_round=on_round)
     return reports
@@ -68,10 +75,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     seeds = [s + seed_offset for s in cfg.seeds]
     final_pm, final_gm = [], []
     for seed in seeds:
-        ckpt_dir = None
-        if cfg.checkpoint_every > 0:
-            ckpt_dir = os.path.join(out_dir, f"checkpoints_seed{seed}")
-            os.makedirs(ckpt_dir, exist_ok=True)
+        ckpt_dir = os.path.join(out_dir, f"checkpoints_seed{seed}")
         reports = run_seed(cfg, seed, workers=workers, checkpoint_dir=ckpt_dir)
         metrics.write_report(reports, os.path.join(out_dir, f"seed{seed}.jsonl"))
         if reports:
@@ -99,7 +103,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         if name == "run":
-            p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+            p.add_argument("--workers", type=int, default=1)
             p.add_argument("--out", default=None)
             p.add_argument("--seed-offset", type=int, default=0)
     args = parser.parse_args(argv)

@@ -105,8 +105,9 @@ def load_idx(images_path, labels_path) -> Dataset:
     if len(raw) != expected:
         raise FormatError(f"{images_path}: expected {expected} bytes, "
                           f"truncated at byte {len(raw)}")
-    images = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, rows * cols)
-    images = images.astype(float) / 255.0
+    # one float64 allocation, whether or not numpy elides a temporary
+    images = np.divide(np.frombuffer(raw, dtype=np.uint8, offset=16),
+                       255.0, dtype=float).reshape(n, rows * cols)
 
     with open(labels_path, "rb") as f:
         raw = f.read()
@@ -252,6 +253,34 @@ def make_partition(ds: Dataset, spec: PartitionSpec) -> Partition:
         p = partition_quantity(ds, spec.clients, spec.seed, equal=True)
     p.validate(len(ds))
     return p
+
+
+def group_by_client(ds: Dataset, partition: Partition,
+                    ) -> tuple[Dataset, Partition]:
+    """``ds`` with each client's rows back to back, in partition order.
+
+    Client j's rows keep their values and order; its indices become one
+    ascending run, so ``client_rows`` takes them as a view.  The label and
+    subclass sets are shared with ``partition``.
+    """
+    order = np.concatenate(partition.client_indices)
+    grouped = Dataset(
+        images=ds.images[order], labels=ds.labels[order], classes=ds.classes,
+        subclasses=None if ds.subclasses is None else ds.subclasses[order])
+    starts = np.cumsum([0] + partition.sizes)
+    return grouped, Partition(
+        client_indices=[np.arange(a, b) for a, b in zip(starts, starts[1:])],
+        client_labels=partition.client_labels,
+        client_subclasses=partition.client_subclasses)
+
+
+def client_rows(ds: Dataset, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A client's ``(x, y)``: views of ``ds`` when ``idx`` is one ascending
+    run of consecutive indices, copies otherwise."""
+    if len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+        run = slice(idx[0], idx[0] + len(idx))
+        return ds.images[run], ds.labels[run]
+    return ds.images[idx], ds.labels[idx]
 
 
 def pm_test_indices(partition: Partition, test_ds: Dataset, client: int) -> np.ndarray:

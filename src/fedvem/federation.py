@@ -25,12 +25,12 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import metrics, rng as rng_mod
-from .data import Dataset, Partition, pm_test_indices
+from .data import Dataset, Partition, client_rows, pm_test_indices
 from .nn import (InputError, Layer, MlpParams, flatten_head, forward_base,
                  head_logits, init_mlp, sgd_epochs, unflatten_head)
 from .variational import (IsotropicPrior, PosteriorError,
@@ -150,19 +150,28 @@ def aggregate_heads(mus: list[np.ndarray], taus: list[float]) -> np.ndarray:
     return (taus[:, None] * stacked).sum(axis=0) / taus.sum()
 
 
-def aggregate_base(thetas: list[list[Layer]], ns: list[int]) -> list[Layer]:
-    """Data-size-weighted average of reporter base models, per parameter."""
-    if not thetas:
+def aggregate_base(thetas: Iterable[list[Layer]], ns: list[int]) -> list[Layer]:
+    """Data-size-weighted average of reporter base models, per parameter.
+
+    ``thetas`` is read one base at a time and each base is let go once it
+    is added, so a generator of bases has at most one alive.  The sums run
+    in reporter order from 0, as ``sum`` runs them.
+    """
+    if not ns:
         raise InputError("no reporters to aggregate")
     total = float(sum(ns))
     if total <= 0:
         raise InputError("total reporter data size must be positive")
-    out = []
-    for k in range(len(thetas[0])):
-        w = sum(n * th[k][0] for n, th in zip(ns, thetas)) / total
-        b = sum(n * th[k][1] for n, th in zip(ns, thetas)) / total
-        out.append((w, b))
-    return out
+    # not zip(ns, thetas): zip's reused result tuple would hold each base
+    # until the next one is built
+    weights = iter(ns)
+    sums = None
+    for theta in thetas:
+        n = next(weights)
+        sums = [(sw + n * w, sb + n * b) for (sw, sb), (w, b)
+                in zip(sums or [(0, 0)] * len(theta), theta)]
+        del theta   # before the generator builds the next one
+    return [(sw / total, sb / total) for sw, sb in sums]
 
 
 def update_clients(clients: list[ClientState], globals_: GlobalState,
@@ -307,20 +316,25 @@ def run_round(globals_: GlobalState, clients: list[ClientState],
                                   t=globals_.t + 1)
         return new_globals, new_clients, reporters
 
-    # route reporter state through the wire format to keep the payload honest
+    # route each reporter's state through the wire format to keep the payload
+    # honest, one upload in flight at a time
     d = globals_.w.size
-    payloads = [serialize_upload(new_clients[j].posterior.mu,
-                                 new_clients[j].tau,
-                                 new_clients[j].theta_local)
-                for j in reporters]
-    received = [deserialize_upload(p, d, globals_.theta) for p in payloads]
-    mus = [m for m, _, _ in received]
-    taus = [t for _, t, _ in received]
-    thetas = [th for _, _, th in received]
-    ns = [new_clients[j].n for j in reporters]
+    mus, taus = [], []
 
-    new_globals = GlobalState(w=aggregate_heads(mus, taus),
-                              theta=aggregate_base(thetas, ns),
+    def received_bases():
+        for j in reporters:
+            c = new_clients[j]
+            mu, tau, theta = deserialize_upload(
+                serialize_upload(c.posterior.mu, c.tau, c.theta_local), d,
+                globals_.theta)
+            mus.append(mu)
+            taus.append(tau)
+            yield theta
+            del theta   # before the next upload is built
+
+    theta = aggregate_base(received_bases(),
+                           [new_clients[j].n for j in reporters])
+    new_globals = GlobalState(w=aggregate_heads(mus, taus), theta=theta,
                               t=globals_.t + 1)
     return new_globals, new_clients, reporters
 
@@ -335,9 +349,9 @@ def init_state(cfg: TrainConfig, train_ds: Dataset,
     clients = []
     for j, idx in enumerate(partition.client_indices):
         post = VariationalPosterior(mu=w0.copy(), pi=np.full(w0.size, pi0))
-        clients.append(ClientState(
-            id=j, x=train_ds.images[idx], y=train_ds.labels[idx],
-            posterior=post, tau=1.0 / cfg.rho0_sq, theta_local=[]))
+        x, y = client_rows(train_ds, idx)
+        clients.append(ClientState(id=j, x=x, y=y, posterior=post,
+                                   tau=1.0 / cfg.rho0_sq, theta_local=[]))
     return GlobalState(w=w0, theta=params.base, t=0), clients
 
 
@@ -390,6 +404,10 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
             np.seterr, **np.geterr()))
     try:
         for _ in range(cfg.T):
+            # the last round's uploads are spent; run_round drops them from
+            # what it sends, but only here can they be let go before this
+            # round's arrive (the returned clients keep the final round's)
+            clients = [replace(c, theta_local=[]) for c in clients]
             globals_, clients, reporters = run_round(globals_, clients, cfg, pool)
             reports.append(_round_report(globals_, clients, test_ds, pm_idx,
                                          reporters))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fedvem
-from fedvem import baselines, federation
+from fedvem import baselines, cli, federation
 from fedvem.baselines import BaselineConfig
 from fedvem.cli import main, run_experiment, run_seed
 from fedvem.config import (ConfigError, build_config, load_config, parse_kv,
@@ -161,6 +161,44 @@ def test_run_experiment_checkpoint_interval(tmp_path):
     assert [p.name for p in ckpts] == ["round0002.fvem", "round0004.fvem"]
 
 
+def test_run_experiment_baseline_makes_no_checkpoint_dir(tmp_path):
+    # only pFedVEM writes checkpoints
+    cfg = load_config(smoke_config(
+        tmp_path, extra="checkpoint_every = 1\n",
+        replace={"scheme = pfedvem": "scheme = fedavg"}))
+    out = tmp_path / "reports"
+    run_experiment(cfg, out=str(out))
+    assert (out / "seed0.jsonl").exists()
+    assert not (out / "checkpoints_seed0").exists()
+
+
+@pytest.mark.parametrize("scheme", ["pfedvem", "fedavg"])
+def test_run_seed_clients_view_one_grouped_training_set(tmp_path, monkeypatch,
+                                                        scheme):
+    seen = {}
+    real_update = federation.update_clients
+    real_round = baselines.fedavg_round
+
+    def update_clients(clients, *args):
+        seen["rows"] = [(c.x, c.y) for c in clients]
+        return real_update(clients, *args)
+
+    def fedavg_round(theta, clients_xy, *args):
+        seen["rows"] = list(clients_xy)
+        return real_round(theta, clients_xy, *args)
+
+    monkeypatch.setattr(federation, "update_clients", update_clients)
+    monkeypatch.setattr(baselines, "fedavg_round", fedavg_round)
+    cfg = load_config(smoke_config(
+        tmp_path, replace={"scheme = pfedvem": f"scheme = {scheme}"}))
+    run_seed(cfg, 0)
+    xs, ys = zip(*seen["rows"])
+    images, labels = xs[0].base, ys[0].base
+    assert images is not None and labels is not None
+    assert all(x.base is images for x in xs) and all(y.base is labels for y in ys)
+    assert sum(len(x) for x in xs) == len(images) == len(labels)
+
+
 @pytest.mark.parametrize("scheme", ["pfedvem", "fedavg"])
 def test_run_seed_leaves_config_seeds_alone(tmp_path, scheme):
     cfg = load_config(smoke_config(
@@ -178,6 +216,18 @@ def test_main_run_exit_zero(tmp_path, capsys):
                  str(tmp_path / "out"), "--workers", "1"])
     assert code == 0
     assert "scheme=pfedvem" in capsys.readouterr().out
+
+
+def test_main_run_defaults_to_one_worker(tmp_path, monkeypatch):
+    calls = []
+
+    def run_experiment(cfg, **kwargs):
+        calls.append(kwargs)
+        return {"scheme": cfg.scheme, "mean_pm": None, "mean_gm": None}
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    assert main(["run", "--config", str(smoke_config(tmp_path))]) == 0
+    assert [c["workers"] for c in calls] == [1]
 
 
 def test_main_validate_ok_and_bad(tmp_path, capsys):

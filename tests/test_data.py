@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedvem.data import (Dataset, FormatError, PartitionSpec, SynthSpec,
-                         load_idx, make_partition, partition_concept_drift,
+                         client_rows, group_by_client, load_idx,
+                         make_partition, partition_concept_drift,
                          partition_label_skew, partition_quantity,
                          pm_test_indices, slice_sizes, synth_pair)
 from fedvem.nn import InputError
@@ -55,6 +57,24 @@ def test_load_idx_truncated(tmp_path):
     lab.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00\x00")
     with pytest.raises(FormatError, match="truncated"):
         load_idx(img, lab)
+
+
+def test_load_idx_scales_pixels_in_one_allocation(tmp_path):
+    n, rows, cols = 2000, 28, 28
+    pixels = np.random.default_rng(0).integers(0, 256, n * rows * cols,
+                                               dtype=np.uint8)
+    pixels[:256] = np.arange(256)   # every byte value at least once
+    img, lab = write_idx_pair(tmp_path, pixels.tobytes(), [3] * n, rows, cols)
+    tracemalloc.start()
+    try:
+        ds = load_idx(img, lab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    old = pixels.reshape(n, rows * cols).astype(float) / 255.0
+    assert ds.images.dtype == old.dtype and ds.images.shape == old.shape
+    assert ds.images.tobytes() == old.tobytes()
+    assert peak < 1.5 * old.nbytes, peak / old.nbytes
 
 
 # ------------------------------------------------------------- slice_sizes
@@ -209,6 +229,48 @@ def test_quantity_partition_sizes_sum():
     ds = toy_dataset(n=777)
     p = partition_quantity(ds, clients=13, seed=5)
     assert sum(p.sizes) == 777
+
+
+@pytest.mark.parametrize("scenario", ["label_skew", "concept_drift",
+                                      "quantity_only", "iid_equal"])
+def test_group_by_client_keeps_every_clients_rows(scenario):
+    ds = toy_dataset(n=500, classes=5, seed=7, subclasses_per_class=3)
+    test = toy_dataset(n=200, classes=5, seed=9, subclasses_per_class=3)
+    p = make_partition(ds, PartitionSpec(scenario=scenario, clients=6,
+                                         labels_per_client=3, seed=3))
+    grouped, gp = group_by_client(ds, p)
+    gp.validate(len(grouped))
+    assert grouped.classes == ds.classes
+    assert gp.client_labels == p.client_labels
+    assert gp.client_subclasses == p.client_subclasses
+    start = 0
+    for j, (idx, gidx) in enumerate(zip(p.client_indices, gp.client_indices,
+                                        strict=True)):
+        assert gidx.tolist() == list(range(start, start + len(idx)))
+        start += len(idx)
+        x, y = client_rows(grouped, gidx)
+        assert x.base is grouped.images and y.base is grouped.labels
+        assert x.tobytes() == ds.images[idx].tobytes()
+        assert np.array_equal(y, ds.labels[idx])
+        assert np.array_equal(grouped.subclasses[gidx], ds.subclasses[idx])
+        assert np.array_equal(pm_test_indices(gp, test, j),
+                              pm_test_indices(p, test, j))
+
+
+def test_client_rows_views_exactly_one_ascending_run():
+    ds = toy_dataset(n=20)
+    run = np.arange(3, 8)
+    x, y = client_rows(ds, run)
+    assert x.base is ds.images and y.base is ds.labels
+    assert np.array_equal(x, ds.images[run]) and np.array_equal(y, ds.labels[run])
+    # unique, first/last/length of a run, but not in order; and a gap
+    for idx in (np.array([3, 5, 4, 6, 7]), np.array([5, 6, 8]),
+                np.array([7, 6])):
+        x, y = client_rows(ds, idx)
+        assert not np.shares_memory(x, ds.images)
+        assert not np.shares_memory(y, ds.labels)
+        assert np.array_equal(x, ds.images[idx])
+        assert np.array_equal(y, ds.labels[idx])
 
 
 # ------------------------------------------------------------------- synth

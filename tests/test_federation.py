@@ -1,4 +1,5 @@
 import os
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -82,6 +83,31 @@ def test_aggregate_base_weighted_mean():
     out = aggregate_base([th1, th2], [1, 3])
     np.testing.assert_allclose(out[0][0], 2.5 * np.ones((2, 2)))
     np.testing.assert_allclose(out[0][1], 0.75 * np.ones(2))
+
+
+def test_aggregate_base_streams_its_bases():
+    rng = np.random.default_rng(0)
+    shapes = [(4, 3), (2, 4)]
+    thetas = [[(rng.standard_normal(s), rng.standard_normal(s[0]))
+               for s in shapes] for _ in range(5)]
+    thetas[0][0][0][0, 0] = -0.0   # 0 + n * (-0.0) is +0.0, as sum() has it
+    ns = [3, 1, 4, 1, 5]
+    refs = []
+
+    def fresh(theta):
+        # every earlier base must be gone before the next is built
+        assert all(r() is None for r in refs), "an earlier base is alive"
+        copy = [(w.copy(), b.copy()) for w, b in theta]
+        refs.extend(weakref.ref(a) for layer in copy for a in layer)
+        return copy
+
+    streamed = aggregate_base((fresh(th) for th in thetas), ns)
+    listed = aggregate_base(thetas, ns)
+    assert len(refs) == 4 * len(thetas)
+    for (ws, bs), (wl, bl) in zip(streamed, listed, strict=True):
+        assert ws.tobytes() == wl.tobytes() and bs.tobytes() == bl.tobytes()
+    single = aggregate_base((fresh(th) for th in thetas[:1]), ns[:1])
+    assert single[0][0][0, 0] == 0.0 and not np.signbit(single[0][0][0, 0])
 
 
 # --------------------------------------------------------------- reporters
@@ -388,6 +414,30 @@ def test_run_training_worker_count_invariance(clients, s):
         np.testing.assert_array_equal(c1.posterior.mu, c2.posterior.mu)
         np.testing.assert_array_equal(c1.posterior.pi, c2.posterior.pi)
         assert c1.tau == c2.tau
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_training_releases_spent_uploads(workers, monkeypatch):
+    train, test, part = tiny_problem()
+    cfg = tiny_config(T=3, s=1.0)
+    uploads = []   # weakrefs to each round's uploads, taken at on_round
+    real_run_round = federation.run_round
+
+    def run_round(*args, **kwargs):
+        # the last round's uploads are dead before this round starts
+        assert not uploads or all(r() is None for r in uploads[-1])
+        return real_run_round(*args, **kwargs)
+
+    def on_round(globals_, clients):
+        uploads.append([weakref.ref(a) for c in clients
+                        for layer in c.theta_local for a in layer])
+
+    monkeypatch.setattr(federation, "run_round", run_round)
+    _, clients, _ = run_training(cfg, train, test, part, workers=workers,
+                                 on_round=on_round)
+    assert len(uploads) == cfg.T
+    held = {id(a) for c in clients for layer in c.theta_local for a in layer}
+    assert uploads[-1] and all(id(r()) in held for r in uploads[-1])
 
 
 def test_run_training_learns_tiny_problem():
