@@ -340,17 +340,17 @@ def _synth_centers(spec: SynthSpec) -> np.ndarray:
     return np.array(centers)
 
 
-def _synth_points(spec: SynthSpec, per_subclass: int, tag: int) -> Dataset:
-    centers = _synth_centers(spec)
+def _synth_points(spec: SynthSpec, centers: np.ndarray, per_subclass: int,
+                  tag: int) -> Dataset:
     r = rng_mod.stream(spec.seed, rng_mod.TAG_SYNTH, tag)
-    images, labels, subs = [], [], []
-    for mode, center in enumerate(centers):
-        pts = center + spec.noise * r.standard_normal((per_subclass, spec.dim))
-        images.append(pts)
-        labels.extend([mode // spec.subclasses_per_class] * per_subclass)
-        subs.extend([mode] * per_subclass)
-    return Dataset(images=np.concatenate(images), labels=np.array(labels),
-                   classes=spec.classes, subclasses=np.array(subs))
+    images = np.empty((len(centers) * per_subclass, spec.dim))
+    for block, center in zip(np.split(images, len(centers)), centers):
+        r.standard_normal(out=block)   # each mode's points in place
+        block *= spec.noise
+        block += center
+    subs = np.repeat(np.arange(len(centers)), per_subclass)
+    return Dataset(images=images, labels=subs // spec.subclasses_per_class,
+                   classes=spec.classes, subclasses=subs)
 
 
 def synth_pair(spec: SynthSpec) -> tuple[Dataset, Dataset]:
@@ -358,5 +358,6 @@ def synth_pair(spec: SynthSpec) -> tuple[Dataset, Dataset]:
     bad = spec.violations()
     if bad:
         raise InputError("; ".join(bad))
-    return (_synth_points(spec, spec.points_per_subclass, tag=1),
-            _synth_points(spec, spec.test_points_per_subclass, tag=2))
+    centers = _synth_centers(spec)
+    return (_synth_points(spec, centers, spec.points_per_subclass, tag=1),
+            _synth_points(spec, centers, spec.test_points_per_subclass, tag=2))

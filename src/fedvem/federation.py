@@ -14,7 +14,8 @@ size.
 
 Per-(seed, round, client) random streams make results independent of worker
 scheduling and grouping; client updates within a round may run on a process
-pool, one client per job, the jobs sent in chunks of several.
+pool, one client per job, the jobs sent in chunks of several.  Every worker
+holds all clients' rows (``client_pool``), so jobs carry no training data.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -46,12 +46,11 @@ CHECKPOINT_VERSION = 1
 # than 10.
 HEAD_GROUP = 10
 
-# Pool chunks per worker and round.  Each chunk is one message, and pickle
-# writes the broadcast it shares with its jobs once per message, so fewer
-# chunks send less; but a chunk's jobs and results are held in memory at
-# once.  On the wide100 benchmark shape (100 clients, 2 workers; mean of two
-# runs) peak RSS was 333, 265, 232, 211 and 204 MB at 1, 2, 4, 8 and 16
-# chunks per worker, and round p90 951, 885, 817, 731 and 827 ms.
+# Pool chunks per worker and round.  Pickle writes the broadcast once per
+# chunk, so fewer chunks send less, and more balance the workers better.
+# On the wide100 benchmark shape (100 clients, 2 workers) 2, 4 and 8 gave
+# round p90 472, 410 and 465 ms (medians of 4 runs), 4 and 8 then 424 and
+# 425 ms over 8 alternating pairs, and peak RSS 122.4 MB at all three.
 CHUNKS_PER_WORKER = 8
 
 
@@ -241,10 +240,29 @@ def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
     return replace(client, theta_local=theta_local)
 
 
+_ROWS: list[dict] = []   # in a client_pool worker: each client's x and y
+
+
 def _update_worker(args) -> ClientState:
-    """Pool job: one client's ``update_clients``, a group of one."""
+    """Pool job: ``update_clients`` of one client on this worker's rows."""
     client, globals_, cfg = args
-    return update_clients([client], globals_, cfg)[0]
+    if not _ROWS:
+        raise RuntimeError("pool worker holds no client rows; use client_pool")
+    out = update_clients([replace(client, **_ROWS[client.id])], globals_, cfg)[0]
+    return replace(out, x=client.x, y=client.y)   # the job's zero rows
+
+
+def _init_worker(rows, errstate) -> None:
+    _ROWS[:] = rows
+    np.seterr(**errstate)
+
+
+def client_pool(clients: list[ClientState], workers: int) -> ProcessPoolExecutor:
+    """A pool whose workers hold every client's rows (forked ones inherit
+    them, spawned ones get them pickled once) and the caller's error state."""
+    rows = [dict(x=c.x, y=c.y) for c in clients]
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(rows, np.geterr()))
 
 
 def pool_chunksize(n_jobs: int, workers: int) -> int:
@@ -293,12 +311,9 @@ def run_round(globals_: GlobalState, clients: list[ClientState],
     if pool is None:
         new_clients = update_clients(clients, broadcast, cfg)
     else:
-        # A job still carries its client's rows, and its result brings them
-        # back, only because that is the job shape perfbench/tracing.py
-        # reads.  The worker never changes them, so each result is read as
-        # it arrives and only what a round changes is kept: the client's
-        # rows stay the arrays ``init_state`` built, on any worker count.
-        jobs = [(c, broadcast, cfg) for c in clients]
+        # jobs and results carry zero rows, and a result gives only what a
+        # round changes: the rows stay the arrays ``init_state`` built
+        jobs = [(replace(c, x=c.x[:0], y=c.y[:0]), broadcast, cfg) for c in clients]
         chunksize = pool_chunksize(len(jobs), pool._max_workers)
         try:
             new_clients = [replace(c, posterior=res.posterior, tau=res.tau,
@@ -399,9 +414,8 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     pm_idx = [pm_test_indices(partition, test_ds, c.id) for c in clients]
     reports: list[metrics.RoundReport] = []
     pool = None
-    if workers > 1:   # workers take the caller's floating-point error handling
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=partial(
-            np.seterr, **np.geterr()))
+    if workers > 1:
+        pool = client_pool(clients, workers)
     try:
         for _ in range(cfg.T):
             # the last round's uploads are spent; run_round drops them from

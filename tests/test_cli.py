@@ -343,12 +343,15 @@ def test_cli_failure_line_comes_first(tmp_path, edit, workers, entry):
                     proc.stderr.splitlines()[0]), proc.stderr
 
 
+_real_update_worker = federation._update_worker
+
+
 def _worker_dying_in_round_1(job):
     """A pool job that kills its worker process in round 1."""
     client, globals_, cfg = job
     if globals_.t == 1:
         os._exit(1)
-    return federation.update_clients([client], globals_, cfg)[0]
+    return _real_update_worker(job)
 
 
 def test_main_broken_pool_names_round(tmp_path, capsys, monkeypatch):

@@ -318,6 +318,33 @@ def test_synth_pair_shares_centers():
     assert set(np.unique(train.subclasses)) == set(np.unique(test.subclasses))
 
 
+def test_synth_pair_draws_each_split_in_one_allocation():
+    from fedvem import rng as rng_mod
+    from fedvem.data import _synth_centers
+    spec = SynthSpec(classes=4, subclasses_per_class=3, dim=16,
+                     points_per_subclass=500, test_points_per_subclass=100,
+                     seed=3)
+    tracemalloc.start()
+    try:
+        train, test = synth_pair(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for ds in (train, test)
+                   for a in (ds.images, ds.labels, ds.subclasses))
+    assert peak < 1.3 * returned, peak / returned
+    # the same points as drawing each mode on its own and concatenating
+    centers = _synth_centers(spec)
+    for ds, per, tag in ((train, 500, 1), (test, 100, 2)):
+        r = rng_mod.stream(spec.seed, rng_mod.TAG_SYNTH, tag)
+        old = np.concatenate([c + spec.noise * r.standard_normal((per, 16))
+                              for c in centers])
+        assert ds.images.tobytes() == old.tobytes()
+        modes = [m for m in range(len(centers)) for _ in range(per)]
+        assert ds.subclasses.tolist() == modes
+        assert ds.labels.tolist() == [m // 3 for m in modes]
+
+
 def test_synth_rejects_degenerate_spec():
     with pytest.raises(InputError):
         synth_pair(SynthSpec(classes=1))

@@ -1,18 +1,23 @@
 import os
+import subprocess
+import sys
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedvem
 from fedvem import federation, nn, rng as rng_mod
 from fedvem.data import Dataset, PartitionSpec, SynthSpec, make_partition, synth_pair
 from fedvem.federation import (HEAD_GROUP, ClientState, GlobalState,
                                TrainConfig, TrainingError, aggregate_base,
-                               aggregate_heads, deserialize_upload, init_state,
+                               aggregate_heads, client_pool,
+                               deserialize_upload, init_state,
                                pool_chunksize, read_checkpoint, run_round,
                                run_training, select_reporters,
                                serialize_upload, update_clients,
@@ -341,7 +346,7 @@ def test_run_round_pool_keeps_the_seed_process_rows():
     train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
     cfg = tiny_config(s=0.3)
     gs, clients = init_state(cfg, train, part)
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    with client_pool(clients, 2) as pool:
         _, pooled, _ = run_round(gs, clients, cfg, pool)
     _, serial, _ = run_round(gs, clients, cfg)
     for c, p, s in zip(clients, pooled, serial, strict=True):
@@ -355,12 +360,76 @@ def test_run_round_pool_keeps_the_seed_process_rows():
             np.testing.assert_array_equal(bp, bs)
 
 
+class RecordingPool(ProcessPoolExecutor):
+    """A pool that keeps every job it sends and every result it returns."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.jobs, self.results = [], []
+
+    def map(self, fn, jobs, **kwargs):
+        jobs = list(jobs)
+        self.jobs += jobs
+        self.results += super().map(fn, jobs, **kwargs)
+        return self.results[-len(jobs):]
+
+
+def test_pool_jobs_and_results_carry_no_rows(monkeypatch):
+    train, test, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
+    cfg = tiny_config(T=2, s=0.3)
+    pools = []
+
+    def recording_pool(**kwargs):
+        pools.append(RecordingPool(**kwargs))
+        return pools[-1]
+
+    # run_training starts its pool through the module's name
+    monkeypatch.setattr(federation, "ProcessPoolExecutor", recording_pool)
+    _, _, pooled = run_training(cfg, train, test, part, workers=2)
+    _, _, serial = run_training(cfg, train, test, part, workers=1)
+    assert [r.to_record() for r in pooled] == [r.to_record() for r in serial]
+    [pool] = pools
+    assert len(pool.jobs) == len(pool.results) == cfg.T * len(part.sizes)
+    for (client, _, _), res in zip(pool.jobs, pool.results, strict=True):
+        assert client.x.shape == (0, train.input_dim) and len(client.y) == 0
+        assert res.x.shape == (0, train.input_dim) and len(res.y) == 0
+
+
+def test_run_training_spawned_workers_get_the_rows():
+    # spawned workers inherit nothing: the rows reach them through the
+    # pool's initializer arguments
+    script = (
+        "import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
+        "sys.path.insert(0, sys.argv[1]); import test_federation as t; "
+        "problem = t.tiny_problem(clients=5); cfg = t.tiny_config(s=0.5); "
+        "runs = [t.run_training(cfg, *problem, workers=w)[2] for w in (1, 2)]; "
+        "records = [[r.to_record() for r in run] for run in runs]; "
+        "assert records[0] == records[1], records; print('same')")
+    env = dict(os.environ, PYTHONPATH=str(Path(fedvem.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script,
+                           os.path.dirname(__file__)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.split() == ["same"], proc.stderr
+
+
+def test_pool_without_rows_fails_loudly():
+    train, _, part = tiny_problem()
+    cfg = tiny_config()
+    gs, clients = init_state(cfg, train, part)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(RuntimeError, match="holds no client rows"):
+            run_round(gs, clients, cfg, pool)
+
+
+_real_update_worker = federation._update_worker
+
+
 def _worker_dying_on_last_client(job):
     """A pool job that kills its worker process on client 2 * HEAD_GROUP + 2."""
     client, globals_, cfg = job
     if client.id == 2 * HEAD_GROUP + 2:
         os._exit(1)
-    return update_clients([client], globals_, cfg)[0]
+    return _real_update_worker(job)
 
 
 def test_run_round_worker_dying_in_a_later_chunk_names_round(monkeypatch):
@@ -372,7 +441,7 @@ def test_run_round_worker_dying_in_a_later_chunk_names_round(monkeypatch):
     # forked workers see the patched job function
     monkeypatch.setattr(federation, "_update_worker",
                         _worker_dying_on_last_client)
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    with client_pool(clients, 2) as pool:
         with pytest.raises(TrainingError,
                            match=r"^round 3: worker pool failed: "):
             run_round(replace(gs, t=3), clients, cfg, pool)
