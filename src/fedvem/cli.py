@@ -41,8 +41,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, workers: int = 1,
     ``cfg`` is left as it is; every section that draws gets ``seed`` in a
     copy.  With a ``checkpoint_dir``, pFedVEM creates it and writes a
     checkpoint every ``cfg.checkpoint_every`` rounds.  The training set is
-    regrouped by client once, so every client's rows are a view of one
-    array and the ungrouped original is freed.
+    regrouped by client in place, so every client's rows are a view of the
+    one array loaded.
     """
     train, test = _datasets(cfg, seed)
     train, partition = group_by_client(

@@ -257,18 +257,31 @@ def make_partition(ds: Dataset, spec: PartitionSpec) -> Partition:
 
 def group_by_client(ds: Dataset, partition: Partition,
                     ) -> tuple[Dataset, Partition]:
-    """``ds`` with each client's rows back to back, in partition order.
+    """``ds`` regrouped in place with each client's rows back to back, in
+    partition order, and the partition that indexes it.
 
     Client j's rows keep their values and order; its indices become one
-    ascending run, so ``client_rows`` takes them as a view.  The label and
+    ascending run, so ``client_rows`` takes them as a view.  The images are
+    permuted row by row along the permutation's cycles, so no second copy
+    of them is made; labels and subclasses are gathered.  The label and
     subclass sets are shared with ``partition``.
     """
+    partition.validate(len(ds))   # a permutation, or the walk never ends
     order = np.concatenate(partition.client_indices)
-    grouped = Dataset(
-        images=ds.images[order], labels=ds.labels[order], classes=ds.classes,
-        subclasses=None if ds.subclasses is None else ds.subclasses[order])
+    images, src_of = ds.images, order.tolist()
+    for start in range(len(src_of)):
+        if src_of[start] == start:   # in place, or its cycle is done
+            continue
+        row, dst = images[start].copy(), start
+        while (src := src_of[dst]) != start:
+            images[dst] = images[src]
+            src_of[dst], dst = dst, src
+        images[dst], src_of[dst] = row, dst
+    ds.labels = ds.labels[order]
+    if ds.subclasses is not None:
+        ds.subclasses = ds.subclasses[order]
     starts = np.cumsum([0] + partition.sizes)
-    return grouped, Partition(
+    return ds, Partition(
         client_indices=[np.arange(a, b) for a, b in zip(starts, starts[1:])],
         client_labels=partition.client_labels,
         client_subclasses=partition.client_subclasses)

@@ -10,7 +10,7 @@ stack (``update_clients``); rows never mix, so a client's fit does not
 depend on its group.  Only reporters then train a base copy by mini-batch
 SGD (``nn.sgd_epochs``), since only an uploaded base is ever read.  The
 server aggregates reporter heads by confidence and reporter bases by data
-size.
+size, adding each upload to its sums as it arrives.
 
 Per-(seed, round, client) random streams make results independent of worker
 scheduling and grouping; client updates within a round may run on a process
@@ -122,7 +122,9 @@ class ClientState:
     y: np.ndarray
     posterior: VariationalPosterior
     tau: float
-    theta_local: list[Layer]   # this round's base upload; [] for non-reporters
+    # a reporter's base upload, held from its update until the server adds
+    # it; [] otherwise, so every client ``run_round`` returns holds []
+    theta_local: list[Layer]
 
     @property
     def n(self) -> int:
@@ -153,8 +155,7 @@ def aggregate_base(thetas: Iterable[list[Layer]], ns: list[int]) -> list[Layer]:
     """Data-size-weighted average of reporter base models, per parameter.
 
     ``thetas`` is read one base at a time and each base is let go once it
-    is added, so a generator of bases has at most one alive.  The sums run
-    in reporter order from 0, as ``sum`` runs them.
+    is added, so a generator of bases has at most one alive.
     """
     if not ns:
         raise InputError("no reporters to aggregate")
@@ -166,11 +167,17 @@ def aggregate_base(thetas: Iterable[list[Layer]], ns: list[int]) -> list[Layer]:
     weights = iter(ns)
     sums = None
     for theta in thetas:
-        n = next(weights)
-        sums = [(sw + n * w, sb + n * b) for (sw, sb), (w, b)
-                in zip(sums or [(0, 0)] * len(theta), theta)]
+        sums = add_base(sums, theta, next(weights))
         del theta   # before the generator builds the next one
     return [(sw / total, sb / total) for sw, sb in sums]
+
+
+def add_base(sums: list[Layer] | None, theta: list[Layer],
+             n: int) -> list[Layer]:
+    """One step of the weighted base sum: ``sums + n * theta`` per
+    parameter, from 0 when ``sums`` is None, as ``sum`` runs it."""
+    return [(sw + n * w, sb + n * b) for (sw, sb), (w, b)
+            in zip(sums or [(0, 0)] * len(theta), theta)]
 
 
 def update_clients(clients: list[ClientState], globals_: GlobalState,
@@ -301,57 +308,53 @@ def deserialize_upload(buf: bytes, d: int,
 def run_round(globals_: GlobalState, clients: list[ClientState],
               cfg: TrainConfig, pool: ProcessPoolExecutor | None = None,
               ) -> tuple[GlobalState, list[ClientState], np.ndarray]:
-    """Execute one communication round; returns (state, clients, reporter ids)."""
+    """Execute one communication round; returns (state, clients, reporter ids).
+
+    The updates are walked in client order as they arrive, from the pool
+    or one head group at a time in process.  Each reporter's upload goes
+    through the wire format and into the server's sums, and is then let
+    go: the returned clients hold no upload (``theta_local == []``).
+    """
     reporters = select_reporters(len(clients), cfg.s,
                                  rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS,
                                                 globals_.t))
     broadcast = replace(globals_, reporters=frozenset(reporters.tolist()))
-    # last round's uploads are spent: neither shipped nor carried over
-    clients = [replace(c, theta_local=[]) for c in clients]
-    if pool is None:
-        new_clients = update_clients(clients, broadcast, cfg)
-    else:
-        # jobs and results carry zero rows, and a result gives only what a
-        # round changes: the rows stay the arrays ``init_state`` built
-        jobs = [(replace(c, x=c.x[:0], y=c.y[:0]), broadcast, cfg) for c in clients]
-        chunksize = pool_chunksize(len(jobs), pool._max_workers)
-        try:
-            new_clients = [replace(c, posterior=res.posterior, tau=res.tau,
-                                   theta_local=res.theta_local)
-                           for c, res in zip(clients, pool.map(
-                               _update_worker, jobs, chunksize=chunksize))]
-        except BrokenProcessPool as exc:
-            raise TrainingError(
-                f"round {globals_.t}: worker pool failed: {exc}") from exc
-
-    if len(reporters) == 0:
-        new_globals = GlobalState(w=globals_.w.copy(),
-                                  theta=[(w.copy(), b.copy())
-                                         for w, b in globals_.theta],
-                                  t=globals_.t + 1)
-        return new_globals, new_clients, reporters
-
-    # route each reporter's state through the wire format to keep the payload
-    # honest, one upload in flight at a time
     d = globals_.w.size
-    mus, taus = [], []
+    new_clients, mus, taus, sums = [], [], [], None
+    try:
+        if pool is None:
+            updates = (u for start in range(0, len(clients), HEAD_GROUP)
+                       for u in update_clients(
+                           clients[start:start + HEAD_GROUP], broadcast, cfg))
+        else:
+            # jobs and results carry zero rows, and a result gives only what
+            # a round changes: the rows stay the arrays ``init_state`` built
+            jobs = [(replace(c, x=c.x[:0], y=c.y[:0]), broadcast, cfg)
+                    for c in clients]
+            updates = pool.map(_update_worker, jobs, chunksize=pool_chunksize(
+                len(jobs), pool._max_workers))
+        for c, res in zip(clients, updates):
+            if c.id in broadcast.reporters:
+                mu, tau, theta = deserialize_upload(serialize_upload(
+                    res.posterior.mu, res.tau, res.theta_local), d,
+                    globals_.theta)
+                mus.append(mu)
+                taus.append(tau)
+                sums = add_base(sums, theta, c.n)
+            new_clients.append(replace(c, posterior=res.posterior, tau=res.tau,
+                                       theta_local=[]))
+    except BrokenProcessPool as exc:
+        raise TrainingError(
+            f"round {globals_.t}: worker pool failed: {exc}") from exc
 
-    def received_bases():
-        for j in reporters:
-            c = new_clients[j]
-            mu, tau, theta = deserialize_upload(
-                serialize_upload(c.posterior.mu, c.tau, c.theta_local), d,
-                globals_.theta)
-            mus.append(mu)
-            taus.append(tau)
-            yield theta
-            del theta   # before the next upload is built
-
-    theta = aggregate_base(received_bases(),
-                           [new_clients[j].n for j in reporters])
-    new_globals = GlobalState(w=aggregate_heads(mus, taus), theta=theta,
-                              t=globals_.t + 1)
-    return new_globals, new_clients, reporters
+    if len(reporters) == 0:   # the state carries over
+        w = globals_.w.copy()
+        theta = [(wl.copy(), bl.copy()) for wl, bl in globals_.theta]
+    else:
+        total = float(sum(new_clients[j].n for j in reporters))
+        w = aggregate_heads(mus, taus)
+        theta = [(sw / total, sb / total) for sw, sb in sums]
+    return GlobalState(w=w, theta=theta, t=globals_.t + 1), new_clients, reporters
 
 
 def init_state(cfg: TrainConfig, train_ds: Dataset,
@@ -405,7 +408,8 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     """Full T-round protocol with per-round evaluation.
 
     ``on_round(globals_, clients)`` runs after every round's report, e.g.
-    to write a checkpoint.
+    to write a checkpoint.  No client holds an upload between rounds or in
+    the result (``run_round``).
     """
     bad = cfg.violations()
     if bad:
@@ -418,10 +422,6 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
         pool = client_pool(clients, workers)
     try:
         for _ in range(cfg.T):
-            # the last round's uploads are spent; run_round drops them from
-            # what it sends, but only here can they be let go before this
-            # round's arrive (the returned clients keep the final round's)
-            clients = [replace(c, theta_local=[]) for c in clients]
             globals_, clients, reporters = run_round(globals_, clients, cfg, pool)
             reports.append(_round_report(globals_, clients, test_ds, pm_idx,
                                          reporters))

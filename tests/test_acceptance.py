@@ -13,12 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedvem import rng as rng_mod
+from fedvem import federation, rng as rng_mod
 from fedvem.baselines import BaselineConfig, proximal_grads, run_baseline
 from fedvem.data import (Dataset, PartitionSpec, SynthSpec, load_idx,
                          make_partition, slice_sizes, synth_pair)
-from fedvem.federation import (TrainConfig, run_training, select_reporters,
-                               serialize_upload)
+from fedvem.federation import TrainConfig, run_training, select_reporters
 from fedvem.metrics import sem, write_report
 from fedvem.nn import backward, cross_entropy, forward, forward_base, init_mlp
 from fedvem.variational import (IsotropicPrior, VariationalPosterior,
@@ -351,7 +350,7 @@ def test_criterion_6_fmnist_table():
 # ---------------------------------------------------------------------------
 # 8. determinism across worker counts and exact upload payload size.
 
-def test_criterion_8_determinism_and_payload(tmp_path):
+def test_criterion_8_determinism_and_payload(tmp_path, monkeypatch):
     train, test = synth_pair(SynthSpec(classes=3, subclasses_per_class=2,
                                        dim=6, points_per_subclass=30,
                                        test_points_per_subclass=10, seed=0))
@@ -359,19 +358,27 @@ def test_criterion_8_determinism_and_payload(tmp_path):
                                                clients=4, seed=0))
     cfg = TrainConfig(T=3, R=3, K=2, eta=0.01, base_lr=0.01, base_epochs=1,
                       base_batch=16, s=0.7, rho0_sq=0.1, seed=0, hidden=(5,))
+    sent = []   # (payload, base parameter count) of every upload that crosses
+    real_serialize = federation.serialize_upload
+
+    def serialize_upload(mu, tau, theta):
+        sent.append((real_serialize(mu, tau, theta),
+                     sum(w.size + b.size for w, b in theta)))
+        return sent[-1][0]
+
+    monkeypatch.setattr(federation, "serialize_upload", serialize_upload)
     gs1, clients1, rep1 = run_training(cfg, train, test, part, workers=1)
+    sent1 = list(sent)
     gs2, _, rep2 = run_training(cfg, train, test, part, workers=2)
     write_report(rep1, tmp_path / "w1.jsonl")
     write_report(rep2, tmp_path / "w2.jsonl")
     identical = (tmp_path / "w1.jsonl").read_bytes() == (tmp_path / "w2.jsonl").read_bytes()
     identical &= bool(np.array_equal(gs1.w, gs2.w))
 
-    # only a last-round reporter holds a base upload
+    # the upload of the first last-round reporter, as run 1 sent it
     last = select_reporters(len(clients1), cfg.s, rng_mod.stream(
         cfg.seed, rng_mod.TAG_REPORTERS, cfg.T - 1))
-    c = clients1[last[0]]
-    payload = serialize_upload(c.posterior.mu, c.tau, c.theta_local)
-    base_params = sum(w.size + b.size for w, b in c.theta_local)
+    payload, base_params = sent1[-len(last)]
     expected = 8 * (gs1.w.size + base_params + 1)
     size_ok = base_params > 0 and len(payload) == expected
 

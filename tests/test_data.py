@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvem.data import (Dataset, FormatError, PartitionSpec, SynthSpec,
-                         client_rows, group_by_client, load_idx,
+from fedvem.data import (Dataset, FormatError, Partition, PartitionSpec,
+                         SynthSpec, client_rows, group_by_client, load_idx,
                          make_partition, partition_concept_drift,
                          partition_label_skew, partition_quantity,
                          pm_test_indices, slice_sizes, synth_pair)
@@ -238,9 +238,12 @@ def test_group_by_client_keeps_every_clients_rows(scenario):
     test = toy_dataset(n=200, classes=5, seed=9, subclasses_per_class=3)
     p = make_partition(ds, PartitionSpec(scenario=scenario, clients=6,
                                          labels_per_client=3, seed=3))
+    # grouping consumes ds: compare with a copy taken before
+    before = Dataset(images=ds.images.copy(), labels=ds.labels.copy(),
+                     classes=ds.classes, subclasses=ds.subclasses.copy())
     grouped, gp = group_by_client(ds, p)
     gp.validate(len(grouped))
-    assert grouped.classes == ds.classes
+    assert grouped.classes == before.classes
     assert gp.client_labels == p.client_labels
     assert gp.client_subclasses == p.client_subclasses
     start = 0
@@ -250,11 +253,38 @@ def test_group_by_client_keeps_every_clients_rows(scenario):
         start += len(idx)
         x, y = client_rows(grouped, gidx)
         assert x.base is grouped.images and y.base is grouped.labels
-        assert x.tobytes() == ds.images[idx].tobytes()
-        assert np.array_equal(y, ds.labels[idx])
-        assert np.array_equal(grouped.subclasses[gidx], ds.subclasses[idx])
+        assert x.tobytes() == before.images[idx].tobytes()
+        assert np.array_equal(y, before.labels[idx])
+        assert np.array_equal(grouped.subclasses[gidx], before.subclasses[idx])
         assert np.array_equal(pm_test_indices(gp, test, j),
                               pm_test_indices(p, test, j))
+
+
+def test_group_by_client_permutes_the_rows_in_place():
+    # a gather would hold a second copy of the images while it runs
+    rng = np.random.default_rng(4)
+    n = 3000
+    ds = Dataset(images=rng.standard_normal((n, 200)),
+                 labels=rng.integers(0, 10, size=n), classes=10)
+    p = make_partition(ds, PartitionSpec(scenario="quantity_only",
+                                         clients=17, seed=2))
+    images, order = ds.images, np.concatenate(p.client_indices)
+    expected = images[order]
+    tracemalloc.start()
+    try:
+        grouped, _ = group_by_client(ds, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grouped.images is images
+    assert grouped.images.tobytes() == expected.tobytes()
+    assert peak < 0.25 * images.nbytes, peak / images.nbytes
+
+
+def test_group_by_client_rejects_a_partition_that_is_no_permutation():
+    ds = toy_dataset(n=4)
+    with pytest.raises(InputError, match="disjoint and covering"):
+        group_by_client(ds, Partition([np.array([0, 1]), np.array([1, 2, 3])]))
 
 
 def test_client_rows_views_exactly_one_ascending_run():

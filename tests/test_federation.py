@@ -318,7 +318,11 @@ def test_run_round_all_reporters_aggregate():
     taus = [c.tau for c in clients2]
     np.testing.assert_allclose(gs2.w, aggregate_heads(mus, taus), atol=1e-12)
     ns = [c.n for c in clients2]
-    expected_base = aggregate_base([c.theta_local for c in clients2], ns)
+    # the returned clients hold no upload: the oracle's bases come from the
+    # same round's updates
+    updated = update_clients(clients, replace(
+        gs, reporters=frozenset(reporters.tolist())), cfg)
+    expected_base = aggregate_base([c.theta_local for c in updated], ns)
     np.testing.assert_allclose(gs2.theta[0][0], expected_base[0][0], atol=1e-12)
 
 
@@ -347,17 +351,45 @@ def test_run_round_pool_keeps_the_seed_process_rows():
     cfg = tiny_config(s=0.3)
     gs, clients = init_state(cfg, train, part)
     with client_pool(clients, 2) as pool:
-        _, pooled, _ = run_round(gs, clients, cfg, pool)
-    _, serial, _ = run_round(gs, clients, cfg)
+        gp, pooled, _ = run_round(gs, clients, cfg, pool)
+    gsr, serial, _ = run_round(gs, clients, cfg)
     for c, p, s in zip(clients, pooled, serial, strict=True):
         assert p.x is c.x and p.y is c.y
         np.testing.assert_array_equal(p.posterior.mu, s.posterior.mu)
         np.testing.assert_array_equal(p.posterior.pi, s.posterior.pi)
         assert p.tau == s.tau
-        assert len(p.theta_local) == len(s.theta_local)
-        for (wp, bp), (ws, bs) in zip(p.theta_local, s.theta_local):
-            np.testing.assert_array_equal(wp, ws)
-            np.testing.assert_array_equal(bp, bs)
+        assert p.theta_local == s.theta_local == []
+    # the uploads are spent inside the round: compare what they made
+    assert gp.t == gsr.t and gp.w.tobytes() == gsr.w.tobytes()
+    assert len(gp.theta) == len(gsr.theta)
+    for (wp, bp), (ws, bs) in zip(gp.theta, gsr.theta):
+        assert wp.tobytes() == ws.tobytes() and bp.tobytes() == bs.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_round_holds_at_most_one_head_group_of_uploads(workers,
+                                                           monkeypatch):
+    train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
+    cfg = tiny_config(s=1.0)
+    gs, clients = init_state(cfg, train, part)
+    uploads = []   # weakrefs to the base arrays of each upload serialized
+    real_serialize = federation.serialize_upload
+
+    def serialize_upload(mu, tau, theta):
+        uploads.append([weakref.ref(a) for layer in theta for a in layer])
+        alive = sum(any(r() is not None for r in refs) for refs in uploads)
+        assert alive <= HEAD_GROUP, f"{alive} uploads alive"
+        return real_serialize(mu, tau, theta)
+
+    monkeypatch.setattr(federation, "serialize_upload", serialize_upload)
+    if workers == 1:
+        gs2, clients2, reporters = run_round(gs, clients, cfg)
+    else:
+        with client_pool(clients, workers) as pool:
+            gs2, clients2, reporters = run_round(gs, clients, cfg, pool)
+    assert len(uploads) == len(reporters) == len(clients)
+    assert all(r() is None for refs in uploads for r in refs)
+    assert all(c.theta_local == [] for c in clients2)
 
 
 class RecordingPool(ProcessPoolExecutor):
@@ -489,24 +521,31 @@ def test_run_training_worker_count_invariance(clients, s):
 def test_run_training_releases_spent_uploads(workers, monkeypatch):
     train, test, part = tiny_problem()
     cfg = tiny_config(T=3, s=1.0)
-    uploads = []   # weakrefs to each round's uploads, taken at on_round
+    uploads = []   # weakrefs to each round's uploads, taken as they are sent
     real_run_round = federation.run_round
+    real_serialize = federation.serialize_upload
 
     def run_round(*args, **kwargs):
         # the last round's uploads are dead before this round starts
         assert not uploads or all(r() is None for r in uploads[-1])
+        uploads.append([])
         return real_run_round(*args, **kwargs)
 
+    def serialize_upload(mu, tau, theta):
+        uploads[-1].extend(weakref.ref(a) for layer in theta for a in layer)
+        return real_serialize(mu, tau, theta)
+
     def on_round(globals_, clients):
-        uploads.append([weakref.ref(a) for c in clients
-                        for layer in c.theta_local for a in layer])
+        assert all(c.theta_local == [] for c in clients)
 
     monkeypatch.setattr(federation, "run_round", run_round)
+    monkeypatch.setattr(federation, "serialize_upload", serialize_upload)
     _, clients, _ = run_training(cfg, train, test, part, workers=workers,
                                  on_round=on_round)
     assert len(uploads) == cfg.T
-    held = {id(a) for c in clients for layer in c.theta_local for a in layer}
-    assert uploads[-1] and all(id(r()) in held for r in uploads[-1])
+    # no returned client holds an upload, and every upload is dead
+    assert all(c.theta_local == [] for c in clients)
+    assert uploads[-1] and all(r() is None for r in uploads[-1])
 
 
 def test_run_training_learns_tiny_problem():
