@@ -1,5 +1,6 @@
 #!/bin/sh
-# Quick sanity check: validate the smoke config, run it with a checkpoint
+# Quick sanity check: validate the smoke config, run it on 23 clients (head
+# groups of 10, 10 and 3, so both pool workers get jobs) with a checkpoint
 # every round with one worker and with a two-worker pool, fail unless the
 # two runs' per-seed report, client table, summary and every checkpoint are
 # byte-identical, then run it under every scheme.
@@ -11,7 +12,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m fedvem.cli validate --config configs/smoke.cfg
 mkdir -p reports
 cfg=reports/smoke-checkpoints.cfg
-{ cat configs/smoke.cfg; echo "checkpoint_every = 1"; } > "$cfg"
+{ sed 's/^partition\.clients = .*/partition.clients = 23/' configs/smoke.cfg
+  echo "checkpoint_every = 1"; } > "$cfg"
 rm -rf reports/smoke/checkpoints_seed0 reports/smoke-w2/checkpoints_seed0
 python -m fedvem.cli run --config "$cfg" --workers 1 --out reports/smoke
 python -m fedvem.cli run --config "$cfg" --workers 2 --out reports/smoke-w2

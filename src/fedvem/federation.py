@@ -14,18 +14,19 @@ size, adding each upload to its sums as it arrives.
 
 Per-(seed, round, client) random streams make results independent of worker
 scheduling and grouping; client updates within a round may run on a process
-pool, one client per job, the jobs sent in chunks of several.  Every worker
-holds all clients' rows (``client_pool``), so jobs carry no training data.
+pool, one head group per job.  Every worker holds all clients' rows
+(``client_pool``), so jobs carry no training data.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -40,18 +41,11 @@ from .variational import (IsotropicPrior, PosteriorError,
 CHECKPOINT_MAGIC = b"FVEM"
 CHECKPOINT_VERSION = 1
 
-# Clients whose heads are fitted as one stack.  Memory grows with the group:
-# on the drift50 benchmark shape peak RSS rose 1.6 % at 10, 2.9 % at 17 and
-# 9 % at all 50 clients over one client at a time, and 17 ran no faster
-# than 10.
+# Clients whose heads are fitted as one stack, and so the clients in one
+# pool job.  Memory grows with the group: on the drift50 benchmark shape
+# peak RSS rose 1.6 % at 10, 2.9 % at 17 and 9 % at all 50 clients over one
+# client at a time, and 17 ran no faster than 10.
 HEAD_GROUP = 10
-
-# Pool chunks per worker and round.  Pickle writes the broadcast once per
-# chunk, so fewer chunks send less, and more balance the workers better.
-# On the wide100 benchmark shape (100 clients, 2 workers) 2, 4 and 8 gave
-# round p90 472, 410 and 465 ms (medians of 4 runs), 4 and 8 then 424 and
-# 425 ms over 8 alternating pairs, and peak RSS 122.4 MB at all three.
-CHUNKS_PER_WORKER = 8
 
 
 class TrainingError(RuntimeError):
@@ -151,24 +145,16 @@ def aggregate_heads(mus: list[np.ndarray], taus: list[float]) -> np.ndarray:
     return (taus[:, None] * stacked).sum(axis=0) / taus.sum()
 
 
-def aggregate_base(thetas: Iterable[list[Layer]], ns: list[int]) -> list[Layer]:
-    """Data-size-weighted average of reporter base models, per parameter.
-
-    ``thetas`` is read one base at a time and each base is let go once it
-    is added, so a generator of bases has at most one alive.
-    """
+def aggregate_base(thetas: list[list[Layer]], ns: list[int]) -> list[Layer]:
+    """Data-size-weighted average of reporter base models, per parameter."""
     if not ns:
         raise InputError("no reporters to aggregate")
     total = float(sum(ns))
     if total <= 0:
         raise InputError("total reporter data size must be positive")
-    # not zip(ns, thetas): zip's reused result tuple would hold each base
-    # until the next one is built
-    weights = iter(ns)
     sums = None
-    for theta in thetas:
-        sums = add_base(sums, theta, next(weights))
-        del theta   # before the generator builds the next one
+    for theta, n in zip(thetas, ns):
+        sums = add_base(sums, theta, n)
     return [(sw / total, sb / total) for sw, sb in sums]
 
 
@@ -250,13 +236,15 @@ def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
 _ROWS: list[dict] = []   # in a client_pool worker: each client's x and y
 
 
-def _update_worker(args) -> ClientState:
-    """Pool job: ``update_clients`` of one client on this worker's rows."""
-    client, globals_, cfg = args
+def _update_worker(group: list[ClientState], globals_: GlobalState,
+                   cfg: TrainConfig) -> list[ClientState]:
+    """Pool job: ``update_clients`` of one head group on this worker's rows."""
     if not _ROWS:
         raise RuntimeError("pool worker holds no client rows; use client_pool")
-    out = update_clients([replace(client, **_ROWS[client.id])], globals_, cfg)[0]
-    return replace(out, x=client.x, y=client.y)   # the job's zero rows
+    out = update_clients([replace(c, **_ROWS[c.id]) for c in group],
+                         globals_, cfg)
+    return [replace(o, x=c.x, y=c.y)   # the job's zero rows
+            for o, c in zip(out, group)]
 
 
 def _init_worker(rows, errstate) -> None:
@@ -270,12 +258,6 @@ def client_pool(clients: list[ClientState], workers: int) -> ProcessPoolExecutor
     rows = [dict(x=c.x, y=c.y) for c in clients]
     return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                initargs=(rows, np.geterr()))
-
-
-def pool_chunksize(n_jobs: int, workers: int) -> int:
-    """Jobs per pool message: ``CHUNKS_PER_WORKER`` chunks per worker, so
-    two workers always get two chunks or more from two jobs or more."""
-    return max(1, -(-n_jobs // (CHUNKS_PER_WORKER * workers)))
 
 
 def serialize_upload(mu: np.ndarray, tau: float, theta: list[Layer]) -> bytes:
@@ -310,10 +292,10 @@ def run_round(globals_: GlobalState, clients: list[ClientState],
               ) -> tuple[GlobalState, list[ClientState], np.ndarray]:
     """Execute one communication round; returns (state, clients, reporter ids).
 
-    The updates are walked in client order as they arrive, from the pool
-    or one head group at a time in process.  Each reporter's upload goes
-    through the wire format and into the server's sums, and is then let
-    go: the returned clients hold no upload (``theta_local == []``).
+    The updates are walked in client order as they arrive, one head group
+    at a time, in process or one pool job per group.  Each reporter's
+    upload goes through the wire format and into the server's sums, and is
+    then let go: the returned clients hold no upload (``theta_local == []``).
     """
     reporters = select_reporters(len(clients), cfg.s,
                                  rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS,
@@ -321,18 +303,20 @@ def run_round(globals_: GlobalState, clients: list[ClientState],
     broadcast = replace(globals_, reporters=frozenset(reporters.tolist()))
     d = globals_.w.size
     new_clients, mus, taus, sums = [], [], [], None
+    groups = [clients[start:start + HEAD_GROUP]
+              for start in range(0, len(clients), HEAD_GROUP)]
     try:
         if pool is None:
-            updates = (u for start in range(0, len(clients), HEAD_GROUP)
-                       for u in update_clients(
-                           clients[start:start + HEAD_GROUP], broadcast, cfg))
+            results = (update_clients(g, broadcast, cfg) for g in groups)
         else:
             # jobs and results carry zero rows, and a result gives only what
-            # a round changes: the rows stay the arrays ``init_state`` built
-            jobs = [(replace(c, x=c.x[:0], y=c.y[:0]), broadcast, cfg)
-                    for c in clients]
-            updates = pool.map(_update_worker, jobs, chunksize=pool_chunksize(
-                len(jobs), pool._max_workers))
+            # a round changes: the rows stay the arrays ``init_state`` built;
+            # each job's future is dropped once the fold reaches it
+            futures = deque(pool.submit(
+                _update_worker, [replace(c, x=c.x[:0], y=c.y[:0]) for c in g],
+                broadcast, cfg) for g in groups)
+            results = (futures.popleft().result() for _ in groups)
+        updates = (u for group in results for u in group)
         for c, res in zip(clients, updates):
             if c.id in broadcast.reporters:
                 mu, tau, theta = deserialize_upload(serialize_upload(

@@ -346,12 +346,11 @@ def test_cli_failure_line_comes_first(tmp_path, edit, workers, entry):
 _real_update_worker = federation._update_worker
 
 
-def _worker_dying_in_round_1(job):
+def _worker_dying_in_round_1(group, globals_, cfg):
     """A pool job that kills its worker process in round 1."""
-    client, globals_, cfg = job
     if globals_.t == 1:
         os._exit(1)
-    return _real_update_worker(job)
+    return _real_update_worker(group, globals_, cfg)
 
 
 def test_main_broken_pool_names_round(tmp_path, capsys, monkeypatch):

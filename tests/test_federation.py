@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -18,7 +19,7 @@ from fedvem.federation import (HEAD_GROUP, ClientState, GlobalState,
                                TrainConfig, TrainingError, aggregate_base,
                                aggregate_heads, client_pool,
                                deserialize_upload, init_state,
-                               pool_chunksize, read_checkpoint, run_round,
+                               read_checkpoint, run_round,
                                run_training, select_reporters,
                                serialize_upload, update_clients,
                                write_checkpoint)
@@ -90,28 +91,22 @@ def test_aggregate_base_weighted_mean():
     np.testing.assert_allclose(out[0][1], 0.75 * np.ones(2))
 
 
-def test_aggregate_base_streams_its_bases():
+def test_aggregate_base_adds_in_reporter_order():
     rng = np.random.default_rng(0)
     shapes = [(4, 3), (2, 4)]
     thetas = [[(rng.standard_normal(s), rng.standard_normal(s[0]))
                for s in shapes] for _ in range(5)]
     thetas[0][0][0][0, 0] = -0.0   # 0 + n * (-0.0) is +0.0, as sum() has it
     ns = [3, 1, 4, 1, 5]
-    refs = []
-
-    def fresh(theta):
-        # every earlier base must be gone before the next is built
-        assert all(r() is None for r in refs), "an earlier base is alive"
-        copy = [(w.copy(), b.copy()) for w, b in theta]
-        refs.extend(weakref.ref(a) for layer in copy for a in layer)
-        return copy
-
-    streamed = aggregate_base((fresh(th) for th in thetas), ns)
-    listed = aggregate_base(thetas, ns)
-    assert len(refs) == 4 * len(thetas)
-    for (ws, bs), (wl, bl) in zip(streamed, listed, strict=True):
-        assert ws.tobytes() == wl.tobytes() and bs.tobytes() == bl.tobytes()
-    single = aggregate_base((fresh(th) for th in thetas[:1]), ns[:1])
+    out = aggregate_base(thetas, ns)
+    total = float(sum(ns))
+    for i, (w, b) in enumerate(out):
+        # sum() runs ((0 + n0 * w0) + n1 * w1) + ..., and so must the server
+        assert w.tobytes() == (sum(n * th[i][0] for th, n in zip(thetas, ns))
+                               / total).tobytes()
+        assert b.tobytes() == (sum(n * th[i][1] for th, n in zip(thetas, ns))
+                               / total).tobytes()
+    single = aggregate_base(thetas[:1], ns[:1])
     assert single[0][0][0, 0] == 0.0 and not np.signbit(single[0][0][0, 0])
 
 
@@ -339,13 +334,6 @@ def test_run_round_single_reporter_adopts_its_head():
         np.testing.assert_allclose(gs2.w, clients2[j].posterior.mu, atol=1e-12)
 
 
-def test_pool_chunksize_gives_two_workers_two_chunks():
-    assert pool_chunksize(1, 2) == 1
-    for n in range(2, 500):
-        size = pool_chunksize(n, 2)
-        assert 1 <= size and -(-n // size) >= 2, n
-
-
 def test_run_round_pool_keeps_the_seed_process_rows():
     train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
     cfg = tiny_config(s=0.3)
@@ -393,17 +381,16 @@ def test_run_round_holds_at_most_one_head_group_of_uploads(workers,
 
 
 class RecordingPool(ProcessPoolExecutor):
-    """A pool that keeps every job it sends and every result it returns."""
+    """A pool that keeps every job it is sent and every job's future."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self.jobs, self.results = [], []
+        self.jobs, self.futures = [], []
 
-    def map(self, fn, jobs, **kwargs):
-        jobs = list(jobs)
-        self.jobs += jobs
-        self.results += super().map(fn, jobs, **kwargs)
-        return self.results[-len(jobs):]
+    def submit(self, fn, *job, **kwargs):
+        self.jobs.append(job)
+        self.futures.append(super().submit(fn, *job, **kwargs))
+        return self.futures[-1]
 
 
 def test_pool_jobs_and_results_carry_no_rows(monkeypatch):
@@ -421,10 +408,21 @@ def test_pool_jobs_and_results_carry_no_rows(monkeypatch):
     _, _, serial = run_training(cfg, train, test, part, workers=1)
     assert [r.to_record() for r in pooled] == [r.to_record() for r in serial]
     [pool] = pools
-    assert len(pool.jobs) == len(pool.results) == cfg.T * len(part.sizes)
-    for (client, _, _), res in zip(pool.jobs, pool.results, strict=True):
-        assert client.x.shape == (0, train.input_dim) and len(client.y) == 0
-        assert res.x.shape == (0, train.input_dim) and len(res.y) == 0
+    # one job per head group, the clients in order
+    n_clients = len(part.sizes)
+    per_round = -(-n_clients // HEAD_GROUP)
+    assert len(pool.jobs) == len(pool.futures) == cfg.T * per_round
+    for t in range(cfg.T):
+        jobs = pool.jobs[t * per_round:(t + 1) * per_round]
+        assert all(globals_.t == t for _, globals_, _ in jobs)
+        assert [c.id for group, _, _ in jobs for c in group] == list(
+            range(n_clients))
+    for (group, _, _), future in zip(pool.jobs, pool.futures, strict=True):
+        results = future.result()
+        assert len(results) == len(group)
+        for client, res in zip(group, results):
+            assert client.x.shape == (0, train.input_dim) and len(client.y) == 0
+            assert res.x.shape == (0, train.input_dim) and len(res.y) == 0
 
 
 def test_run_training_spawned_workers_get_the_rows():
@@ -456,20 +454,59 @@ def test_pool_without_rows_fails_loudly():
 _real_update_worker = federation._update_worker
 
 
-def _worker_dying_on_last_client(job):
-    """A pool job that kills its worker process on client 2 * HEAD_GROUP + 2."""
-    client, globals_, cfg = job
-    if client.id == 2 * HEAD_GROUP + 2:
+def _worker_dying_on_last_client(group, globals_, cfg):
+    """A pool job that kills its worker process when its group holds client
+    2 * HEAD_GROUP + 2."""
+    if any(c.id == 2 * HEAD_GROUP + 2 for c in group):
         os._exit(1)
-    return _real_update_worker(job)
+    return _real_update_worker(group, globals_, cfg)
 
 
-def test_run_round_worker_dying_in_a_later_chunk_names_round(monkeypatch):
+def _worker_slow_on_first_group(group, globals_, cfg):
+    """A pool job that finishes last when its group is the round's first,
+    and logs the first client of its group once done."""
+    if group[0].id == 0:
+        time.sleep(1.0)
+    out = _real_update_worker(group, globals_, cfg)
+    with open(os.environ["FEDVEM_TEST_DONE_LOG"], "a") as log:
+        log.write(f"{group[0].id}\n")
+    return out
+
+
+def test_run_round_folds_groups_in_client_order_as_they_finish(monkeypatch,
+                                                               tmp_path):
+    # two workers share three group jobs; the first group's job finishes
+    # after the others, and the round still folds the clients in order
+    train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
+    cfg = tiny_config(s=0.5)
+    gs, clients = init_state(cfg, train, part)
+    serial_gs, serial_clients, serial_reporters = run_round(gs, clients, cfg)
+    done_log = tmp_path / "done.log"
+    monkeypatch.setenv("FEDVEM_TEST_DONE_LOG", str(done_log))
+    # forked workers see the patched job function
+    monkeypatch.setattr(federation, "_update_worker",
+                        _worker_slow_on_first_group)
+    with client_pool(clients, 2) as pool:
+        pooled_gs, pooled_clients, pooled_reporters = run_round(
+            gs, clients, cfg, pool)
+    done = [int(line) for line in done_log.read_text().split()]
+    assert sorted(done) == [0, HEAD_GROUP, 2 * HEAD_GROUP] and done[-1] == 0
+    np.testing.assert_array_equal(pooled_reporters, serial_reporters)
+    assert pooled_gs.w.tobytes() == serial_gs.w.tobytes()
+    for (w, b), (w1, b1) in zip(pooled_gs.theta, serial_gs.theta, strict=True):
+        assert w.tobytes() == w1.tobytes() and b.tobytes() == b1.tobytes()
+    assert [c.id for c in pooled_clients] == list(range(len(clients)))
+    for c, c1 in zip(pooled_clients, serial_clients, strict=True):
+        assert c.posterior.mu.tobytes() == c1.posterior.mu.tobytes()
+        assert c.tau == c1.tau
+
+
+def test_run_round_worker_dying_in_a_later_group_names_round(monkeypatch):
     train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
     cfg = tiny_config()
     gs, clients = init_state(cfg, train, part)
-    # the dying job is in the last chunk, not the first
-    assert pool_chunksize(len(clients), 2) < len(clients) - 1
+    # the dying job is the last of three groups, not the first
+    assert -(-len(clients) // HEAD_GROUP) == 3
     # forked workers see the patched job function
     monkeypatch.setattr(federation, "_update_worker",
                         _worker_dying_on_last_client)
@@ -502,9 +539,10 @@ def test_run_training_rejects_invalid_config():
 
 @pytest.mark.parametrize("clients,s", [(3, 1.0), (2 * HEAD_GROUP + 3, 0.3)])
 def test_run_training_worker_count_invariance(clients, s):
-    # 23 clients are fitted in groups of 10, 10 and 3 on one worker and one
-    # at a time on two, which take them in several chunks of jobs
-    assert -(-clients // pool_chunksize(clients, 2)) >= 2
+    # 23 clients are fitted in groups of 10, 10 and 3, one group per pool
+    # job, which two workers share; 3 clients are a single job
+    jobs = -(-clients // HEAD_GROUP)
+    assert jobs >= 2 if clients > HEAD_GROUP else jobs == 1
     train, test, part = tiny_problem(clients=clients)
     cfg = tiny_config(T=2, s=s)
     gs1, clients1, reports1 = run_training(cfg, train, test, part, workers=1)
