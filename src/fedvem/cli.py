@@ -129,6 +129,9 @@ def main(argv=None) -> int:
         for v in violations:
             print(v, file=sys.stderr)
         return 2
+    if (lowest := min(cfg.seeds) + args.seed_offset) < 0:
+        print(f"--seed-offset: makes seed {lowest} negative", file=sys.stderr)
+        return 2
 
     try:
         # numpy warnings would print before the failure line; the explicit

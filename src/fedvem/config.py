@@ -17,13 +17,15 @@ Each key sets exactly one field.  `model.hidden` and `train.*` fill the
 `baseline.*` holds the local SGD of Local, FedAvg and FedProx, and FedProx's
 `mu_prox`, which must be positive under `fedprox`.
 
-Unknown keys are validation errors, as are out-of-range values; `validate`
-checks every `train.*` field whatever the scheme, and returns the full list
-of violations with field names, one per bad value.
+A float value must be finite: `nan` and `inf` are parse errors naming the
+key.  Unknown keys are validation errors, as are out-of-range values;
+`validate` checks every `train.*` field whatever the scheme, and returns the
+full list of violations with field names, one per bad value.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -76,9 +78,12 @@ def parse_kv(text: str) -> dict[str, str]:
 
 def _convert(key: str, value: str, kind):
     try:
-        return kind(value)
+        parsed = kind(value)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {value!r} as {kind.__name__}") from exc
+    if kind is float and not math.isfinite(parsed):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    return parsed
 
 
 def _int_tuple(key: str, value: str) -> tuple:
@@ -173,6 +178,8 @@ def validate(cfg: ExperimentConfig, check_paths: bool = True) -> list[str]:
         out.extend(cfg.baseline.violations(cfg.scheme))
     if not cfg.seeds:
         out.append("seeds: at least one seed required")
+    elif min(cfg.seeds) < 0:
+        out.append(f"seeds: must be >= 0, got {min(cfg.seeds)}")
     if cfg.checkpoint_every < 0:
         out.append("checkpoint_every: must be >= 0")
     return out

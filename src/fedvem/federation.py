@@ -12,10 +12,12 @@ SGD (``nn.sgd_epochs``), since only an uploaded base is ever read.  The
 server aggregates reporter heads by confidence and reporter bases by data
 size, adding each upload to its sums as it arrives.
 
+A client's state is its head posterior and confidence: its rows are built
+once (``init_state``), and its base upload lives only within a round.
 Per-(seed, round, client) random streams make results independent of worker
 scheduling and grouping; client updates within a round may run on a process
-pool, one head group per job.  Every worker holds all clients' rows
-(``client_pool``), so jobs carry no training data.
+pool whose workers hold all clients' rows (``client_pool``), one job per
+head group.
 """
 
 from __future__ import annotations
@@ -112,17 +114,13 @@ class GlobalState:
 @dataclass
 class ClientState:
     id: int
-    x: np.ndarray
-    y: np.ndarray
     posterior: VariationalPosterior
     tau: float
-    # a reporter's base upload, held from its update until the server adds
-    # it; [] otherwise, so every client ``run_round`` returns holds []
-    theta_local: list[Layer]
 
-    @property
-    def n(self) -> int:
-        return len(self.x)
+
+Rows = list[tuple[np.ndarray, np.ndarray]]   # rows[j] = client j's (x, y)
+# a client's new state and its base upload, None unless it reports
+Update = tuple[ClientState, list[Layer] | None]
 
 
 def select_reporters(n_clients: int, s: float,
@@ -166,29 +164,27 @@ def add_base(sums: list[Layer] | None, theta: list[Layer],
             in zip(sums or [(0, 0)] * len(theta), theta)]
 
 
-def update_clients(clients: list[ClientState], globals_: GlobalState,
-                   cfg: TrainConfig) -> list[ClientState]:
-    """One round of local work against the freshly received (w, theta).
+def update_clients(group: list[ClientState], rows: Rows, globals_: GlobalState,
+                   cfg: TrainConfig) -> list[Update]:
+    """One round of local work for one head group against the freshly
+    received (w, theta).
 
     Order per the protocol: every client recomputes its confidence against
     the new w (round 0 uses the configured initial variance) and trains its
-    head posterior for R full-batch steps, ``HEAD_GROUP`` clients to a
-    stack, each on its own (seed, round, client) stream; then each client
-    in ``globals_.reporters`` trains its base copy (``client_update``) on
-    the rest of that stream.
+    head posterior for R full-batch steps, the group as one stack, each on
+    its own (seed, round, client) stream; then each client in
+    ``globals_.reporters`` trains its base copy (``client_update``) on the
+    rest of that stream.
     """
-    out = []
-    for start in range(0, len(clients), HEAD_GROUP):
-        group = clients[start:start + HEAD_GROUP]
-        rngs = [rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, globals_.t, c.id)
-                for c in group]
-        out += [client_update(c, globals_, cfg, rng)
-                if c.id in globals_.reporters else c
-                for c, rng in zip(_fit_heads(group, globals_, cfg, rngs), rngs)]
-    return out
+    rngs = [rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, globals_.t, c.id)
+            for c in group]
+    return [(c, client_update(c, globals_, cfg, rng, *rows[c.id])
+             if c.id in globals_.reporters else None)
+            for c, rng in zip(_fit_heads(group, rows, globals_, cfg, rngs),
+                              rngs)]
 
 
-def _fit_heads(group: list[ClientState], globals_: GlobalState,
+def _fit_heads(group: list[ClientState], rows: Rows, globals_: GlobalState,
                cfg: TrainConfig, rngs: list[np.random.Generator],
                ) -> list[ClientState]:
     """The group's confidences and head posteriors, fitted as one stack."""
@@ -198,8 +194,8 @@ def _fit_heads(group: list[ClientState], globals_: GlobalState,
         taus = [confidence(c.posterior, globals_.w,
                            mode=cfg.confidence_mode).tau for c in group]
     closure = head_loss_closure(
-        [forward_base(globals_.theta, c.x) for c in group],
-        [c.y for c in group])
+        [forward_base(globals_.theta, rows[c.id][0]) for c in group],
+        [rows[c.id][1] for c in group])
     post = VariationalPosterior(np.stack([c.posterior.mu for c in group]),
                                 np.stack([c.posterior.pi for c in group]))
     try:
@@ -209,42 +205,39 @@ def _fit_heads(group: list[ClientState], globals_: GlobalState,
     except PosteriorError as exc:
         raise TrainingError(f"round {globals_.t}, client "
                             f"{group[exc.row].id}: {exc}") from exc
-    return [replace(c, posterior=VariationalPosterior(mu, pi), tau=tau)
+    return [ClientState(c.id, VariationalPosterior(mu, pi), tau)
             for c, mu, pi, tau in zip(group, post.mu, post.pi, taus)]
 
 
 def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
-                  rng: np.random.Generator) -> ClientState:
-    """A reporter's base training, after its head fit: a copy of the
-    broadcast base by mini-batch SGD, with the head held as a draw from the
-    client's fitted posterior per mini-batch.  ``rng`` is the client's
-    stream after the head fit's draws."""
+                  rng: np.random.Generator, x: np.ndarray,
+                  y: np.ndarray) -> list[Layer]:
+    """A reporter's base upload, trained after its head fit: a copy of the
+    broadcast base by mini-batch SGD on the client's rows ``x``, ``y``, with
+    the head held as a draw from the client's fitted posterior per
+    mini-batch.  ``rng`` is the client's stream after the head fit's draws."""
     post = client.posterior
     width = globals_.theta[-1][0].shape[0]
     try:
-        theta_local = sgd_epochs(
-            MlpParams(base=globals_.theta, head=None), client.x, client.y,
+        return sgd_epochs(
+            MlpParams(base=globals_.theta, head=None), x, y,
             cfg.base_lr, cfg.base_epochs, cfg.base_batch, rng,
             head=lambda: unflatten_head(
                 sample(post, rng.standard_normal(post.d)), width)).base
     except FloatingPointError as exc:
         raise TrainingError(
             f"round {globals_.t}, client {client.id}: {exc}") from exc
-    return replace(client, theta_local=theta_local)
 
 
-_ROWS: list[dict] = []   # in a client_pool worker: each client's x and y
+_ROWS: Rows = []   # in a client_pool worker: every client's rows
 
 
 def _update_worker(group: list[ClientState], globals_: GlobalState,
-                   cfg: TrainConfig) -> list[ClientState]:
+                   cfg: TrainConfig) -> list[Update]:
     """Pool job: ``update_clients`` of one head group on this worker's rows."""
     if not _ROWS:
         raise RuntimeError("pool worker holds no client rows; use client_pool")
-    out = update_clients([replace(c, **_ROWS[c.id]) for c in group],
-                         globals_, cfg)
-    return [replace(o, x=c.x, y=c.y)   # the job's zero rows
-            for o, c in zip(out, group)]
+    return update_clients(group, _ROWS, globals_, cfg)
 
 
 def _init_worker(rows, errstate) -> None:
@@ -252,10 +245,9 @@ def _init_worker(rows, errstate) -> None:
     np.seterr(**errstate)
 
 
-def client_pool(clients: list[ClientState], workers: int) -> ProcessPoolExecutor:
+def client_pool(rows: Rows, workers: int) -> ProcessPoolExecutor:
     """A pool whose workers hold every client's rows (forked ones inherit
     them, spawned ones get them pickled once) and the caller's error state."""
-    rows = [dict(x=c.x, y=c.y) for c in clients]
     return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                initargs=(rows, np.geterr()))
 
@@ -287,7 +279,7 @@ def deserialize_upload(buf: bytes, d: int,
     return mu, tau, theta
 
 
-def run_round(globals_: GlobalState, clients: list[ClientState],
+def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
               cfg: TrainConfig, pool: ProcessPoolExecutor | None = None,
               ) -> tuple[GlobalState, list[ClientState], np.ndarray]:
     """Execute one communication round; returns (state, clients, reporter ids).
@@ -295,7 +287,7 @@ def run_round(globals_: GlobalState, clients: list[ClientState],
     The updates are walked in client order as they arrive, one head group
     at a time, in process or one pool job per group.  Each reporter's
     upload goes through the wire format and into the server's sums, and is
-    then let go: the returned clients hold no upload (``theta_local == []``).
+    then let go.
     """
     reporters = select_reporters(len(clients), cfg.s,
                                  rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS,
@@ -307,26 +299,20 @@ def run_round(globals_: GlobalState, clients: list[ClientState],
               for start in range(0, len(clients), HEAD_GROUP)]
     try:
         if pool is None:
-            results = (update_clients(g, broadcast, cfg) for g in groups)
+            results = (update_clients(g, rows, broadcast, cfg) for g in groups)
         else:
-            # jobs and results carry zero rows, and a result gives only what
-            # a round changes: the rows stay the arrays ``init_state`` built;
             # each job's future is dropped once the fold reaches it
-            futures = deque(pool.submit(
-                _update_worker, [replace(c, x=c.x[:0], y=c.y[:0]) for c in g],
-                broadcast, cfg) for g in groups)
+            futures = deque(pool.submit(_update_worker, g, broadcast, cfg)
+                            for g in groups)
             results = (futures.popleft().result() for _ in groups)
-        updates = (u for group in results for u in group)
-        for c, res in zip(clients, updates):
-            if c.id in broadcast.reporters:
+        for c, upload in (u for group in results for u in group):
+            if upload is not None:
                 mu, tau, theta = deserialize_upload(serialize_upload(
-                    res.posterior.mu, res.tau, res.theta_local), d,
-                    globals_.theta)
+                    c.posterior.mu, c.tau, upload), d, globals_.theta)
                 mus.append(mu)
                 taus.append(tau)
-                sums = add_base(sums, theta, c.n)
-            new_clients.append(replace(c, posterior=res.posterior, tau=res.tau,
-                                       theta_local=[]))
+                sums = add_base(sums, theta, len(rows[c.id][1]))
+            new_clients.append(c)
     except BrokenProcessPool as exc:
         raise TrainingError(
             f"round {globals_.t}: worker pool failed: {exc}") from exc
@@ -335,32 +321,31 @@ def run_round(globals_: GlobalState, clients: list[ClientState],
         w = globals_.w.copy()
         theta = [(wl.copy(), bl.copy()) for wl, bl in globals_.theta]
     else:
-        total = float(sum(new_clients[j].n for j in reporters))
+        total = float(sum(len(rows[j][1]) for j in reporters))
         w = aggregate_heads(mus, taus)
         theta = [(sw / total, sb / total) for sw, sb in sums]
     return GlobalState(w=w, theta=theta, t=globals_.t + 1), new_clients, reporters
 
 
-def init_state(cfg: TrainConfig, train_ds: Dataset,
-               partition: Partition) -> tuple[GlobalState, list[ClientState]]:
-    """Seeded parameter initialization and per-client posterior setup."""
+def init_state(cfg: TrainConfig, train_ds: Dataset, partition: Partition,
+               ) -> tuple[GlobalState, list[ClientState], Rows]:
+    """Seeded parameter initialization, per-client posterior setup and each
+    client's rows (``client_rows``)."""
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_INIT)
     params = init_mlp(train_ds.input_dim, tuple(cfg.hidden), train_ds.classes, rng)
     w0 = flatten_head(params.head)
     pi0 = float(softplus_inv(np.sqrt(cfg.rho0_sq)))
-    clients = []
-    for j, idx in enumerate(partition.client_indices):
-        post = VariationalPosterior(mu=w0.copy(), pi=np.full(w0.size, pi0))
-        x, y = client_rows(train_ds, idx)
-        clients.append(ClientState(id=j, x=x, y=y, posterior=post,
-                                   tau=1.0 / cfg.rho0_sq, theta_local=[]))
-    return GlobalState(w=w0, theta=params.base, t=0), clients
+    rows = [client_rows(train_ds, idx) for idx in partition.client_indices]
+    clients = [ClientState(j, VariationalPosterior(w0.copy(),
+                                                   np.full(w0.size, pi0)),
+                           1.0 / cfg.rho0_sq) for j in range(len(rows))]
+    return GlobalState(w=w0, theta=params.base, t=0), clients, rows
 
 
 def _round_report(globals_: GlobalState, clients: list[ClientState],
-                  test_ds: Dataset, pm_idx: list[np.ndarray],
+                  sizes: list[int], test_ds: Dataset, pm_idx: list[np.ndarray],
                   reporters: np.ndarray) -> metrics.RoundReport:
-    """``pm_idx[j]`` holds client j's PM test indices (``pm_test_indices``)."""
+    """``sizes[j]``, ``pm_idx[j]``: client j's row count, PM test indices."""
     features = forward_base(globals_.theta, test_ds.images)
 
     def head_acc(head_vec, idx):
@@ -375,7 +360,7 @@ def _round_report(globals_: GlobalState, clients: list[ClientState],
         round=globals_.t - 1,
         gm_accuracy=gm,
         client_ids=[c.id for c in clients],
-        client_sizes=[c.n for c in clients],
+        client_sizes=sizes,
         pm_accuracies=pm,
         confidence_ratios=ratios.tolist(),
         model_deviations=deviations.tolist(),
@@ -392,23 +377,21 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     """Full T-round protocol with per-round evaluation.
 
     ``on_round(globals_, clients)`` runs after every round's report, e.g.
-    to write a checkpoint.  No client holds an upload between rounds or in
-    the result (``run_round``).
+    to write a checkpoint.
     """
     bad = cfg.violations()
     if bad:
         raise InputError("; ".join(bad))
-    globals_, clients = init_state(cfg, train_ds, partition)
+    globals_, clients, rows = init_state(cfg, train_ds, partition)
     pm_idx = [pm_test_indices(partition, test_ds, c.id) for c in clients]
     reports: list[metrics.RoundReport] = []
-    pool = None
-    if workers > 1:
-        pool = client_pool(clients, workers)
+    pool = client_pool(rows, workers) if workers > 1 else None
     try:
         for _ in range(cfg.T):
-            globals_, clients, reporters = run_round(globals_, clients, cfg, pool)
-            reports.append(_round_report(globals_, clients, test_ds, pm_idx,
-                                         reporters))
+            globals_, clients, reporters = run_round(globals_, clients, rows,
+                                                     cfg, pool)
+            reports.append(_round_report(globals_, clients, partition.sizes,
+                                         test_ds, pm_idx, reporters))
             if on_round is not None:
                 on_round(globals_, clients)
     finally:
@@ -447,8 +430,8 @@ def write_checkpoint(path, globals_: GlobalState,
     os.replace(tmp, path)
 
 
-def read_checkpoint(path) -> tuple[GlobalState, list[dict]]:
-    """Inverse of write_checkpoint; clients come back as plain dicts.
+def read_checkpoint(path) -> tuple[GlobalState, list[ClientState]]:
+    """Inverse of write_checkpoint: the global state and every client's.
 
     Raises InputError naming ``path`` unless the file is exactly as long as
     its header says.
@@ -488,10 +471,6 @@ def read_checkpoint(path) -> tuple[GlobalState, list[dict]]:
     for out_dim, in_dim in shapes:
         theta.append((take(out_dim * in_dim).reshape(out_dim, in_dim),
                       take(out_dim)))
-    clients = []
-    for _ in range(n_clients):
-        mu = take(d)
-        pi = take(d)
-        tau = take(1)[0]
-        clients.append({"mu": mu, "pi": pi, "tau": float(tau)})
+    clients = [ClientState(j, VariationalPosterior(take(d), take(d)),
+                           float(take(1)[0])) for j in range(n_clients)]
     return GlobalState(w=w, theta=theta, t=int(t)), clients

@@ -36,12 +36,6 @@ class MlpParams:
     base: list[Layer]
     head: Layer
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            base=[(w.copy(), b.copy()) for w, b in self.base],
-            head=(self.head[0].copy(), self.head[1].copy()),
-        )
-
 
 def init_mlp(input_dim: int, hidden: tuple[int, ...], classes: int,
              rng: np.random.Generator) -> MlpParams:

@@ -83,9 +83,6 @@ class VariationalPosterior:
         """Total posterior variance Tr(Sigma) = sum sigma_i^2."""
         return float((self.sigma ** 2).sum())
 
-    def copy(self) -> "VariationalPosterior":
-        return VariationalPosterior(self.mu.copy(), self.pi.copy())
-
 
 @dataclass
 class IsotropicPrior:
@@ -230,13 +227,12 @@ GRAD_CLIP = 1e3
 
 def fit_posterior(post: VariationalPosterior, prior: IsotropicPrior,
                   loss_grad_fn: LossGradFn, steps: int, lr: float, K: int,
-                  rngs: Sequence[np.random.Generator],
-                  grad_clip: float = GRAD_CLIP) -> VariationalPosterior:
+                  rngs: Sequence[np.random.Generator]) -> VariationalPosterior:
     """Gradient descent on ``mc_objective`` for a (G, d) posterior stack.
 
     Row j draws its (K, d) noise per step from ``rngs[j]``: the same numbers
     as one (steps, K, d) draw, leaving the stream where that draw leaves it.
-    A row whose joint gradient norm exceeds ``grad_clip`` is rescaled to
+    A row whose joint gradient norm exceeds ``GRAD_CLIP`` is rescaled to
     that norm; ordinary training never reaches the threshold, it only tames
     the KL pull when tau sits at its clamp (near-zero posterior variance or
     near-zero deviation from the prior center).  A non-finite norm or update
@@ -251,9 +247,9 @@ def fit_posterior(post: VariationalPosterior, prior: IsotropicPrior,
         _, d_mu, d_pi = mc_objective(post, prior, loss_grad_fn, noise)
         norm = np.sqrt((d_mu ** 2).sum(axis=1) + (d_pi ** 2).sum(axis=1))
         _check_rows(np.isfinite(norm), "posterior gradient norm is not finite")
-        clip = norm > grad_clip
+        clip = norm > GRAD_CLIP
         if clip.any():
-            scale = grad_clip / norm[clip, None]
+            scale = GRAD_CLIP / norm[clip, None]
             d_mu[clip] *= scale
             d_pi[clip] *= scale
         post = VariationalPosterior(post.mu - lr * d_mu, post.pi - lr * d_pi)
@@ -278,9 +274,8 @@ class ConfidenceValue:
 
 
 def confidence(post: VariationalPosterior, center: np.ndarray,
-               mode: str = "full",
-               clamp: tuple[float, float] = (TAU_MIN, TAU_MAX)) -> ConfidenceValue:
-    """tau = d / (Tr(Sigma) + ||mu - center||^2), clamped to ``clamp``.
+               mode: str = "full") -> ConfidenceValue:
+    """tau = d / (Tr(Sigma) + ||mu - center||^2) within [TAU_MIN, TAU_MAX].
 
     ``mode`` restricts the denominator to one of its terms for ablations:
     "uncertainty_only" keeps Tr(Sigma), "deviation_only" keeps the squared
@@ -301,7 +296,6 @@ def confidence(post: VariationalPosterior, center: np.ndarray,
         denom = deviation
     else:
         raise ValueError(f"unknown confidence mode: {mode}")
-    lo, hi = clamp
-    tau = hi if denom <= 0 else min(max(post.d / denom, lo), hi)
+    tau = TAU_MAX if denom <= 0 else min(max(post.d / denom, TAU_MIN), TAU_MAX)
     return ConfidenceValue(tau=float(tau), uncertainty=uncertainty,
                            deviation=deviation)

@@ -33,7 +33,9 @@ def toy_clients(n_clients=3, n=12, dim=4, classes=2, seed=0):
 
 def test_proximal_grads_zero_at_anchor():
     params = init_mlp(3, (4,), 2, np.random.default_rng(0))
-    g = proximal_grads(params, params.copy(), mu_prox=2.0)
+    anchor = MlpParams(base=[(w.copy(), b.copy()) for w, b in params.base],
+                       head=(params.head[0].copy(), params.head[1].copy()))
+    g = proximal_grads(params, anchor, mu_prox=2.0)
     assert np.all(g.head[0] == 0.0)
     assert np.all(g.base[0][0] == 0.0)
 

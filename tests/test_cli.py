@@ -179,9 +179,9 @@ def test_run_seed_clients_view_one_grouped_training_set(tmp_path, monkeypatch,
     real_update = federation.update_clients
     real_round = baselines.fedavg_round
 
-    def update_clients(clients, *args):
-        seen["rows"] = [(c.x, c.y) for c in clients]
-        return real_update(clients, *args)
+    def update_clients(group, rows, *args):
+        seen["rows"] = list(rows)
+        return real_update(group, rows, *args)
 
     def fedavg_round(theta, clients_xy, *args):
         seen["rows"] = list(clients_xy)
@@ -292,6 +292,39 @@ def test_main_rejects_worker_count_below_one(tmp_path, capsys, workers):
                  str(out), "--workers", workers]) == 2
     assert "--workers" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_rejects_negative_seed(tmp_path, capsys):
+    path = smoke_config(tmp_path, replace={"seeds = 0": "seeds = 2,-1"})
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "seeds: must be >= 0, got -1" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "seeds: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_rejects_seed_offset_making_a_seed_negative(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(smoke_config(tmp_path)), "--out",
+                 str(out), "--seed-offset", "-5"]) == 2
+    assert "--seed-offset: makes seed -5 negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("train.eta", "nan"),
+                                       ("train.base_lr", "nan"),
+                                       ("train.rho0_sq", "inf")])
+def test_main_rejects_non_finite_floats(tmp_path, capsys, key, value):
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+        build_config({key: value})
+    path = smoke_config(tmp_path, extra=f"{key} = {value}\n",
+                        replace={"train.eta = 0.01\n": "",
+                                 "train.base_lr = 0.01\n": ""})
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main(command + ["--config", str(path)]) == 2
+        assert f"config: {key}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("scheme,where", [("fedavg", "round 0, client "),

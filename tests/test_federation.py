@@ -161,20 +161,25 @@ def test_upload_rejects_trailing_bytes():
 def test_init_state_posteriors_start_at_broadcast_head():
     train, _, part = tiny_problem()
     cfg = tiny_config()
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     assert gs.t == 0
     for c in clients:
         np.testing.assert_array_equal(c.posterior.mu, gs.w)
         np.testing.assert_allclose(c.posterior.sigma,
                                    np.sqrt(cfg.rho0_sq), rtol=1e-12)
         assert c.tau == pytest.approx(1.0 / cfg.rho0_sq)
+    # rows[j] is client j's (x, y)
+    assert [len(y) for _, y in rows] == part.sizes
+    for (x, y), idx in zip(rows, part.client_indices, strict=True):
+        np.testing.assert_array_equal(x, train.images[idx])
+        np.testing.assert_array_equal(y, train.labels[idx])
 
 
 def test_init_state_is_seed_deterministic():
     train, _, part = tiny_problem()
-    gs1, _ = init_state(tiny_config(seed=5), train, part)
-    gs2, _ = init_state(tiny_config(seed=5), train, part)
-    gs3, _ = init_state(tiny_config(seed=6), train, part)
+    gs1, _, _ = init_state(tiny_config(seed=5), train, part)
+    gs2, _, _ = init_state(tiny_config(seed=5), train, part)
+    gs3, _, _ = init_state(tiny_config(seed=6), train, part)
     np.testing.assert_array_equal(gs1.w, gs2.w)
     assert not np.array_equal(gs1.w, gs3.w)
 
@@ -184,29 +189,30 @@ def test_init_state_is_seed_deterministic():
 def test_client_update_round0_uses_initial_variance():
     train, _, part = tiny_problem()
     cfg = tiny_config()
-    gs, clients = init_state(cfg, train, part)
-    out = update_clients([clients[0]], gs, cfg)[0]
+    gs, clients, rows = init_state(cfg, train, part)
+    out, upload = update_clients([clients[0]], rows, gs, cfg)[0]
     assert out.tau == pytest.approx(1.0 / cfg.rho0_sq)
+    assert upload is None
 
 
 def test_client_update_later_rounds_recompute_confidence():
     train, _, part = tiny_problem()
     cfg = tiny_config()
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     gs.t = 3
     expected = confidence(clients[1].posterior, gs.w).tau
-    out = update_clients([clients[1]], gs, cfg)[0]
+    out, _ = update_clients([clients[1]], rows, gs, cfg)[0]
     assert out.tau == pytest.approx(expected)
 
 
 def test_client_update_moves_posterior_and_base():
     train, _, part = tiny_problem()
     cfg = tiny_config()
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     gs.reporters = frozenset({0})
-    out = update_clients([clients[0]], gs, cfg)[0]
+    out, upload = update_clients([clients[0]], rows, gs, cfg)[0]
     assert not np.array_equal(out.posterior.mu, clients[0].posterior.mu)
-    assert not np.array_equal(out.theta_local[0][0], gs.theta[0][0])
+    assert not np.array_equal(upload[0][0], gs.theta[0][0])
     # broadcast state must be untouched
     np.testing.assert_array_equal(clients[0].posterior.mu, gs.w)
 
@@ -214,43 +220,43 @@ def test_client_update_moves_posterior_and_base():
 def test_client_update_zero_rates_freeze_everything():
     train, _, part = tiny_problem()
     cfg = tiny_config(eta=0.0, base_lr=0.0)
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     gs.reporters = frozenset({0})
-    out = update_clients([clients[0]], gs, cfg)[0]
+    out, upload = update_clients([clients[0]], rows, gs, cfg)[0]
     np.testing.assert_array_equal(out.posterior.mu, clients[0].posterior.mu)
-    np.testing.assert_array_equal(out.theta_local[0][0], gs.theta[0][0])
+    np.testing.assert_array_equal(upload[0][0], gs.theta[0][0])
 
 
 def test_client_update_non_reporter_fits_head_only():
     train, _, part = tiny_problem()
     cfg = tiny_config()
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     gs.t = 2
-    reporter = update_clients([clients[1]],
-                              replace(gs, reporters=frozenset({1})), cfg)[0]
-    straggler = update_clients([clients[1]], gs, cfg)[0]
+    reporter, upload = update_clients(
+        [clients[1]], rows, replace(gs, reporters=frozenset({1})), cfg)[0]
+    straggler, no_upload = update_clients([clients[1]], rows, gs, cfg)[0]
     # base-SGD draws come after the head fit's, so the head is unaffected
     np.testing.assert_array_equal(straggler.posterior.mu, reporter.posterior.mu)
     np.testing.assert_array_equal(straggler.posterior.pi, reporter.posterior.pi)
     assert straggler.tau == reporter.tau
-    assert straggler.theta_local == []
-    assert len(reporter.theta_local) == len(gs.theta)
+    assert no_upload is None
+    assert len(upload) == len(gs.theta)
 
 
 def test_update_clients_group_equals_one_client_groups():
     # a client's update does not depend on the clients fitted beside it
     train, _, part = tiny_problem(clients=HEAD_GROUP + 3)
     cfg = tiny_config()
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     gs = replace(gs, t=1, reporters=frozenset({2, HEAD_GROUP + 1}))
-    together = update_clients(clients, gs, cfg)
-    for c, out in zip(clients, together):
-        alone = update_clients([c], gs, cfg)[0]
+    together = update_clients(clients, rows, gs, cfg)
+    for c, (out, upload) in zip(clients, together, strict=True):
+        alone, upload1 = update_clients([c], rows, gs, cfg)[0]
         np.testing.assert_array_equal(out.posterior.mu, alone.posterior.mu)
         np.testing.assert_array_equal(out.posterior.pi, alone.posterior.pi)
         assert out.tau == alone.tau
-        assert len(out.theta_local) == len(alone.theta_local)
-        for (w, b), (w1, b1) in zip(out.theta_local, alone.theta_local):
+        assert (upload is None) == (upload1 is None)
+        for (w, b), (w1, b1) in zip(upload or [], upload1 or [], strict=True):
             np.testing.assert_array_equal(w, w1)
             np.testing.assert_array_equal(b, b1)
 
@@ -270,22 +276,22 @@ def test_client_update_failure_names_round_and_client(monkeypatch, stage):
             return grads
 
         monkeypatch.setattr(nn, "backward", nonfinite)
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     gs = replace(gs, t=4, reporters=frozenset({0}))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match=r"round 4, client 0"):
-            update_clients([clients[0]], gs, cfg)
+            update_clients([clients[0]], rows, gs, cfg)
 
 
 def test_update_clients_failure_in_a_group_names_its_client():
     # only client 2 diverges: its rows overflow the head gradient's norm
     train, _, part = tiny_problem(clients=5)
     cfg = tiny_config()
-    gs, clients = init_state(cfg, train, part)
-    clients[2] = replace(clients[2], x=clients[2].x * 1e200)
+    gs, clients, rows = init_state(cfg, train, part)
+    rows[2] = (rows[2][0] * 1e200, rows[2][1])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match=r"round 4, client 2: posterior"):
-            update_clients(clients, replace(gs, t=4), cfg)
+            update_clients(clients, rows, replace(gs, t=4), cfg)
 
 
 # --------------------------------------------------------------- run_round
@@ -293,8 +299,8 @@ def test_update_clients_failure_in_a_group_names_its_client():
 def test_run_round_empty_reporters_carries_state():
     train, _, part = tiny_problem()
     cfg = tiny_config(s=1e-12)
-    gs, clients = init_state(cfg, train, part)
-    gs2, clients2, reporters = run_round(gs, clients, cfg)
+    gs, clients, rows = init_state(cfg, train, part)
+    gs2, clients2, reporters = run_round(gs, clients, rows, cfg)
     assert reporters.size == 0
     assert gs2.t == 1
     np.testing.assert_array_equal(gs2.w, gs.w)
@@ -306,28 +312,28 @@ def test_run_round_empty_reporters_carries_state():
 def test_run_round_all_reporters_aggregate():
     train, _, part = tiny_problem()
     cfg = tiny_config(s=1.0)
-    gs, clients = init_state(cfg, train, part)
-    gs2, clients2, reporters = run_round(gs, clients, cfg)
+    gs, clients, rows = init_state(cfg, train, part)
+    gs2, clients2, reporters = run_round(gs, clients, rows, cfg)
     assert reporters.tolist() == [0, 1, 2]
     mus = [c.posterior.mu for c in clients2]
     taus = [c.tau for c in clients2]
     np.testing.assert_allclose(gs2.w, aggregate_heads(mus, taus), atol=1e-12)
-    ns = [c.n for c in clients2]
-    # the returned clients hold no upload: the oracle's bases come from the
-    # same round's updates
-    updated = update_clients(clients, replace(
+    ns = [len(y) for _, y in rows]
+    # the round spends its uploads: the oracle's bases come from the same
+    # round's updates
+    updated = update_clients(clients, rows, replace(
         gs, reporters=frozenset(reporters.tolist())), cfg)
-    expected_base = aggregate_base([c.theta_local for c in updated], ns)
+    expected_base = aggregate_base([upload for _, upload in updated], ns)
     np.testing.assert_allclose(gs2.theta[0][0], expected_base[0][0], atol=1e-12)
 
 
 def test_run_round_single_reporter_adopts_its_head():
     train, _, part = tiny_problem()
     cfg = tiny_config(s=0.5, seed=11)
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, 0)
     expected = select_reporters(len(clients), cfg.s, rng)
-    gs2, clients2, reporters = run_round(gs, clients, cfg)
+    gs2, clients2, reporters = run_round(gs, clients, rows, cfg)
     assert reporters.tolist() == expected.tolist()
     if reporters.size == 1:
         j = reporters[0]
@@ -337,16 +343,15 @@ def test_run_round_single_reporter_adopts_its_head():
 def test_run_round_pool_keeps_the_seed_process_rows():
     train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
     cfg = tiny_config(s=0.3)
-    gs, clients = init_state(cfg, train, part)
-    with client_pool(clients, 2) as pool:
-        gp, pooled, _ = run_round(gs, clients, cfg, pool)
-    gsr, serial, _ = run_round(gs, clients, cfg)
+    gs, clients, rows = init_state(cfg, train, part)
+    with client_pool(rows, 2) as pool:
+        gp, pooled, _ = run_round(gs, clients, rows, cfg, pool)
+    gsr, serial, _ = run_round(gs, clients, rows, cfg)
     for c, p, s in zip(clients, pooled, serial, strict=True):
-        assert p.x is c.x and p.y is c.y
+        assert p.id == s.id == c.id
         np.testing.assert_array_equal(p.posterior.mu, s.posterior.mu)
         np.testing.assert_array_equal(p.posterior.pi, s.posterior.pi)
         assert p.tau == s.tau
-        assert p.theta_local == s.theta_local == []
     # the uploads are spent inside the round: compare what they made
     assert gp.t == gsr.t and gp.w.tobytes() == gsr.w.tobytes()
     assert len(gp.theta) == len(gsr.theta)
@@ -359,7 +364,7 @@ def test_run_round_holds_at_most_one_head_group_of_uploads(workers,
                                                            monkeypatch):
     train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
     cfg = tiny_config(s=1.0)
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     uploads = []   # weakrefs to the base arrays of each upload serialized
     real_serialize = federation.serialize_upload
 
@@ -371,13 +376,12 @@ def test_run_round_holds_at_most_one_head_group_of_uploads(workers,
 
     monkeypatch.setattr(federation, "serialize_upload", serialize_upload)
     if workers == 1:
-        gs2, clients2, reporters = run_round(gs, clients, cfg)
+        gs2, clients2, reporters = run_round(gs, clients, rows, cfg)
     else:
-        with client_pool(clients, workers) as pool:
-            gs2, clients2, reporters = run_round(gs, clients, cfg, pool)
+        with client_pool(rows, workers) as pool:
+            gs2, clients2, reporters = run_round(gs, clients, rows, cfg, pool)
     assert len(uploads) == len(reporters) == len(clients)
     assert all(r() is None for refs in uploads for r in refs)
-    assert all(c.theta_local == [] for c in clients2)
 
 
 class RecordingPool(ProcessPoolExecutor):
@@ -393,7 +397,7 @@ class RecordingPool(ProcessPoolExecutor):
         return self.futures[-1]
 
 
-def test_pool_jobs_and_results_carry_no_rows(monkeypatch):
+def test_pool_sends_one_job_per_head_group_in_client_order(monkeypatch):
     train, test, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
     cfg = tiny_config(T=2, s=0.3)
     pools = []
@@ -418,11 +422,7 @@ def test_pool_jobs_and_results_carry_no_rows(monkeypatch):
         assert [c.id for group, _, _ in jobs for c in group] == list(
             range(n_clients))
     for (group, _, _), future in zip(pool.jobs, pool.futures, strict=True):
-        results = future.result()
-        assert len(results) == len(group)
-        for client, res in zip(group, results):
-            assert client.x.shape == (0, train.input_dim) and len(client.y) == 0
-            assert res.x.shape == (0, train.input_dim) and len(res.y) == 0
+        assert [c.id for c, _ in future.result()] == [c.id for c in group]
 
 
 def test_run_training_spawned_workers_get_the_rows():
@@ -445,10 +445,10 @@ def test_run_training_spawned_workers_get_the_rows():
 def test_pool_without_rows_fails_loudly():
     train, _, part = tiny_problem()
     cfg = tiny_config()
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     with ProcessPoolExecutor(max_workers=2) as pool:
         with pytest.raises(RuntimeError, match="holds no client rows"):
-            run_round(gs, clients, cfg, pool)
+            run_round(gs, clients, rows, cfg, pool)
 
 
 _real_update_worker = federation._update_worker
@@ -479,16 +479,16 @@ def test_run_round_folds_groups_in_client_order_as_they_finish(monkeypatch,
     # after the others, and the round still folds the clients in order
     train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
     cfg = tiny_config(s=0.5)
-    gs, clients = init_state(cfg, train, part)
-    serial_gs, serial_clients, serial_reporters = run_round(gs, clients, cfg)
+    gs, clients, rows = init_state(cfg, train, part)
+    serial_gs, serial_clients, serial_reporters = run_round(gs, clients, rows, cfg)
     done_log = tmp_path / "done.log"
     monkeypatch.setenv("FEDVEM_TEST_DONE_LOG", str(done_log))
     # forked workers see the patched job function
     monkeypatch.setattr(federation, "_update_worker",
                         _worker_slow_on_first_group)
-    with client_pool(clients, 2) as pool:
+    with client_pool(rows, 2) as pool:
         pooled_gs, pooled_clients, pooled_reporters = run_round(
-            gs, clients, cfg, pool)
+            gs, clients, rows, cfg, pool)
     done = [int(line) for line in done_log.read_text().split()]
     assert sorted(done) == [0, HEAD_GROUP, 2 * HEAD_GROUP] and done[-1] == 0
     np.testing.assert_array_equal(pooled_reporters, serial_reporters)
@@ -504,16 +504,16 @@ def test_run_round_folds_groups_in_client_order_as_they_finish(monkeypatch,
 def test_run_round_worker_dying_in_a_later_group_names_round(monkeypatch):
     train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
     cfg = tiny_config()
-    gs, clients = init_state(cfg, train, part)
+    gs, clients, rows = init_state(cfg, train, part)
     # the dying job is the last of three groups, not the first
     assert -(-len(clients) // HEAD_GROUP) == 3
     # forked workers see the patched job function
     monkeypatch.setattr(federation, "_update_worker",
                         _worker_dying_on_last_client)
-    with client_pool(clients, 2) as pool:
+    with client_pool(rows, 2) as pool:
         with pytest.raises(TrainingError,
                            match=r"^round 3: worker pool failed: "):
-            run_round(replace(gs, t=3), clients, cfg, pool)
+            run_round(replace(gs, t=3), clients, rows, cfg, pool)
 
 
 # ------------------------------------------------------------ run_training
@@ -573,16 +573,11 @@ def test_run_training_releases_spent_uploads(workers, monkeypatch):
         uploads[-1].extend(weakref.ref(a) for layer in theta for a in layer)
         return real_serialize(mu, tau, theta)
 
-    def on_round(globals_, clients):
-        assert all(c.theta_local == [] for c in clients)
-
     monkeypatch.setattr(federation, "run_round", run_round)
     monkeypatch.setattr(federation, "serialize_upload", serialize_upload)
-    _, clients, _ = run_training(cfg, train, test, part, workers=workers,
-                                 on_round=on_round)
+    run_training(cfg, train, test, part, workers=workers)
     assert len(uploads) == cfg.T
-    # no returned client holds an upload, and every upload is dead
-    assert all(c.theta_local == [] for c in clients)
+    # every upload is dead once the run returns
     assert uploads[-1] and all(r() is None for r in uploads[-1])
 
 
@@ -609,10 +604,11 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(gs2.w, gs.w)
     np.testing.assert_array_equal(gs2.theta[0][0], gs.theta[0][0])
     assert len(dumped) == len(clients)
-    for c, d in zip(clients, dumped):
-        np.testing.assert_array_equal(d["mu"], c.posterior.mu)
-        np.testing.assert_array_equal(d["pi"], c.posterior.pi)
-        assert d["tau"] == c.tau
+    for c, d in zip(clients, dumped, strict=True):
+        assert isinstance(d, ClientState) and d.id == c.id
+        np.testing.assert_array_equal(d.posterior.mu, c.posterior.mu)
+        np.testing.assert_array_equal(d.posterior.pi, c.posterior.pi)
+        assert d.tau == c.tau
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
