@@ -1,0 +1,54 @@
+#!/bin/sh
+# Byte-identity check against another revision: exports REV with
+# `git archive`, runs the same three configs under REV and under this
+# working tree, and fails unless every output file (per-seed JSONL, client
+# CSV, summary, every checkpoint) is byte-identical.
+#   - the smoke config (3 classes, 23 clients) on one worker;
+#   - a 5-class concept_drift config, seeds 0-2, on one worker;
+#   - a 10-class label_skew config, seeds 0-2, on a two-worker pool.
+# Each writes a checkpoint every round.  The configs are generated with sed
+# from the shipped ones, with few rounds and points so the check takes
+# seconds.  Usage: scripts/same_outputs.sh REV
+set -e
+if [ $# -ne 1 ]; then
+    echo "usage: $0 REV" >&2
+    exit 2
+fi
+cd "$(dirname "$0")/.."
+here=$(pwd)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/rev" "$tmp/cfg"
+git archive "$1" | tar -x -C "$tmp/rev"
+
+{ sed 's/^partition\.clients = .*/partition.clients = 23/' configs/smoke.cfg
+  echo "checkpoint_every = 1"; } > "$tmp/cfg/smoke.cfg"
+{ sed -e 's/^dataset\.points_per_subclass = .*/dataset.points_per_subclass = 40/' \
+      -e 's/^dataset\.test_points_per_subclass = .*/dataset.test_points_per_subclass = 10/' \
+      -e 's/^partition\.clients = .*/partition.clients = 23/' \
+      -e 's/^train\.T = .*/train.T = 3/' \
+      -e 's/^seeds = .*/seeds = 0,1,2/' configs/synth_conceptdrift.cfg
+  echo "checkpoint_every = 1"; } > "$tmp/cfg/drift5.cfg"
+{ sed -e 's/^dataset\.classes = .*/dataset.classes = 10/' \
+      -e 's/^dataset\.subclasses_per_class = .*/dataset.subclasses_per_class = 1/' \
+      -e 's/^dataset\.points_per_subclass = .*/dataset.points_per_subclass = 60/' \
+      -e 's/^dataset\.test_points_per_subclass = .*/dataset.test_points_per_subclass = 10/' \
+      -e 's/^partition\.scenario = .*/partition.scenario = label_skew/' \
+      -e 's/^partition\.clients = .*/partition.clients = 23/' \
+      -e 's/^train\.T = .*/train.T = 3/' \
+      -e 's/^seeds = .*/seeds = 0,1,2/' configs/synth_conceptdrift.cfg
+  echo "partition.labels_per_client = 5"
+  echo "checkpoint_every = 1"; } > "$tmp/cfg/skew10.cfg"
+
+for tree in "$tmp/rev" "$here"; do
+    side=$( [ "$tree" = "$here" ] && echo here || echo rev )
+    for run in smoke:1 drift5:1 skew10:2; do
+        name=${run%:*}
+        (cd "$tree" && PYTHONPATH=src python -m fedvem.cli run \
+            --config "$tmp/cfg/$name.cfg" --workers "${run#*:}" \
+            --out "$tmp/out-$side/$name" > /dev/null)
+    done
+done
+diff -rq "$tmp/out-rev" "$tmp/out-here"
+echo "$(find "$tmp/out-here" -type f | wc -l) output files byte-identical" \
+     "to $1's"

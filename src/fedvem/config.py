@@ -180,6 +180,8 @@ def validate(cfg: ExperimentConfig, check_paths: bool = True) -> list[str]:
         out.append("seeds: at least one seed required")
     elif min(cfg.seeds) < 0:
         out.append(f"seeds: must be >= 0, got {min(cfg.seeds)}")
+    if dup := [s for i, s in enumerate(cfg.seeds) if s in cfg.seeds[:i]]:
+        out.append(f"seeds: seed {dup[0]} appears more than once")
     if cfg.checkpoint_every < 0:
         out.append("checkpoint_every: must be >= 0")
     return out

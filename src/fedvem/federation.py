@@ -44,9 +44,9 @@ CHECKPOINT_MAGIC = b"FVEM"
 CHECKPOINT_VERSION = 1
 
 # Clients whose heads are fitted as one stack, and so the clients in one
-# pool job.  Memory grows with the group: on the drift50 benchmark shape
-# peak RSS rose 1.6 % at 10, 2.9 % at 17 and 9 % at all 50 clients over one
-# client at a time, and 17 ran no faster than 10.
+# pool job.  On the drift50 shape, past 10 memory grows for no clear speed:
+# peak RSS rose 1.6 % at 10, 2.9 % at 17 and 9 % at 50 over one at a time;
+# a fit step took 77-117, 76-85, 69-88, 68-93 us a client at 5/10/25/50.
 HEAD_GROUP = 10
 
 

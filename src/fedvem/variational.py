@@ -5,7 +5,8 @@ A client's head parameters carry a diagonal Gaussian posterior with mean
 positivity).  The conditional prior is an isotropic Gaussian centered at the
 shared latent head with precision tau.  This module provides reparametrized
 sampling, the closed-form KL with its analytic gradient, the Monte-Carlo
-local objective, and the confidence value used for aggregation.
+local objective, and the confidence value used for aggregation.  Its
+gradients come from ``_gradients`` alone, which ``fit_posterior`` descends.
 
 The head fit works on a stack of G clients at once: a posterior with (G, d)
 means and scales, a prior with one precision per row, and (G, K, d) noise.
@@ -25,9 +26,9 @@ from .nn import InputError, ShapeError, unflatten_head
 TAU_MIN = 1e-8
 TAU_MAX = 1e8
 
-# Objective callback: (G, K, d) heads, K per client -> (G, K) losses and
-# (G, K, d) gradients.
-LossGradFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# Objective callback: (G, K, d) heads, K per client, and ``value`` -> (G, K)
+# losses (or None if not ``value``) and (G, K, d) gradients.
+LossGradFn = Callable[..., tuple[np.ndarray | None, np.ndarray]]
 
 
 class PosteriorError(FloatingPointError):
@@ -115,23 +116,21 @@ def kl_to_prior(post: VariationalPosterior, prior: IsotropicPrior,
     with rho = tau^{-1/2}.  The additive constant is kept so KL(q, q) == 0.
     A (G, d) stack gives (G,) KLs and (G, d) gradients.
     """
-    return _kl_terms(post, prior, post.sigma, _sigmoid(post.pi))
+    sigma = post.sigma
+    k_mu, k_pi = _kl_gradients(post.mu, sigma, _sigmoid(post.pi), prior)
+    tau = np.asarray(prior.tau, dtype=float)[..., None]
+    kl = np.sum(-0.5 * np.log(tau) - np.log(sigma)
+                + (sigma ** 2 + (post.mu - prior.center) ** 2) * tau / 2.0
+                - 0.5, axis=-1)
+    return kl, k_mu, k_pi
 
 
-def _kl_terms(post: VariationalPosterior, prior: IsotropicPrior,
-              sigma: np.ndarray, sigma_slope: np.ndarray,
-              ) -> tuple[float, np.ndarray, np.ndarray]:
-    """``kl_to_prior`` given sigma = softplus(pi) and its slope sigmoid(pi),
-    so a caller that already holds them computes neither again."""
-    if prior.center.shape[-1:] != post.mu.shape[-1:]:
+def _kl_gradients(mu, sigma, sigma_slope, prior: IsotropicPrior):
+    """``kl_to_prior``'s gradients, given sigma and its slope sigmoid(pi)."""
+    if prior.center.shape[-1:] != mu.shape[-1:]:
         raise ShapeError("prior center dimension mismatch")
     tau = np.asarray(prior.tau, dtype=float)[..., None]
-    diff = post.mu - prior.center
-    log_rho = -0.5 * np.log(tau)
-    kl = np.sum(log_rho - np.log(sigma)
-                + (sigma ** 2 + diff ** 2) * tau / 2.0 - 0.5, axis=-1)
-    d_sigma = -1.0 / sigma + sigma * tau
-    return kl, diff * tau, d_sigma * sigma_slope
+    return (mu - prior.center) * tau, (-1.0 / sigma + sigma * tau) * sigma_slope
 
 
 def mc_objective(post: VariationalPosterior, prior: IsotropicPrior,
@@ -144,25 +143,47 @@ def mc_objective(post: VariationalPosterior, prior: IsotropicPrior,
     callback treats as constant.  Returns the (G,) objectives and their
     (G, d) gradients w.r.t. mu and pi, which flow through the
     reparametrization; each row's K terms are added in the order
-    k = 0..K-1.  This is the function ``fit_posterior`` descends and the one
-    the gradient checks test.
+    k = 0..K-1.  The gradients are ``_gradients``, the step that
+    ``fit_posterior`` descends, so the gradient checks test the fit's step.
     """
     noise = np.asarray(noise, dtype=float)
     if noise.ndim != 3 or noise.shape[::2] != post.mu.shape:
         raise InputError(f"noise shape {noise.shape} does not fit a posterior "
                          f"stack of shape {post.mu.shape}")
-    k = noise.shape[1]
-    if k < 1:
+    if noise.shape[1] < 1:
         raise InputError("at least one MC sample required")
-    sigma, sigma_slope = post.sigma, _sigmoid(post.pi)
-    losses, grads = loss_grad_fn(post.mu[:, None] + sigma[:, None] * noise)
+    losses, d_mu, d_pi = _gradients(post.mu, post.pi, prior, loss_grad_fn,
+                                    noise, value=True)
     loss = 0.0
     for column in losses.T:   # in order: sum(axis=1) pairs from K = 8 on
         loss = loss + column
-    g_pi = grads * noise * sigma_slope[:, None]
-    kl, k_mu, k_pi = _kl_terms(post, prior, sigma, sigma_slope)
-    return (loss / k + kl, grads.sum(axis=1, initial=0.0) / k + k_mu,
+    return loss / noise.shape[1] + kl_to_prior(post, prior)[0], d_mu, d_pi
+
+
+def _gradients(mu, pi, prior: IsotropicPrior, loss_grad_fn: LossGradFn,
+               noise, heads=None, g_pi=None, value: bool = False):
+    """The callback's losses (None unless ``value``) and the objectives' mu
+    and pi gradients; ``heads`` and ``g_pi`` are buffers for the products."""
+    sigma, sigma_slope = softplus(pi), _sigmoid(pi)
+    heads = np.multiply(sigma[:, None], noise, out=heads)
+    heads += mu[:, None]
+    losses, grads = loss_grad_fn(heads, value=value)
+    g_pi = np.multiply(grads, noise, out=g_pi)
+    g_pi *= sigma_slope[:, None]
+    k_mu, k_pi = _kl_gradients(mu, sigma, sigma_slope, prior)
+    k = noise.shape[1]
+    return (losses, grads.sum(axis=1, initial=0.0) / k + k_mu,
             g_pi.sum(axis=1, initial=0.0) / k + k_pi)
+
+
+def _fold_columns(op, a: np.ndarray) -> np.ndarray:
+    """``op`` left to right across a's last axis, faster than a reduction on
+    a few class columns.  On fewer than 8 columns np.add gives the bits of
+    a.sum(axis=-1): numpy's pairwise sum is that chain below 8 terms."""
+    out = a[..., 0].copy()
+    for c in range(1, a.shape[-1]):
+        op(out, a[..., c], out=out)
+    return out
 
 
 def head_loss_closure(features: Sequence[np.ndarray],
@@ -172,20 +193,19 @@ def head_loss_closure(features: Sequence[np.ndarray],
     n_j * f_j scaling of the local objective.
 
     Returns a callback mapping a (G, K, d) stack of flattened heads (weights
-    then biases), K per client, to the (G, K) losses and (G, K, d)
-    gradients.  Each client's two matmuls and bias-gradient sum run on its
-    own rows, exactly as a one-client call would run them; everything else
-    runs once over the clients' rows side by side in two (K, N, C) buffers
-    that are reused from call to call.
+    then biases), K per client, to the (G, K) losses (None if ``value`` is
+    false) and (G, K, d) gradients.  Each client's two matmuls and
+    bias-gradient sum run on its own rows, exactly as a one-client call would
+    run them; everything else runs once over the clients' rows side by side
+    in (K, N, C) buffers reused from call to call.  Labels must lie in [0, C).
     """
     width = features[0].shape[1]
     counts = [len(f) for f in features]
     rows = [slice(end - n, end) for n, end in zip(counts, np.cumsum(counts))]
     labels = np.concatenate(labels).astype(np.intp)
-    picked = (slice(None), np.arange(len(labels)), labels)
     buffers: list[np.ndarray] = []
 
-    def fn(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fn(heads: np.ndarray, value: bool = True):
         classes = unflatten_head(heads[0, 0], width)[1].size   # checks d
         split = classes * width
         g, k, _ = heads.shape
@@ -193,30 +213,35 @@ def head_loss_closure(features: Sequence[np.ndarray],
             raise ShapeError(f"{g} head stacks for {len(rows)} clients")
         shape = (k, len(labels), classes)
         if not buffers or buffers[0].shape != shape:
-            buffers[:] = [np.empty(shape), np.empty(shape)]
-        logits, d_logits = buffers
+            if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
+                raise InputError(f"labels must lie in [0, {classes})")
+            # x - 0.0 == x: the one-hot changes only the picked entries
+            buffers[:] = [np.empty(shape), np.empty(shape),
+                          np.eye(classes)[labels]]
+        logits, d_logits, one_hot = buffers
         w_t = heads[..., :split].reshape(g, k, classes, width).transpose(
             0, 1, 3, 2)
         for r, f, w in zip(rows, features, w_t):
             np.matmul(f, w, out=logits[:, r])
         logits += np.repeat(heads[..., split:].transpose(1, 0, 2), counts,
                             axis=1)
-        # an elementwise chain beats max(axis=2) on a few classes
-        top = logits[..., 0].copy()
-        for c in range(1, classes):
-            np.maximum(top, logits[..., c], out=top)
-        logits -= top[..., None]
-        lse = np.log(np.exp(logits, out=d_logits).sum(axis=2))
+        logits -= _fold_columns(np.maximum, logits)[..., None]
+        np.exp(logits, out=d_logits)
+        lse = np.log(_fold_columns(np.add, d_logits) if classes < 8
+                     else d_logits.sum(axis=2))
         np.exp(np.subtract(logits, lse[..., None], out=d_logits), out=d_logits)
-        d_logits[picked] -= 1.0
-        nll = lse - logits[picked]
-        losses, grads = np.empty((g, k)), np.empty(heads.shape)
+        d_logits -= one_hot
+        grads = np.empty(heads.shape)
         d_w = grads[..., :split].reshape(g, k, classes, width)
-        for r, f, loss, g_w, g_b in zip(rows, features, losses, d_w,
-                                        grads[..., split:]):
-            nll[:, r].sum(axis=1, out=loss)
+        for r, f, g_w, g_b in zip(rows, features, d_w, grads[..., split:]):
             np.matmul(d_logits[:, r].transpose(0, 2, 1), f, out=g_w)
             d_logits[:, r].sum(axis=1, out=g_b)
+        if not value:
+            return None, grads
+        nll = lse - logits[:, np.arange(len(labels)), labels]
+        losses = np.empty((g, k))
+        for r, loss in zip(rows, losses):
+            nll[:, r].sum(axis=1, out=loss)
         return losses, grads
 
     return fn
@@ -228,23 +253,27 @@ GRAD_CLIP = 1e3
 def fit_posterior(post: VariationalPosterior, prior: IsotropicPrior,
                   loss_grad_fn: LossGradFn, steps: int, lr: float, K: int,
                   rngs: Sequence[np.random.Generator]) -> VariationalPosterior:
-    """Gradient descent on ``mc_objective`` for a (G, d) posterior stack.
-
-    Row j draws its (K, d) noise per step from ``rngs[j]``: the same numbers
-    as one (steps, K, d) draw, leaving the stream where that draw leaves it.
-    A row whose joint gradient norm exceeds ``GRAD_CLIP`` is rescaled to
-    that norm; ordinary training never reaches the threshold, it only tames
-    the KL pull when tau sits at its clamp (near-zero posterior variance or
-    near-zero deviation from the prior center).  A non-finite norm or update
-    raises ``PosteriorError`` naming the first such row.
+    """Gradient descent on ``mc_objective``'s gradients, without its value,
+    for a (G, d) posterior stack.  Row j draws its (K, d) noise per step
+    from ``rngs[j]``: the same numbers as one (steps, K, d) draw, leaving
+    the stream where that draw leaves it.  A row whose joint gradient norm
+    exceeds ``GRAD_CLIP`` is rescaled to that norm; ordinary training never
+    reaches the threshold, it only tames the KL pull when tau sits at its
+    clamp (near-zero posterior variance or near-zero deviation from the
+    prior center).  A non-finite norm or update raises ``PosteriorError``
+    naming the first such row.
     """
     if len(rngs) != len(post.mu):
         raise ShapeError(f"{len(rngs)} streams for {len(post.mu)} posteriors")
-    noise = np.empty((len(post.mu), K, post.d))
+    if K < 1:
+        raise InputError("at least one MC sample required")
+    mu, pi = post.mu, post.pi
+    noise, heads, g_pi = np.empty((3, len(mu), K, post.d))
     for _ in range(steps):
         for rng, eps in zip(rngs, noise):
             rng.standard_normal(out=eps)
-        _, d_mu, d_pi = mc_objective(post, prior, loss_grad_fn, noise)
+        _, d_mu, d_pi = _gradients(mu, pi, prior, loss_grad_fn, noise, heads,
+                                   g_pi)
         norm = np.sqrt((d_mu ** 2).sum(axis=1) + (d_pi ** 2).sum(axis=1))
         _check_rows(np.isfinite(norm), "posterior gradient norm is not finite")
         clip = norm > GRAD_CLIP
@@ -252,11 +281,10 @@ def fit_posterior(post: VariationalPosterior, prior: IsotropicPrior,
             scale = GRAD_CLIP / norm[clip, None]
             d_mu[clip] *= scale
             d_pi[clip] *= scale
-        post = VariationalPosterior(post.mu - lr * d_mu, post.pi - lr * d_pi)
-        _check_rows(np.isfinite(post.mu).all(axis=1)
-                    & np.isfinite(post.pi).all(axis=1),
+        mu, pi = mu - lr * d_mu, pi - lr * d_pi
+        _check_rows(np.isfinite(mu).all(axis=1) & np.isfinite(pi).all(axis=1),
                     "posterior update produced non-finite values")
-    return post
+    return VariationalPosterior(mu, pi)
 
 
 def _check_rows(ok: np.ndarray, message: str) -> None:

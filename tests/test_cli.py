@@ -304,6 +304,18 @@ def test_main_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_rejects_duplicate_seeds(tmp_path, capsys):
+    # a repeated seed would rerun it into the same seed<s>.jsonl and put an
+    # SEM over copies of one run in the summary
+    path = smoke_config(tmp_path, replace={"seeds = 0": "seeds = 1,0,1"})
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "seeds: seed 1 appears more than once" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "seeds: seed 1 appears" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_rejects_seed_offset_making_a_seed_negative(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(smoke_config(tmp_path)), "--out",

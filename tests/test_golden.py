@@ -10,6 +10,11 @@ own recording.
 At smoke scale FedProx writes the same report as FedAvg (the proximal pull
 does not change any accuracy), so the FedProx unit tests in
 ``test_baselines.py`` remain the guard on the proximal term itself.
+
+The smoke run has 3 classes, so the head fit is also pinned on its own at
+the benchmarks' 5 and 10 classes: the bytes of the fitted (mu, pi) of a
+stack of clients with uneven row counts (one with none), and of the local
+objective with its gradients.
 """
 
 import hashlib
@@ -20,6 +25,9 @@ import pytest
 
 from fedvem.cli import run_experiment
 from fedvem.config import build_config, parse_kv
+from fedvem.variational import (IsotropicPrior, VariationalPosterior,
+                                fit_posterior, head_loss_closure,
+                                mc_objective)
 
 SMOKE = Path(__file__).resolve().parent.parent / "configs" / "smoke.cfg"
 
@@ -31,6 +39,15 @@ BASELINE_JSONL = {
     "fedavg": "5c90e7c1d3593f39a034c883d2cad237aacde0d5f52edd27c4551c1e789473a3",
     "fedprox": "5c90e7c1d3593f39a034c883d2cad237aacde0d5f52edd27c4551c1e789473a3",
     "local": "a7cb43b08208bdf7fba87e9509a33eb0d05e0bf4540e8938a6338583e48fba16",
+}
+
+HEAD_FIT = {
+    5: "0e79e5440b08b4958567a59120e5eb10b5a9afd3187a9a424fd221674d510ea8",
+    10: "e4861dbca9dbb867ab767fd75ff7c05d4d6a304394c2aaeff33dd0f6be67199a",
+}
+HEAD_OBJECTIVE = {
+    5: "b631d449540e3b46537daceee3aa301ebb31ac156af07fd1473ddc498a1fccca",
+    10: "869c773913d0c43ddf4efae1f85bd8d8c553d3fe6c3d3902275fdc6dbf0c8f84",
 }
 
 
@@ -69,3 +86,39 @@ def test_golden_pfedvem_report_and_checkpoint(tmp_path, workers):
 def test_golden_baseline_reports(tmp_path, scheme, extra):
     out = smoke_run(tmp_path, {"scheme": scheme, **extra})
     assert sha256(out / "seed0.jsonl") == BASELINE_JSONL[scheme], versions()
+
+
+def head_stack(classes: int):
+    """A posterior stack, per-row prior and head-loss closure of seven
+    clients with 8 features and ``classes`` classes."""
+    sizes = [23, 0, 41, 1, 7, 60, 12]
+    width = 8
+    rng = np.random.default_rng(classes)
+    d = classes * (width + 1)
+    feats = [np.maximum(rng.standard_normal((n, width)), 0.0) for n in sizes]
+    labels = [rng.integers(0, classes, size=n) for n in sizes]
+    post = VariationalPosterior(rng.normal(0, 0.5, (len(sizes), d)),
+                                rng.normal(-1, 0.5, (len(sizes), d)))
+    prior = IsotropicPrior(rng.normal(0, 0.5, d),
+                           rng.uniform(0.5, 5.0, len(sizes)))
+    return post, prior, head_loss_closure(feats, labels)
+
+
+@pytest.mark.parametrize("classes", [5, 10])
+def test_golden_head_fit(classes):
+    post, prior, closure = head_stack(classes)
+    rngs = [np.random.default_rng([classes, j]) for j in range(len(post.mu))]
+    out = fit_posterior(post, prior, closure, steps=20, lr=0.01, K=5,
+                        rngs=rngs)
+    digest = hashlib.sha256(out.mu.tobytes() + out.pi.tobytes()).hexdigest()
+    assert digest == HEAD_FIT[classes], versions()
+
+
+@pytest.mark.parametrize("classes", [5, 10])
+def test_golden_head_objective(classes):
+    post, prior, closure = head_stack(classes)
+    noise = np.random.default_rng(classes + 1).standard_normal(
+        (len(post.mu), 5, post.d))
+    out = mc_objective(post, prior, closure, noise)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()
+    assert digest == HEAD_OBJECTIVE[classes], versions()

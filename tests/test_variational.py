@@ -195,6 +195,26 @@ def test_head_loss_closure_stack_rows_match_single_heads():
         assert rel_err(grad, expected) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_head_loss_closure_rejects_labels_out_of_range(bad):
+    # -1 would index the last class and 3 would raise a bare IndexError
+    params, x, y, post, _, _ = toy_problem(seed=5)
+    labels = y.copy()
+    labels[4] = bad
+    closure = head_loss_closure([forward_base(params.base, x)], [labels])
+    with pytest.raises(InputError, match=r"\[0, 3\)"):
+        closure(post.mu[None, None, :])
+
+
+@pytest.mark.parametrize("classes", range(1, 8))
+def test_class_column_chain_equals_numpy_sum(classes):
+    # the closure's class-column chain relies on numpy summing fewer than 8
+    # terms left to right; a numpy that sums otherwise fails here
+    a = np.exp(np.random.default_rng(classes).normal(0, 3, (5, 301, classes)))
+    np.testing.assert_array_equal(variational._fold_columns(np.add, a),
+                                  a.sum(axis=-1))
+
+
 def test_mc_local_loss_degenerate_posterior():
     params, x, y, post, prior, closure = toy_problem()
     post = VariationalPosterior(mu=post.mu, pi=np.full(post.d, -40.0))
@@ -386,8 +406,8 @@ def test_fit_posterior_pure_kl_step():
     prior = IsotropicPrior(center=np.zeros(d), tau=3.0)
     eta = 0.05
     out = fit_posterior(stack(post), prior,
-                        lambda heads: (np.zeros(heads.shape[:2]),
-                                       np.zeros_like(heads)),
+                        lambda heads, value: (np.zeros(heads.shape[:2]),
+                                              np.zeros_like(heads)),
                         steps=1, lr=eta, K=1, rngs=[np.random.default_rng(0)])
     np.testing.assert_allclose(out.mu[0], post.mu - eta * post.mu * 3.0,
                                atol=1e-15)
@@ -426,11 +446,13 @@ def test_fit_posterior_draws_each_rows_noise_from_its_stream(monkeypatch):
     steps, K = 4, 2
     seen = []
 
-    def recording(post, prior, fn, noise):
-        seen.append(noise.copy())
-        return mc_objective(post, prior, fn, noise)
+    gradients = variational._gradients
 
-    monkeypatch.setattr(variational, "mc_objective", recording)
+    def recording(mu, pi, prior, fn, noise, *args, **kwargs):
+        seen.append(noise.copy())
+        return gradients(mu, pi, prior, fn, noise, *args, **kwargs)
+
+    monkeypatch.setattr(variational, "_gradients", recording)
     rngs = [np.random.default_rng(s) for s in (3, 4, 5)]
     fit_posterior(post, prior, head_loss_closure(feats, labels), steps=steps,
                   lr=0.01, K=K, rngs=rngs)
@@ -449,7 +471,7 @@ def test_fit_posterior_clip_fires_for_one_row_only():
     prior = IsotropicPrior(center=np.zeros(3), tau=np.array([1.0, 2.0]))
     scale = np.array([1e100, 1.0])
 
-    def constant(heads):
+    def constant(heads, value):
         return (np.zeros(heads.shape[:2]),
                 np.broadcast_to(scale[:, None, None], heads.shape).copy())
 
@@ -474,8 +496,8 @@ def fit_on_constant_gradient(scale):
     with np.errstate(over="ignore"):
         out = fit_posterior(
             stack(post), prior,
-            lambda heads: (np.zeros(heads.shape[:2]),
-                           np.full(heads.shape, scale)),
+            lambda heads, value: (np.zeros(heads.shape[:2]),
+                                  np.full(heads.shape, scale)),
             steps=1, lr=0.01, K=1, rngs=[np.random.default_rng(0)])
     return np.concatenate([out.mu[0] - post.mu, out.pi[0] - post.pi])
 
@@ -499,8 +521,8 @@ def test_fit_posterior_failure_names_first_failing_row():
     with np.errstate(over="ignore"), pytest.raises(PosteriorError,
                                                    match="norm") as info:
         fit_posterior(post, prior,
-                      lambda heads: (np.zeros(heads.shape[:2]),
-                                     scale[:, None, None] + 0 * heads),
+                      lambda heads, value: (np.zeros(heads.shape[:2]),
+                                            scale[:, None, None] + 0 * heads),
                       steps=1, lr=0.01, K=1,
                       rngs=[np.random.default_rng(j) for j in range(4)])
     assert info.value.row == 2
@@ -514,7 +536,7 @@ def test_fit_posterior_recovers_conjugate_gaussian_mean():
     post = posterior([0.0], 1.0)
     prior = IsotropicPrior(center=np.array([center]), tau=tau)
 
-    def quad(heads):
+    def quad(heads, value):
         w = heads[..., 0]
         return n * a / 2 * (w - b) ** 2, (n * a * (w - b))[..., None]
 
@@ -535,7 +557,7 @@ def test_fit_posterior_recovers_conjugate_gaussian_variance():
     post = posterior(np.zeros(d), 1.0)
     prior = IsotropicPrior(center=np.full(d, center), tau=tau)
 
-    def quad(heads):
+    def quad(heads, value):
         return n * a / 2 * ((heads - b) ** 2).sum(axis=-1), n * a * (heads - b)
 
     rng = np.random.default_rng(0)
