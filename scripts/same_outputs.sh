@@ -1,14 +1,15 @@
 #!/bin/sh
 # Byte-identity check against another revision: exports REV with
-# `git archive`, runs the same three configs under REV and under this
+# `git archive`, runs the same six configs under REV and under this
 # working tree, and fails unless every output file (per-seed JSONL, client
 # CSV, summary, every checkpoint) is byte-identical.
 #   - the smoke config (3 classes, 23 clients) on one worker;
 #   - a 5-class concept_drift config, seeds 0-2, on one worker;
-#   - a 10-class label_skew config, seeds 0-2, on a two-worker pool.
-# Each writes a checkpoint every round.  The configs are generated with sed
-# from the shipped ones, with few rounds and points so the check takes
-# seconds.  Usage: scripts/same_outputs.sh REV
+#   - a 10-class label_skew config, seeds 0-2, on a two-worker pool;
+#   - the smoke config under fedavg, fedprox and local, seeds 0-2.
+# The pFedVEM runs write a checkpoint every round.  The configs are
+# generated with sed from the shipped ones, with few rounds and points so
+# the check takes seconds.  Usage: scripts/same_outputs.sh REV
 set -e
 if [ $# -ne 1 ]; then
     echo "usage: $0 REV" >&2
@@ -39,10 +40,14 @@ git archive "$1" | tar -x -C "$tmp/rev"
       -e 's/^seeds = .*/seeds = 0,1,2/' configs/synth_conceptdrift.cfg
   echo "partition.labels_per_client = 5"
   echo "checkpoint_every = 1"; } > "$tmp/cfg/skew10.cfg"
+for scheme in fedavg fedprox local; do
+    sed -e "s/^scheme = .*/scheme = $scheme/" -e 's/^seeds = .*/seeds = 0,1,2/' \
+        configs/smoke.cfg > "$tmp/cfg/$scheme.cfg"
+done
 
 for tree in "$tmp/rev" "$here"; do
     side=$( [ "$tree" = "$here" ] && echo here || echo rev )
-    for run in smoke:1 drift5:1 skew10:2; do
+    for run in smoke:1 drift5:1 skew10:2 fedavg:1 fedprox:1 local:1; do
         name=${run%:*}
         (cd "$tree" && PYTHONPATH=src python -m fedvem.cli run \
             --config "$tmp/cfg/$name.cfg" --workers "${run#*:}" \

@@ -8,6 +8,7 @@ comparisons isolate the objective and aggregation differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -108,9 +109,15 @@ def _gm_report(t: int, params: MlpParams, clients_xy, test_ds: Dataset,
     client j's PM accuracy is the hit rate on ``pm_idx[j]``."""
     hits = forward(params, test_ds.images).argmax(axis=1) == test_ds.labels
     pm = [float(hits[idx].mean()) if len(idx) else None for idx in pm_idx]
+    return _report(t, float(hits.mean()), pm, clients_xy, reporter_count)
+
+
+def _report(t: int, gm: float, pm: list[float | None], clients_xy,
+            reporter_count: int) -> metrics.RoundReport:
+    """A baseline's round report: uniform confidence ratios, no deviations."""
     J = len(clients_xy)
     return metrics.RoundReport(
-        round=t, gm_accuracy=float(hits.mean()),
+        round=t, gm_accuracy=gm,
         client_ids=list(range(J)),
         client_sizes=[len(x) for x, _ in clients_xy],
         pm_accuracies=pm,
@@ -122,9 +129,10 @@ def _gm_report(t: int, params: MlpParams, clients_xy, test_ds: Dataset,
 
 
 def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
-                 train_ds: Dataset, test_ds: Dataset,
-                 partition: Partition) -> list[metrics.RoundReport]:
-    """Run a baseline end to end and return per-round reports.
+                 train_ds: Dataset, test_ds: Dataset, partition: Partition,
+                 on_round: Callable[[metrics.RoundReport], None]) -> None:
+    """Run a baseline end to end, handing each round's report to
+    ``on_round`` as the round ends.
 
     ``cfg`` supplies the rounds ``T``, the reporting probability ``s``, the
     seed and the hidden widths, as for pFedVEM; ``bl`` the local SGD.
@@ -157,23 +165,13 @@ def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
             pm.append(metrics.accuracy(model, test_ds.images[idx],
                                        test_ds.labels[idx])
                       if len(idx) else None)
-        J = len(clients_xy)
-        report = metrics.RoundReport(
-            round=0, gm_accuracy=float("nan"),
-            client_ids=list(range(J)),
-            client_sizes=[len(x) for x, _ in clients_xy],
-            pm_accuracies=pm,
-            confidence_ratios=[1.0 / J] * J,
-            model_deviations=[0.0] * J,
-            reporter_count=0, no_reporters=True)
-        return [report]
+        on_round(_report(0, float("nan"), pm, clients_xy, 0))
+        return
 
     if scheme == "fedavg":
         bl = replace(bl, mu_prox=0.0)
     params = params0
-    reports = []
     for t in range(cfg.T):
         params, reporter_count = fedavg_round(params, clients_xy, cfg, bl, t)
-        reports.append(_gm_report(t, params, clients_xy, test_ds, pm_idx,
-                                  reporter_count))
-    return reports
+        on_round(_gm_report(t, params, clients_xy, test_ds, pm_idx,
+                            reporter_count))

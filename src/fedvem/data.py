@@ -10,6 +10,7 @@ functions of (spec, seed).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -92,33 +93,31 @@ class Partition:
             raise InputError("partition contains an empty client")
 
 
+def _read_idx(path, magic: int, dims: int) -> tuple[bytes, list[int]]:
+    """An IDX file's bytes and its ``dims`` sizes, once its magic and its
+    length match the header."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    header = 4 + 4 * dims
+    if len(raw) < header:
+        raise FormatError(f"{path}: truncated header at byte {len(raw)}")
+    found, *shape = struct.unpack(f">{1 + dims}I", raw[:header])
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found:#010x} at byte 0")
+    expected = header + math.prod(shape)
+    if len(raw) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, "
+                          f"truncated at byte {len(raw)}")
+    return raw, shape
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse the big-endian IDX pair (images + labels), scaling pixels by 1/255."""
-    with open(images_path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise FormatError(f"{images_path}: truncated header at byte {len(raw)}")
-    magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"{images_path}: bad magic {magic:#010x} at byte 0")
-    expected = 16 + n * rows * cols
-    if len(raw) != expected:
-        raise FormatError(f"{images_path}: expected {expected} bytes, "
-                          f"truncated at byte {len(raw)}")
+    raw, (n, rows, cols) = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
     # one float64 allocation, whether or not numpy elides a temporary
     images = np.divide(np.frombuffer(raw, dtype=np.uint8, offset=16),
                        255.0, dtype=float).reshape(n, rows * cols)
-
-    with open(labels_path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 8:
-        raise FormatError(f"{labels_path}: truncated header at byte {len(raw)}")
-    magic, n_lab = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABEL_MAGIC:
-        raise FormatError(f"{labels_path}: bad magic {magic:#010x} at byte 0")
-    if len(raw) != 8 + n_lab:
-        raise FormatError(f"{labels_path}: expected {8 + n_lab} bytes, "
-                          f"truncated at byte {len(raw)}")
+    raw, (n_lab,) = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     labels = np.frombuffer(raw, dtype=np.uint8, offset=8).astype(int)
     if n_lab != n:
         raise FormatError(f"{labels_path}: {n_lab} labels for {n} images")

@@ -370,34 +370,33 @@ def _round_report(globals_: GlobalState, clients: list[ClientState],
 
 
 def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
-                 partition: Partition, workers: int = 1,
-                 on_round: Callable[[GlobalState, list[ClientState]], None]
-                 | None = None,
-                 ) -> tuple[GlobalState, list[ClientState], list[metrics.RoundReport]]:
-    """Full T-round protocol with per-round evaluation.
+                 partition: Partition,
+                 on_round: Callable[[metrics.RoundReport, GlobalState,
+                                     list[ClientState]], None],
+                 workers: int = 1) -> tuple[GlobalState, list[ClientState]]:
+    """Full T-round protocol with per-round evaluation; returns the final
+    state and clients.
 
-    ``on_round(globals_, clients)`` runs after every round's report, e.g.
-    to write a checkpoint.
+    ``on_round(report, globals_, clients)`` receives every round's report
+    and state as the round ends, e.g. to write it out or checkpoint.
     """
     bad = cfg.violations()
     if bad:
         raise InputError("; ".join(bad))
     globals_, clients, rows = init_state(cfg, train_ds, partition)
     pm_idx = [pm_test_indices(partition, test_ds, c.id) for c in clients]
-    reports: list[metrics.RoundReport] = []
     pool = client_pool(rows, workers) if workers > 1 else None
     try:
         for _ in range(cfg.T):
             globals_, clients, reporters = run_round(globals_, clients, rows,
                                                      cfg, pool)
-            reports.append(_round_report(globals_, clients, partition.sizes,
-                                         test_ds, pm_idx, reporters))
-            if on_round is not None:
-                on_round(globals_, clients)
+            on_round(_round_report(globals_, clients, partition.sizes,
+                                   test_ds, pm_idx, reporters),
+                     globals_, clients)
     finally:
         if pool is not None:
             pool.shutdown()
-    return globals_, clients, reports
+    return globals_, clients
 
 
 def write_checkpoint(path, globals_: GlobalState,

@@ -70,13 +70,20 @@ def sem(values) -> float:
     return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
+def append_record(f, record: dict) -> None:
+    """Append one JSON line to the open text file ``f`` and flush it, so a
+    run that stops leaves only whole records behind."""
+    f.write(json.dumps(record) + "\n")
+    f.flush()
+
+
 def write_report(reports: list[RoundReport], path, summary: dict | None = None) -> None:
     """One JSON record per round, optionally followed by a summary record."""
     with open(path, "w") as f:
         for rep in reports:
-            f.write(json.dumps(rep.to_record()) + "\n")
+            append_record(f, rep.to_record())
         if summary is not None:
-            f.write(json.dumps({"type": "summary", **summary}) + "\n")
+            append_record(f, {"type": "summary", **summary})
 
 
 def read_report(path) -> tuple[list[RoundReport], list[dict]]:

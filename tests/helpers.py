@@ -1,10 +1,30 @@
-"""Shared test utilities: finite differences, golden-section search, flattening."""
+"""Shared test utilities: finite differences, golden-section search,
+flattening, and the reports a run hands to its ``on_round``."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from fedvem.baselines import run_baseline
+from fedvem.federation import run_training
 from fedvem.nn import MlpParams
+
+
+def training_reports(cfg, train, test, partition, workers=1):
+    """``run_training``'s final state and clients, and every report it
+    handed to ``on_round``, in round order."""
+    reports = []
+    gs, clients = run_training(cfg, train, test, partition,
+                               lambda report, *_: reports.append(report),
+                               workers=workers)
+    return gs, clients, reports
+
+
+def baseline_reports(scheme, cfg, bl, train, test, partition):
+    """Every report ``run_baseline`` handed to ``on_round``, in round order."""
+    reports = []
+    run_baseline(scheme, cfg, bl, train, test, partition, reports.append)
+    return reports
 
 
 def central_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -14,17 +14,18 @@ import numpy as np
 import pytest
 
 from fedvem import federation, rng as rng_mod
-from fedvem.baselines import BaselineConfig, proximal_grads, run_baseline
+from fedvem.baselines import BaselineConfig, proximal_grads
 from fedvem.data import (Dataset, PartitionSpec, SynthSpec, load_idx,
                          make_partition, slice_sizes, synth_pair)
-from fedvem.federation import TrainConfig, run_training, select_reporters
+from fedvem.federation import TrainConfig, select_reporters
 from fedvem.metrics import sem, write_report
 from fedvem.nn import backward, cross_entropy, forward, forward_base, init_mlp
 from fedvem.variational import (IsotropicPrior, VariationalPosterior,
                                 confidence, head_loss_closure, kl_to_prior,
                                 mc_objective)
 
-from helpers import central_diff, flatten_params, golden_max, rel_err, unflatten_params
+from helpers import (baseline_reports, central_diff, flatten_params, golden_max,
+                     rel_err, training_reports, unflatten_params)
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -239,7 +240,7 @@ def run_pfedvem_seed(seed, mode="full"):
     cfg = TrainConfig(T=50, R=10, K=5, eta=0.01, base_lr=0.01, base_epochs=5,
                       base_batch=50, s=0.1, rho0_sq=0.1, seed=seed,
                       hidden=HIDDEN, confidence_mode=mode)
-    _, _, reports = run_training(cfg, train, test, part)
+    _, _, reports = training_reports(cfg, train, test, part)
     return reports[-1].mean_pm()
 
 
@@ -250,7 +251,7 @@ def run_baseline_seed(seed, scheme):
         bl = BaselineConfig(lr=0.01, epochs=20, batch=50)
     else:
         bl = BaselineConfig(lr=0.01, epochs=5, batch=50)
-    reports = run_baseline(scheme, cfg, bl, train, test, part)
+    reports = baseline_reports(scheme, cfg, bl, train, test, part)
     return reports[-1].mean_pm()
 
 
@@ -327,16 +328,16 @@ def test_criterion_6_fmnist_table():
         cfg = TrainConfig(T=100, R=10, K=5, eta=0.001, base_lr=0.01,
                           base_epochs=5, base_batch=50, s=0.1, rho0_sq=0.1,
                           seed=seed, hidden=(100,))
-        _, _, reports = run_training(cfg, train, test, part)
+        _, _, reports = training_reports(cfg, train, test, part)
         pm_vals.append(reports[-1].mean_pm())
         gm_vals.append(reports[-1].gm_accuracy)
-        fa = run_baseline("fedavg", cfg,
-                          BaselineConfig(lr=0.01, epochs=5, batch=50),
-                          train, test, part)
+        fa = baseline_reports("fedavg", cfg,
+                              BaselineConfig(lr=0.01, epochs=5, batch=50),
+                              train, test, part)
         fa_gm.append(fa[-1].gm_accuracy)
-        lo = run_baseline("local", cfg,
-                          BaselineConfig(lr=0.01, epochs=20, batch=50),
-                          train, test, part)
+        lo = baseline_reports("local", cfg,
+                              BaselineConfig(lr=0.01, epochs=20, batch=50),
+                              train, test, part)
         local_pm.append(lo[-1].mean_pm())
 
     pm, fa, lp = (float(np.mean(v)) for v in (pm_vals, fa_gm, local_pm))
@@ -367,9 +368,9 @@ def test_criterion_8_determinism_and_payload(tmp_path, monkeypatch):
         return sent[-1][0]
 
     monkeypatch.setattr(federation, "serialize_upload", serialize_upload)
-    gs1, clients1, rep1 = run_training(cfg, train, test, part, workers=1)
+    gs1, clients1, rep1 = training_reports(cfg, train, test, part, workers=1)
     sent1 = list(sent)
-    gs2, _, rep2 = run_training(cfg, train, test, part, workers=2)
+    gs2, _, rep2 = training_reports(cfg, train, test, part, workers=2)
     write_report(rep1, tmp_path / "w1.jsonl")
     write_report(rep2, tmp_path / "w2.jsonl")
     identical = (tmp_path / "w1.jsonl").read_bytes() == (tmp_path / "w2.jsonl").read_bytes()

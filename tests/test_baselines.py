@@ -5,12 +5,13 @@ import pytest
 
 from fedvem import rng as rng_mod
 from fedvem.baselines import (BaselineConfig, fedavg_round, local_train,
-                              proximal_grads, run_baseline)
+                              proximal_grads)
 from fedvem.data import PartitionSpec, SynthSpec, make_partition, synth_pair
 from fedvem.federation import TrainConfig, select_reporters
 from fedvem.nn import InputError, MlpParams, init_mlp
 
-from helpers import central_diff, flatten_params, rel_err, unflatten_params
+from helpers import (baseline_reports, central_diff, flatten_params, rel_err,
+                     unflatten_params)
 
 
 def tiny_problem(clients=3, seed=0):
@@ -152,9 +153,9 @@ def test_reporter_draws_match_federated_stream():
 
 def test_run_baseline_local_single_report():
     train, test, part = tiny_problem()
-    reports = run_baseline("local", TrainConfig(hidden=(5,), seed=0),
-                           BaselineConfig(lr=0.1, epochs=40, batch=16),
-                           train, test, part)
+    reports = baseline_reports("local", TrainConfig(hidden=(5,), seed=0),
+                               BaselineConfig(lr=0.1, epochs=40, batch=16),
+                               train, test, part)
     assert len(reports) == 1
     assert math.isnan(reports[0].gm_accuracy)
     assert reports[0].mean_pm() > 0.5
@@ -162,10 +163,10 @@ def test_run_baseline_local_single_report():
 
 def test_run_baseline_fedavg_improves():
     train, test, part = tiny_problem()
-    reports = run_baseline("fedavg",
-                           TrainConfig(T=15, s=1.0, hidden=(5,), seed=0),
-                           BaselineConfig(lr=0.05, epochs=3, batch=16),
-                           train, test, part)
+    reports = baseline_reports("fedavg",
+                               TrainConfig(T=15, s=1.0, hidden=(5,), seed=0),
+                               BaselineConfig(lr=0.05, epochs=3, batch=16),
+                               train, test, part)
     assert len(reports) == 15
     assert reports[-1].gm_accuracy > reports[0].gm_accuracy
     assert reports[-1].gm_accuracy > 0.5
@@ -175,18 +176,19 @@ def test_run_baseline_is_deterministic():
     train, test, part = tiny_problem()
     cfg = TrainConfig(T=3, s=0.5, hidden=(5,), seed=4)
     bl = BaselineConfig(lr=0.05, epochs=2, batch=16)
-    r1 = run_baseline("fedavg", cfg, bl, train, test, part)
-    r2 = run_baseline("fedavg", cfg, bl, train, test, part)
+    r1 = baseline_reports("fedavg", cfg, bl, train, test, part)
+    r2 = baseline_reports("fedavg", cfg, bl, train, test, part)
     assert [r.to_record() for r in r1] == [r.to_record() for r in r2]
 
 
 def test_run_baseline_rejects_bad_config():
     train, test, part = tiny_problem()
     with pytest.raises(InputError, match="scheme: unknown"):
-        run_baseline("sgd", TrainConfig(), BaselineConfig(), train, test, part)
+        baseline_reports("sgd", TrainConfig(), BaselineConfig(), train, test,
+                         part)
     with pytest.raises(InputError, match="baseline.mu_prox"):
-        run_baseline("fedprox", TrainConfig(), BaselineConfig(), train, test,
-                     part)
+        baseline_reports("fedprox", TrainConfig(), BaselineConfig(), train,
+                         test, part)
     with pytest.raises(InputError, match="TrainConfig.T"):
-        run_baseline("fedavg", TrainConfig(T=-3), BaselineConfig(), train,
-                     test, part)
+        baseline_reports("fedavg", TrainConfig(T=-3), BaselineConfig(), train,
+                         test, part)

@@ -1,9 +1,13 @@
-"""The benchmark's tracer (``perfbench/tracing.py``) wraps fedvem functions by
-module and name, so renaming one breaks ``perfbench/run.py --trace 1``."""
+"""The benchmark (``perfbench/``) wraps fedvem functions by module and name
+and reads their arguments, so renaming one or changing its shape breaks
+``perfbench/run.py``."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from fedvem import baselines, federation, metrics
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -21,3 +25,18 @@ def test_tracer_entry_points_resolve():
     # the tracer swaps the pool class where run_training looks it up
     assert hasattr(importlib.import_module("fedvem.federation"),
                    "ProcessPoolExecutor")
+
+
+def test_timed_loops_are_plain_functions():
+    # perfbench/seed_run.py clocks a seed's round loop from the first
+    # run_round/fedavg_round call to run_training/run_baseline's return; a
+    # generator would return before its first round
+    for fn in (federation.run_training, federation.run_round,
+               baselines.run_baseline, baselines.fedavg_round):
+        assert not inspect.isgeneratorfunction(fn), fn.__name__
+
+
+def test_write_report_takes_the_path_second():
+    # the tracer counts metrics.write_report.bytes by the size of args[1]
+    params = list(inspect.signature(metrics.write_report).parameters)
+    assert params[1] == "path"

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import signal
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -136,14 +138,6 @@ def test_run_experiment_writes_reports_and_summary(tmp_path):
     assert summary["seeds"] == [0]
 
 
-def test_run_experiment_seed_offset(tmp_path):
-    cfg = load_config(smoke_config(tmp_path))
-    out = tmp_path / "reports"
-    summary = run_experiment(cfg, out=str(out), seed_offset=10)
-    assert summary["seeds"] == [10]
-    assert (out / "seed10.jsonl").exists()
-
-
 def test_run_experiment_checkpoints(tmp_path):
     cfg = load_config(smoke_config(tmp_path, extra="checkpoint_every = 1\n"))
     out = tmp_path / "reports"
@@ -172,6 +166,100 @@ def test_run_experiment_baseline_makes_no_checkpoint_dir(tmp_path):
     assert not (out / "checkpoints_seed0").exists()
 
 
+class Interrupted(Exception):
+    """Raised from a patched round function to stop a seed mid-run."""
+
+
+def interrupt_config(tmp_path, scheme):
+    # four rounds, a checkpoint after every second one
+    return load_config(smoke_config(
+        tmp_path, extra="checkpoint_every = 2\n",
+        replace={"train.T = 2": "train.T = 4",
+                 "scheme = pfedvem": f"scheme = {scheme}"}))
+
+
+def assert_whole_rounds(whole, cut, k):
+    """``cut`` holds what seed 0 of ``whole`` wrote by the end of round k:
+    its first k + 1 records, the checkpoints up to then, and nothing else."""
+    lines = (whole / "seed0.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(lines) > k + 1
+    assert (cut / "seed0.jsonl").read_bytes() == b"".join(lines[:k + 1])
+    assert not (cut / "seed0_clients.csv").exists()
+    assert not (cut / "summary.jsonl").exists()
+    if (whole / "checkpoints_seed0").exists():
+        names = sorted(p.name for p in (cut / "checkpoints_seed0").iterdir())
+        assert names == [f"round{t:04d}.fvem" for t in range(2, k + 2, 2)]
+        for name in names:
+            assert ((cut / "checkpoints_seed0" / name).read_bytes()
+                    == (whole / "checkpoints_seed0" / name).read_bytes())
+    else:
+        assert not (cut / "checkpoints_seed0").exists()
+
+
+# rounds 0..k finish; k = 1 ends on the checkpoint interval, k = 2 off it
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("scheme", ["pfedvem", "fedavg"])
+def test_interrupted_seed_leaves_whole_records(tmp_path, monkeypatch, scheme,
+                                               k):
+    cfg = interrupt_config(tmp_path, scheme)
+    run_experiment(cfg, out=str(tmp_path / "whole"))
+    real_run_round, real_fedavg_round = federation.run_round, \
+        baselines.fedavg_round
+
+    def run_round(globals_, *args):
+        if globals_.t == k + 1:
+            raise Interrupted
+        return real_run_round(globals_, *args)
+
+    def fedavg_round(*args):
+        if args[-1] == k + 1:
+            raise Interrupted
+        return real_fedavg_round(*args)
+
+    monkeypatch.setattr(federation, "run_round", run_round)
+    monkeypatch.setattr(baselines, "fedavg_round", fedavg_round)
+    with pytest.raises(Interrupted):
+        run_experiment(cfg, out=str(tmp_path / "cut"))
+    assert_whole_rounds(tmp_path / "whole", tmp_path / "cut", k)
+
+
+# The CLI entry with run_round patched to SIGKILL the run and its pool
+# workers as round argv[1] begins; the run must lead its process group.
+KILL_AT_ROUND = """\
+import os, signal, sys
+from fedvem import federation
+from fedvem.cli import main
+
+kill_round = int(sys.argv.pop(1))
+real_run_round = federation.run_round
+
+
+def run_round(globals_, *args):
+    if globals_.t == kill_round:
+        os.killpg(os.getpid(), signal.SIGKILL)
+    return real_run_round(globals_, *args)
+
+
+federation.run_round = run_round
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_killed_run_leaves_whole_records(tmp_path, k):
+    cfg = interrupt_config(tmp_path, "pfedvem")
+    run_experiment(cfg, out=str(tmp_path / "whole"))
+    env = dict(os.environ, PYTHONPATH=str(Path(fedvem.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", KILL_AT_ROUND, str(k + 1), "run", "--config",
+         str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "cut"),
+         "--workers", "2"],
+        capture_output=True, text=True, env=env, timeout=300,
+        start_new_session=True)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert_whole_rounds(tmp_path / "whole", tmp_path / "cut", k)
+
+
 @pytest.mark.parametrize("scheme", ["pfedvem", "fedavg"])
 def test_run_seed_clients_view_one_grouped_training_set(tmp_path, monkeypatch,
                                                         scheme):
@@ -191,7 +279,7 @@ def test_run_seed_clients_view_one_grouped_training_set(tmp_path, monkeypatch,
     monkeypatch.setattr(baselines, "fedavg_round", fedavg_round)
     cfg = load_config(smoke_config(
         tmp_path, replace={"scheme = pfedvem": f"scheme = {scheme}"}))
-    run_seed(cfg, 0)
+    run_seed(cfg, 0, str(tmp_path))
     xs, ys = zip(*seen["rows"])
     images, labels = xs[0].base, ys[0].base
     assert images is not None and labels is not None
@@ -206,7 +294,7 @@ def test_run_seed_leaves_config_seeds_alone(tmp_path, scheme):
     sections = (cfg.synth, cfg.partition, cfg.train)
     before = [sec.seed for sec in sections]
     assert 3 not in before
-    run_seed(cfg, 3)
+    run_seed(cfg, 3, str(tmp_path))
     assert [sec.seed for sec in sections] == before
 
 
@@ -281,7 +369,7 @@ def test_run_seed_proximal_term_follows_scheme(tmp_path, monkeypatch, scheme,
         tmp_path, extra="baseline.mu_prox = 0.1\n",
         replace={"scheme = pfedvem": f"scheme = {scheme}"}))
     assert validate(cfg) == []
-    run_seed(cfg, 0)
+    run_seed(cfg, 0, str(tmp_path))
     assert bool(calls) == reached
 
 
@@ -313,14 +401,6 @@ def test_main_rejects_duplicate_seeds(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert "seeds: seed 1 appears" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_main_rejects_seed_offset_making_a_seed_negative(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(smoke_config(tmp_path)), "--out",
-                 str(out), "--seed-offset", "-5"]) == 2
-    assert "--seed-offset: makes seed -5 negative" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -405,6 +485,33 @@ def test_main_broken_pool_names_round(tmp_path, capsys, monkeypatch):
                  str(tmp_path / "out"), "--workers", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("runtime failure: round 1: worker pool failed: "), err
+
+
+@pytest.mark.parametrize("cut,message", [
+    ("img", "img: expected 56 bytes, truncated at byte 36"),
+    ("lab", "lab: expected 10 bytes, truncated at byte 9"),
+])
+def test_main_truncated_idx_file_exits_two(tmp_path, capsys, cut, message):
+    # one 5x8 image of 40 bytes and 2 labels for 2 images
+    files = {"img": struct.pack(">IIII", 0x803, 1, 5, 8) + bytes(40),
+             "lab": struct.pack(">II", 0x801, 2) + bytes([0, 1])}
+    files[cut] = files[cut][:-20 if cut == "img" else -1]
+    for name, raw in files.items():
+        (tmp_path / name).write_bytes(raw)
+    path = tmp_path / "idx.cfg"
+    path.write_text(
+        "dataset.kind = fmnist\n"
+        + "".join(f"dataset.{split}_{kind} = {tmp_path / name}\n"
+                  for split in ("train", "test")
+                  for kind, name in (("images", "img"), ("labels", "lab")))
+        + "partition.scenario = iid_equal\npartition.clients = 1\n"
+          "model.hidden = 2\ntrain.T = 1\nseeds = 0\n")
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{tmp_path / message}\n", err
 
 
 def test_main_missing_config_file(tmp_path, capsys):

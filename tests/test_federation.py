@@ -26,6 +26,8 @@ from fedvem.federation import (HEAD_GROUP, ClientState, GlobalState,
 from fedvem.nn import InputError
 from fedvem.variational import VariationalPosterior, confidence
 
+from helpers import training_reports
+
 
 def tiny_problem(clients=3, seed=0):
     spec = SynthSpec(classes=3, subclasses_per_class=2, dim=6,
@@ -408,8 +410,8 @@ def test_pool_sends_one_job_per_head_group_in_client_order(monkeypatch):
 
     # run_training starts its pool through the module's name
     monkeypatch.setattr(federation, "ProcessPoolExecutor", recording_pool)
-    _, _, pooled = run_training(cfg, train, test, part, workers=2)
-    _, _, serial = run_training(cfg, train, test, part, workers=1)
+    _, _, pooled = training_reports(cfg, train, test, part, workers=2)
+    _, _, serial = training_reports(cfg, train, test, part, workers=1)
     assert [r.to_record() for r in pooled] == [r.to_record() for r in serial]
     [pool] = pools
     # one job per head group, the clients in order
@@ -432,7 +434,8 @@ def test_run_training_spawned_workers_get_the_rows():
         "import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
         "sys.path.insert(0, sys.argv[1]); import test_federation as t; "
         "problem = t.tiny_problem(clients=5); cfg = t.tiny_config(s=0.5); "
-        "runs = [t.run_training(cfg, *problem, workers=w)[2] for w in (1, 2)]; "
+        "runs = [t.training_reports(cfg, *problem, workers=w)[2] "
+        "for w in (1, 2)]; "
         "records = [[r.to_record() for r in run] for run in runs]; "
         "assert records[0] == records[1], records; print('same')")
     env = dict(os.environ, PYTHONPATH=str(Path(fedvem.__file__).parents[1]))
@@ -521,7 +524,7 @@ def test_run_round_worker_dying_in_a_later_group_names_round(monkeypatch):
 def test_run_training_produces_per_round_reports():
     train, test, part = tiny_problem()
     cfg = tiny_config(T=3, s=1.0)
-    gs, clients, reports = run_training(cfg, train, test, part)
+    gs, clients, reports = training_reports(cfg, train, test, part)
     assert gs.t == 3
     assert [r.round for r in reports] == [0, 1, 2]
     for r in reports:
@@ -534,7 +537,7 @@ def test_run_training_produces_per_round_reports():
 def test_run_training_rejects_invalid_config():
     train, test, part = tiny_problem()
     with pytest.raises(InputError, match="TrainConfig.s"):
-        run_training(tiny_config(s=0.0), train, test, part)
+        training_reports(tiny_config(s=0.0), train, test, part)
 
 
 @pytest.mark.parametrize("clients,s", [(3, 1.0), (2 * HEAD_GROUP + 3, 0.3)])
@@ -545,8 +548,10 @@ def test_run_training_worker_count_invariance(clients, s):
     assert jobs >= 2 if clients > HEAD_GROUP else jobs == 1
     train, test, part = tiny_problem(clients=clients)
     cfg = tiny_config(T=2, s=s)
-    gs1, clients1, reports1 = run_training(cfg, train, test, part, workers=1)
-    gs2, clients2, reports2 = run_training(cfg, train, test, part, workers=2)
+    gs1, clients1, reports1 = training_reports(cfg, train, test, part,
+                                               workers=1)
+    gs2, clients2, reports2 = training_reports(cfg, train, test, part,
+                                               workers=2)
     np.testing.assert_array_equal(gs1.w, gs2.w)
     assert [r.to_record() for r in reports1] == [r.to_record() for r in reports2]
     for c1, c2 in zip(clients1, clients2, strict=True):
@@ -575,7 +580,7 @@ def test_run_training_releases_spent_uploads(workers, monkeypatch):
 
     monkeypatch.setattr(federation, "run_round", run_round)
     monkeypatch.setattr(federation, "serialize_upload", serialize_upload)
-    run_training(cfg, train, test, part, workers=workers)
+    training_reports(cfg, train, test, part, workers=workers)
     assert len(uploads) == cfg.T
     # every upload is dead once the run returns
     assert uploads[-1] and all(r() is None for r in uploads[-1])
@@ -584,7 +589,7 @@ def test_run_training_releases_spent_uploads(workers, monkeypatch):
 def test_run_training_learns_tiny_problem():
     train, test, part = tiny_problem()
     cfg = tiny_config(T=15, R=5, base_epochs=3, eta=0.05, base_lr=0.05, s=1.0)
-    _, _, reports = run_training(cfg, train, test, part)
+    _, _, reports = training_reports(cfg, train, test, part)
     assert reports[-1].mean_pm() > reports[0].mean_pm()
     assert reports[-1].mean_pm() > 0.6
 
@@ -595,9 +600,9 @@ def test_checkpoint_roundtrip(tmp_path):
     train, test, part = tiny_problem()
     cfg = tiny_config(T=1, s=1.0)
     path = tmp_path / "round0001.fvem"
-    gs, clients, _ = run_training(
+    gs, clients = run_training(
         cfg, train, test, part,
-        on_round=lambda g, c: write_checkpoint(path, g, c))
+        lambda _, g, c: write_checkpoint(path, g, c))
     assert path.exists()
     gs2, dumped = read_checkpoint(path)
     assert gs2.t == 1
@@ -622,7 +627,7 @@ def _checkpoint_bytes(tmp_path) -> bytes:
     train, test, part = tiny_problem()
     path = tmp_path / "round0001.fvem"
     run_training(tiny_config(T=1, s=1.0), train, test, part,
-                 on_round=lambda g, c: write_checkpoint(path, g, c))
+                 lambda _, g, c: write_checkpoint(path, g, c))
     assert [p.name for p in tmp_path.iterdir()] == ["round0001.fvem"]
     return path.read_bytes()
 
