@@ -67,8 +67,7 @@ def local_train(x: np.ndarray, y: np.ndarray, params: MlpParams,
 
 
 def _aggregate_full(models: list[MlpParams], ns: list[int]) -> MlpParams:
-    base = aggregate_base([m.base for m in models], ns)
-    head = aggregate_base([[m.head] for m in models], ns)[0]
+    *base, head = aggregate_base([[*m.base, m.head] for m in models], ns)
     return MlpParams(base=base, head=head)
 
 
@@ -103,29 +102,14 @@ def fedavg_round(theta_full: MlpParams, clients_xy: list[tuple[np.ndarray, np.nd
     return _aggregate_full(models, ns), len(reporters)
 
 
-def _gm_report(t: int, params: MlpParams, clients_xy, test_ds: Dataset,
+def _gm_report(t: int, params: MlpParams, sizes: list[int], test_ds: Dataset,
                pm_idx: list[np.ndarray], reporter_count: int) -> metrics.RoundReport:
     """One forward of the global model over the test set serves every client:
     client j's PM accuracy is the hit rate on ``pm_idx[j]``."""
     hits = forward(params, test_ds.images).argmax(axis=1) == test_ds.labels
     pm = [float(hits[idx].mean()) if len(idx) else None for idx in pm_idx]
-    return _report(t, float(hits.mean()), pm, clients_xy, reporter_count)
-
-
-def _report(t: int, gm: float, pm: list[float | None], clients_xy,
-            reporter_count: int) -> metrics.RoundReport:
-    """A baseline's round report: uniform confidence ratios, no deviations."""
-    J = len(clients_xy)
-    return metrics.RoundReport(
-        round=t, gm_accuracy=gm,
-        client_ids=list(range(J)),
-        client_sizes=[len(x) for x, _ in clients_xy],
-        pm_accuracies=pm,
-        confidence_ratios=[1.0 / J] * J,
-        model_deviations=[0.0] * J,
-        reporter_count=reporter_count,
-        no_reporters=reporter_count == 0,
-    )
+    return metrics.round_report(t, float(hits.mean()), pm, sizes,
+                                reporter_count)
 
 
 def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
@@ -165,7 +149,7 @@ def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
             pm.append(metrics.accuracy(model, test_ds.images[idx],
                                        test_ds.labels[idx])
                       if len(idx) else None)
-        on_round(_report(0, float("nan"), pm, clients_xy, 0))
+        on_round(metrics.round_report(0, float("nan"), pm, partition.sizes, 0))
         return
 
     if scheme == "fedavg":
@@ -173,5 +157,5 @@ def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
     params = params0
     for t in range(cfg.T):
         params, reporter_count = fedavg_round(params, clients_xy, cfg, bl, t)
-        on_round(_gm_report(t, params, clients_xy, test_ds, pm_idx,
+        on_round(_gm_report(t, params, partition.sizes, test_ds, pm_idx,
                             reporter_count))

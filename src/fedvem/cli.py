@@ -84,7 +84,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     """Run every seed into ``out`` (default ``cfg.out``), write the
     cross-seed ``summary.jsonl`` and return the summary."""
     out_dir = out or cfg.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"out: cannot create output directory "
+                         f"{out_dir!r}: {exc.strerror}") from exc
     finals = [run_seed(cfg, seed, out_dir, workers) for seed in cfg.seeds]
     summary = {"scheme": cfg.scheme, "seeds": list(cfg.seeds)}
     for i, key in enumerate(("pm", "gm")):

@@ -152,7 +152,7 @@ def load_config(path) -> ExperimentConfig:
         return build_config(parse_kv(f.read()))
 
 
-def validate(cfg: ExperimentConfig, check_paths: bool = True) -> list[str]:
+def validate(cfg: ExperimentConfig) -> list[str]:
     """Every invariant of every referenced type; empty list iff valid."""
     out: list[str] = []
     if cfg.dataset_kind not in ("synth", "fmnist"):
@@ -165,8 +165,11 @@ def validate(cfg: ExperimentConfig, check_paths: bool = True) -> list[str]:
             path = getattr(cfg, attr)
             if not path:
                 out.append(f"{key}: required for dataset.kind=fmnist")
-            elif check_paths and not os.path.exists(path):
+            elif not os.path.exists(path):
                 out.append(f"{key}: path does not exist: {path}")
+        if cfg.partition.scenario == "concept_drift":
+            out.append("partition.scenario: concept_drift needs subclass "
+                       "annotations, which dataset.kind=fmnist lacks")
     else:
         out.extend(cfg.synth.violations())
     classes = 10 if cfg.dataset_kind == "fmnist" else cfg.synth.classes
@@ -182,6 +185,8 @@ def validate(cfg: ExperimentConfig, check_paths: bool = True) -> list[str]:
         out.append(f"seeds: must be >= 0, got {min(cfg.seeds)}")
     if dup := [s for i, s in enumerate(cfg.seeds) if s in cfg.seeds[:i]]:
         out.append(f"seeds: seed {dup[0]} appears more than once")
+    if not cfg.out:
+        out.append("out: must name an output directory")
     if cfg.checkpoint_every < 0:
         out.append("checkpoint_every: must be >= 0")
     return out

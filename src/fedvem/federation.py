@@ -347,26 +347,17 @@ def _round_report(globals_: GlobalState, clients: list[ClientState],
                   reporters: np.ndarray) -> metrics.RoundReport:
     """``sizes[j]``, ``pm_idx[j]``: client j's row count, PM test indices."""
     features = forward_base(globals_.theta, test_ds.images)
+    width = features.shape[1]
 
     def head_acc(head_vec, idx):
-        logits = head_logits(features[idx], head_vec)
-        return float((logits.argmax(axis=1) == test_ds.labels[idx]).mean())
+        logits = head_logits(features[idx], unflatten_head(head_vec, width))
+        return metrics.hit_rate(logits, test_ds.labels[idx])
 
-    gm = head_acc(globals_.w, np.arange(len(test_ds)))
     pm = [head_acc(c.posterior.mu, idx) if len(idx) else None
           for c, idx in zip(clients, pm_idx)]
-    ratios, deviations = metrics.stats_snapshot(clients, globals_.w)
-    return metrics.RoundReport(
-        round=globals_.t - 1,
-        gm_accuracy=gm,
-        client_ids=[c.id for c in clients],
-        client_sizes=sizes,
-        pm_accuracies=pm,
-        confidence_ratios=ratios.tolist(),
-        model_deviations=deviations.tolist(),
-        reporter_count=int(len(reporters)),
-        no_reporters=len(reporters) == 0,
-    )
+    return metrics.round_report(
+        globals_.t - 1, head_acc(globals_.w, slice(None)), pm, sizes,
+        len(reporters), *metrics.stats_snapshot(clients, globals_.w))
 
 
 def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,

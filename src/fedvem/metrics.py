@@ -2,8 +2,9 @@
 
 PM accuracy = a client's posterior-mean head on its label/subclass-filtered
 test data; GM accuracy = the shared (latent head, base) pair on the complete
-test set.  Reports are line-delimited JSON records, one per round, with an
-optional trailing summary record (mean and SEM across seeds).
+test set.  ``round_report`` builds every scheme's per-round report.  Reports
+are line-delimited JSON records, one per round, with an optional trailing
+summary record (mean and SEM across seeds).
 """
 
 from __future__ import annotations
@@ -17,22 +18,24 @@ import numpy as np
 from .nn import MlpParams, forward
 
 
+def hit_rate(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose top logit is at their label."""
+    return float((logits.argmax(axis=1) == labels).mean())
+
+
 def accuracy(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
-    logits = forward(params, x)
-    return float((logits.argmax(axis=1) == np.asarray(y)).mean())
+    return hit_rate(forward(params, x), np.asarray(y))
 
 
-def stats_snapshot(clients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stats_snapshot(clients, w: np.ndarray) -> tuple[list[float], list[float]]:
     """Confidence ratios tau_j / sum(tau) and deviations ||mu_j - w||^2 / d.
 
     Raw per-client values; density estimation is left to downstream tooling.
     """
     taus = np.array([c.tau for c in clients], dtype=float)
-    ratios = taus / taus.sum()
     d = len(w)
-    deviations = np.array(
-        [float(((c.posterior.mu - w) ** 2).sum()) / d for c in clients])
-    return ratios, deviations
+    return ((taus / taus.sum()).tolist(),
+            [float(((c.posterior.mu - w) ** 2).sum()) / d for c in clients])
 
 
 @dataclass
@@ -60,6 +63,21 @@ class RoundReport:
     def from_record(cls, rec: dict) -> "RoundReport":
         rec = {k: v for k, v in rec.items() if k != "type"}
         return cls(**rec)
+
+
+def round_report(t: int, gm: float, pm: list[float | None], sizes: list[int],
+                 reporter_count: int, ratios: list[float] | None = None,
+                 deviations: list[float] | None = None) -> RoundReport:
+    """Round ``t``'s report of clients ``0..J-1`` with row counts ``sizes``;
+    a scheme without confidences passes no ``ratios`` and ``deviations``."""
+    J = len(sizes)
+    if ratios is None:   # no confidences: uniform ratios, no deviations
+        ratios, deviations = [1.0 / J] * J, [0.0] * J
+    return RoundReport(
+        round=t, gm_accuracy=gm, client_ids=list(range(J)),
+        client_sizes=sizes, pm_accuracies=pm, confidence_ratios=ratios,
+        model_deviations=deviations, reporter_count=reporter_count,
+        no_reporters=reporter_count == 0)
 
 
 def sem(values) -> float:

@@ -68,12 +68,6 @@ def unflatten_head(vec: np.ndarray, width: int) -> Layer:
     return vec[:split].reshape(classes, width), vec[split:]
 
 
-def head_logits(features: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Logits of the flat head ``vec`` on (B, width) features."""
-    w, b = unflatten_head(vec, features.shape[1])
-    return features @ w.T + b
-
-
 def _check_layer(x: np.ndarray, w: np.ndarray, name: str) -> None:
     if x.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(
@@ -81,21 +75,31 @@ def _check_layer(x: np.ndarray, w: np.ndarray, name: str) -> None:
         )
 
 
+def head_logits(features: np.ndarray, head: Layer) -> np.ndarray:
+    """Logits of the head layer ``(W, b)`` on (B, width) features; every
+    logit outside the stacked head fit is computed here."""
+    w, b = head
+    _check_layer(features, w, "head")
+    return features @ w.T + b
+
+
+def _base_acts(base: list[Layer], x: np.ndarray) -> list[np.ndarray]:
+    """The input and every hidden layer's ReLU activation, in order."""
+    acts = [x]
+    for k, (w, b) in enumerate(base):
+        _check_layer(acts[-1], w, f"base layer {k}")
+        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    return acts
+
+
 def forward_base(base: list[Layer], x: np.ndarray) -> np.ndarray:
     """Hidden-layer stack only; returns the representation fed to the head."""
-    h = x
-    for k, (w, b) in enumerate(base):
-        _check_layer(h, w, f"base layer {k}")
-        h = np.maximum(h @ w.T + b, 0.0)
-    return h
+    return _base_acts(base, x)[-1]
 
 
 def forward(params: MlpParams, batch: np.ndarray) -> np.ndarray:
     """Logits for a (B, input_dim) batch."""
-    h = forward_base(params.base, batch)
-    w, b = params.head
-    _check_layer(h, w, "head")
-    return h @ w.T + b
+    return head_logits(forward_base(params.base, batch), params.head)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -126,16 +130,8 @@ def backward(params: MlpParams, batch: np.ndarray, labels: np.ndarray,
     regularizer (KL term, proximal term); they are summed into the result.
     """
     labels = np.asarray(labels)
-    # forward pass, keeping activations
-    acts = [batch]
-    h = batch
-    for k, (w, b) in enumerate(params.base):
-        _check_layer(h, w, f"base layer {k}")
-        h = np.maximum(h @ w.T + b, 0.0)
-        acts.append(h)
-    w_h, b_h = params.head
-    _check_layer(h, w_h, "head")
-    logits = h @ w_h.T + b_h
+    acts = _base_acts(params.base, batch)
+    logits = head_logits(acts[-1], params.head)
 
     c = logits.shape[1]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
@@ -145,7 +141,7 @@ def backward(params: MlpParams, batch: np.ndarray, labels: np.ndarray,
     d_logits /= len(labels)
 
     g_head = (d_logits.T @ acts[-1], d_logits.sum(axis=0))
-    dh = d_logits @ w_h
+    dh = d_logits @ params.head[0]
     g_base: list[Layer] = [None] * len(params.base)  # type: ignore[list-item]
     for k in range(len(params.base) - 1, -1, -1):
         dz = dh * (acts[k + 1] > 0)

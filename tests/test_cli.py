@@ -93,7 +93,7 @@ def test_build_config_shared_fields_have_one_home():
 def test_validate_reports_field_names(tmp_path):
     cfg = build_config({"dataset.kind": "fmnist", "scheme": "pfedvem",
                         "train.s": "0"})
-    bad = validate(cfg, check_paths=False)
+    bad = validate(cfg)
     assert any(v.startswith("dataset.train_images") for v in bad)
     assert any(v.startswith("TrainConfig.s") for v in bad)
 
@@ -107,9 +107,29 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(CONFIGS.glob("*.cfg"))
 
 
+def stand_in_idx_paths(cfg, tmp_path):
+    """Point every IDX path the config names at an empty file in
+    ``tmp_path``: validation checks only that the files exist."""
+    for attr in ("train_images", "train_labels", "test_images", "test_labels"):
+        if getattr(cfg, attr):
+            (tmp_path / attr).touch()
+            setattr(cfg, attr, str(tmp_path / attr))
+    return cfg
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
-def test_shipped_configs_validate(path):
-    assert validate(load_config(path), check_paths=False) == []
+def test_shipped_configs_validate(tmp_path, path):
+    assert validate(stand_in_idx_paths(load_config(path), tmp_path)) == []
+
+
+def test_validate_rejects_concept_drift_over_idx(tmp_path):
+    # IDX data carries no subclasses, so the partition could never be drawn
+    cfg = build_config({"dataset.kind": "fmnist", "dataset.train_images": "x",
+                        "dataset.train_labels": "x", "dataset.test_images": "x",
+                        "dataset.test_labels": "x",
+                        "partition.scenario": "concept_drift"})
+    bad = validate(stand_in_idx_paths(cfg, tmp_path))
+    assert len(bad) == 1 and bad[0].startswith("partition.scenario: "), bad
 
 
 def test_validate_fmnist_missing_paths(tmp_path):
@@ -512,6 +532,28 @@ def test_main_truncated_idx_file_exits_two(tmp_path, capsys, cut, message):
                  str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == f"{tmp_path / message}\n", err
+
+
+def test_main_rejects_empty_out(tmp_path, capsys):
+    path = smoke_config(tmp_path, extra="out =\n")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("out: ")
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("out: ")
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_main_unusable_out_dir_exits_two(tmp_path, capsys, monkeypatch,
+                                         where):
+    (tmp_path / "file").touch()
+    seeds = []
+    monkeypatch.setattr(cli, "run_seed", lambda *args: seeds.append(args))
+    out = tmp_path / where
+    assert main(["run", "--config", str(smoke_config(tmp_path)), "--out",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(out) in err, err
+    assert seeds == []
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -15,6 +15,10 @@ The smoke run has 3 classes, so the head fit is also pinned on its own at
 the benchmarks' 5 and 10 classes: the bytes of the fitted (mu, pi) of a
 stack of clients with uneven row counts (one with none), and of the local
 objective with its gradients.
+
+A second set pins every file a three-seed smoke run writes (per-seed
+reports, client CSVs, the summary and, for pFedVEM, every checkpoint),
+under each scheme and, for pFedVEM, on one worker and on a pool of two.
 """
 
 import hashlib
@@ -39,6 +43,19 @@ BASELINE_JSONL = {
     "fedavg": "5c90e7c1d3593f39a034c883d2cad237aacde0d5f52edd27c4551c1e789473a3",
     "fedprox": "5c90e7c1d3593f39a034c883d2cad237aacde0d5f52edd27c4551c1e789473a3",
     "local": "a7cb43b08208bdf7fba87e9509a33eb0d05e0bf4540e8938a6338583e48fba16",
+}
+
+# sha256 of the "<relative path> <sha256>" manifest of every file a run
+# with seeds 0,1,2 writes; pFedVEM checkpoints every round
+MULTI_SEED_FILES = {
+    "pfedvem":
+        "bf208768b3f9c28c3e57b479d0a513bb319642ad2d09100ca56203e3a4c107a1",
+    "fedavg":
+        "1dab291546783572a4a0bfce55e520596154d804b6052948d39e1078a466e546",
+    "fedprox":
+        "5bb7d029720b292c94f8a7f24a4aa8df8b739bd10494ffecadbf6e3ea32f53ff",
+    "local":
+        "bd8acdf5cf5c6b9a7e846a118bc2c464723283badf397e6a7aa13bc7d9a71307",
 }
 
 HEAD_FIT = {
@@ -86,6 +103,24 @@ def test_golden_pfedvem_report_and_checkpoint(tmp_path, workers):
 def test_golden_baseline_reports(tmp_path, scheme, extra):
     out = smoke_run(tmp_path, {"scheme": scheme, **extra})
     assert sha256(out / "seed0.jsonl") == BASELINE_JSONL[scheme], versions()
+
+
+def manifest(out: Path) -> str:
+    """One "<relative path> <sha256>" line per file under ``out``, sorted."""
+    return "\n".join(f"{p.relative_to(out)} {sha256(p)}"
+                     for p in sorted(out.rglob("*")) if p.is_file())
+
+
+@pytest.mark.parametrize("scheme,workers", [
+    ("pfedvem", 1), ("pfedvem", 2), ("fedavg", 1), ("fedprox", 1),
+    ("local", 1),
+])
+def test_golden_multi_seed_files(tmp_path, scheme, workers):
+    out = smoke_run(tmp_path, {"scheme": scheme, "seeds": "0,1,2",
+                               "checkpoint_every": "1"}, workers)
+    files = manifest(out)
+    digest = hashlib.sha256(files.encode()).hexdigest()
+    assert digest == MULTI_SEED_FILES[scheme], f"{versions()}\n{files}"
 
 
 def head_stack(classes: int):
