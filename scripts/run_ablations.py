@@ -15,8 +15,8 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fedvem.cli import run_experiment
-from fedvem.config import load_config, validate
+from fedvem.config import load_config
+from run_benchmark import compare
 
 MODES = ("full", "uncertainty_only", "deviation_only")
 
@@ -28,25 +28,11 @@ def main() -> int:
     args = parser.parse_args()
 
     base = load_config(args.config)
-    results = {}
-    for mode in MODES:
-        cfg = replace(base, scheme="pfedvem",
-                      train=replace(base.train, confidence_mode=mode))
-        bad = validate(cfg)
-        if bad:
-            for v in bad:
-                print(f"{mode}: {v}", file=sys.stderr)
-            return 2
-        summary = run_experiment(cfg, workers=args.workers,
-                                 out=os.path.join(cfg.out, f"ablation_{mode}"))
-        results[mode] = summary
-        print(f"done: {mode}")
-
-    print(f"\n{'confidence mode':18} {'PM':>16} {'GM':>16}")
-    for mode, s in results.items():
-        print(f"{mode:18} {s['mean_pm']:.4f} +/- {s['sem_pm']:.4f} "
-              f"{s['mean_gm']:.4f} +/- {s['sem_gm']:.4f}")
-    return 0
+    return compare("confidence mode", [
+        (mode, replace(base, scheme="pfedvem",
+                       train=replace(base.train, confidence_mode=mode)),
+         os.path.join(base.out, f"ablation_{mode}"))
+        for mode in MODES], args.workers)
 
 
 if __name__ == "__main__":

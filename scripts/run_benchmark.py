@@ -21,6 +21,35 @@ from fedvem.config import load_config, validate
 SCHEMES = ("pfedvem", "fedavg", "fedprox", "local")
 
 
+def _fmt(mean, err) -> str:
+    """``mean +/- err``, or ``-`` for a run with no rounds (no mean)."""
+    if mean is None or mean != mean:
+        return f"{'-':>16}"
+    return f"{mean:.4f} +/- {err:.4f}"
+
+
+def compare(label: str, variants, workers: int) -> int:
+    """Run each ``(name, config, out dir)`` in turn, then print one line per
+    run: its final PM and GM accuracies, mean +/- SEM over the seeds.
+    Returns 2, after printing why, if a config is invalid."""
+    rows = []
+    for name, cfg, out in variants:
+        bad = validate(cfg)
+        if bad:
+            for v in bad:
+                print(f"{name}: {v}", file=sys.stderr)
+            return 2
+        rows.append((name, run_experiment(cfg, workers=workers, out=out)))
+        print(f"done: {name}")
+
+    width = max(len(label), *(len(name) for name, _ in rows))
+    print(f"\n{label:{width}} {'PM':>16} {'GM':>16}")
+    for name, s in rows:
+        print(f"{name:{width}} {_fmt(s['mean_pm'], s['sem_pm'])} "
+              f"{_fmt(s['mean_gm'], s['sem_gm'])}")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("config")
@@ -29,28 +58,9 @@ def main() -> int:
     args = parser.parse_args()
 
     base = load_config(args.config)
-    rows = []
-    for scheme in args.schemes.split(","):
-        cfg = replace(base, scheme=scheme)
-        bad = validate(cfg)
-        if bad:
-            for v in bad:
-                print(f"{scheme}: {v}", file=sys.stderr)
-            return 2
-        summary = run_experiment(cfg, workers=args.workers,
-                                 out=os.path.join(cfg.out, scheme))
-        rows.append((scheme, summary))
-        print(f"done: {scheme}")
-
-    print(f"\n{'scheme':10} {'PM':>16} {'GM':>16}")
-    for scheme, s in rows:
-        def fmt(mean, err):
-            if mean is None or mean != mean:
-                return f"{'-':>16}"
-            return f"{mean:.4f} +/- {err:.4f}"
-        print(f"{scheme:10} {fmt(s['mean_pm'], s['sem_pm'])} "
-              f"{fmt(s['mean_gm'], s['sem_gm'])}")
-    return 0
+    return compare("scheme", [
+        (scheme, replace(base, scheme=scheme), os.path.join(base.out, scheme))
+        for scheme in args.schemes.split(",")], args.workers)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 # groups of 10, 10 and 3, so both pool workers get jobs) with a checkpoint
 # every round with one worker and with a two-worker pool, fail unless the
 # two runs' per-seed report, client table, summary and every checkpoint are
-# byte-identical, then run it under every scheme.
+# byte-identical, then run it under every scheme and every confidence mode.
 # Runs the package from src/, so it works without installing the fvem
 # script.
 set -e
@@ -24,5 +24,7 @@ for f in reports/smoke/checkpoints_seed0/round*.fvem; do
     cmp "$f" "reports/smoke-w2/checkpoints_seed0/${f##*/}"
 done
 python scripts/run_benchmark.py configs/smoke.cfg
+python scripts/run_ablations.py configs/smoke.cfg
 echo "reports written to reports/smoke and reports/smoke-w2 (byte-identical,"
-echo "checkpoints included) and to reports/smoke/<scheme> for every scheme"
+echo "checkpoints included), to reports/smoke/<scheme> for every scheme and"
+echo "to reports/smoke/ablation_<mode> for every confidence mode"

@@ -16,7 +16,7 @@ from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, client_rows, pm_test_indices
 from .federation import (TrainConfig, TrainingError, aggregate_base,
                          select_reporters)
-from .nn import InputError, MlpParams, forward, init_mlp, sgd_epochs, zeros_like
+from .nn import InputError, Layer, forward, init_mlp, sgd_epochs
 
 SCHEMES = ("local", "fedavg", "fedprox")
 
@@ -46,34 +46,25 @@ class BaselineConfig:
         return out
 
 
-def proximal_grads(params: MlpParams, anchor: MlpParams,
-                   mu_prox: float) -> MlpParams:
-    """Gradient of (mu_prox / 2) * ||params - anchor||^2."""
-    out = zeros_like(params)
-    for (gw, gb), (pw, pb), (aw, ab) in zip(out.base, params.base, anchor.base):
-        gw += mu_prox * (pw - aw)
-        gb += mu_prox * (pb - ab)
-    out.head[0][...] = mu_prox * (params.head[0] - anchor.head[0])
-    out.head[1][...] = mu_prox * (params.head[1] - anchor.head[1])
-    return out
+def proximal_grads(layers: list[Layer], anchor: list[Layer],
+                   mu_prox: float) -> list[Layer]:
+    """Gradient of (mu_prox / 2) * ||layers - anchor||^2, per layer."""
+    return [(mu_prox * (w - aw), mu_prox * (b - ab))
+            for (w, b), (aw, ab) in zip(layers, anchor)]
 
 
-def local_train(x: np.ndarray, y: np.ndarray, params: MlpParams,
-                cfg: BaselineConfig, rng: np.random.Generator) -> MlpParams:
+def local_train(x: np.ndarray, y: np.ndarray, model: list[Layer],
+                cfg: BaselineConfig, rng: np.random.Generator) -> list[Layer]:
     """Standalone per-client training; no communication."""
     if len(x) == 0:
         raise InputError("client dataset is empty")
-    return sgd_epochs(params, x, y, cfg.lr, cfg.epochs, cfg.batch, rng)
+    return sgd_epochs(model, x, y, cfg.lr, cfg.epochs, cfg.batch, rng)
 
 
-def _aggregate_full(models: list[MlpParams], ns: list[int]) -> MlpParams:
-    *base, head = aggregate_base([[*m.base, m.head] for m in models], ns)
-    return MlpParams(base=base, head=head)
-
-
-def fedavg_round(theta_full: MlpParams, clients_xy: list[tuple[np.ndarray, np.ndarray]],
+def fedavg_round(theta_full: list[Layer],
+                 clients_xy: list[tuple[np.ndarray, np.ndarray]],
                  cfg: TrainConfig, bl: BaselineConfig,
-                 t: int) -> tuple[MlpParams, int]:
+                 t: int) -> tuple[list[Layer], int]:
     """One round: reporters run local SGD from the broadcast, server averages.
 
     Returns the new global model and the reporter count.  With
@@ -99,14 +90,14 @@ def fedavg_round(theta_full: MlpParams, clients_xy: list[tuple[np.ndarray, np.nd
         except FloatingPointError as exc:
             raise TrainingError(f"round {t}, client {j}: {exc}") from exc
         ns.append(len(x))
-    return _aggregate_full(models, ns), len(reporters)
+    return aggregate_base(models, ns), len(reporters)
 
 
-def _gm_report(t: int, params: MlpParams, sizes: list[int], test_ds: Dataset,
+def _gm_report(t: int, model: list[Layer], sizes: list[int], test_ds: Dataset,
                pm_idx: list[np.ndarray], reporter_count: int) -> metrics.RoundReport:
     """One forward of the global model over the test set serves every client:
     client j's PM accuracy is the hit rate on ``pm_idx[j]``."""
-    hits = forward(params, test_ds.images).argmax(axis=1) == test_ds.labels
+    hits = forward(model, test_ds.images).argmax(axis=1) == test_ds.labels
     pm = [float(hits[idx].mean()) if len(idx) else None for idx in pm_idx]
     return metrics.round_report(t, float(hits.mean()), pm, sizes,
                                 reporter_count)

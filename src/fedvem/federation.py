@@ -34,8 +34,8 @@ import numpy as np
 
 from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, client_rows, pm_test_indices
-from .nn import (InputError, Layer, MlpParams, flatten_head, forward_base,
-                 head_logits, init_mlp, sgd_epochs, unflatten_head)
+from .nn import (InputError, Layer, flatten_head, forward_base, head_logits,
+                 init_mlp, sgd_epochs, unflatten_head)
 from .variational import (IsotropicPrior, PosteriorError,
                           VariationalPosterior, confidence, fit_posterior,
                           head_loss_closure, sample, softplus_inv)
@@ -220,10 +220,9 @@ def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
     width = globals_.theta[-1][0].shape[0]
     try:
         return sgd_epochs(
-            MlpParams(base=globals_.theta, head=None), x, y,
-            cfg.base_lr, cfg.base_epochs, cfg.base_batch, rng,
-            head=lambda: unflatten_head(
-                sample(post, rng.standard_normal(post.d)), width)).base
+            globals_.theta, x, y, cfg.base_lr, cfg.base_epochs,
+            cfg.base_batch, rng, head=lambda: unflatten_head(
+                sample(post, rng.standard_normal(post.d)), width))
     except FloatingPointError as exc:
         raise TrainingError(
             f"round {globals_.t}, client {client.id}: {exc}") from exc
@@ -332,14 +331,15 @@ def init_state(cfg: TrainConfig, train_ds: Dataset, partition: Partition,
     """Seeded parameter initialization, per-client posterior setup and each
     client's rows (``client_rows``)."""
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_INIT)
-    params = init_mlp(train_ds.input_dim, tuple(cfg.hidden), train_ds.classes, rng)
-    w0 = flatten_head(params.head)
+    *base, head = init_mlp(train_ds.input_dim, tuple(cfg.hidden),
+                           train_ds.classes, rng)
+    w0 = flatten_head(head)
     pi0 = float(softplus_inv(np.sqrt(cfg.rho0_sq)))
     rows = [client_rows(train_ds, idx) for idx in partition.client_indices]
     clients = [ClientState(j, VariationalPosterior(w0.copy(),
                                                    np.full(w0.size, pi0)),
                            1.0 / cfg.rho0_sq) for j in range(len(rows))]
-    return GlobalState(w=w0, theta=params.base, t=0), clients, rows
+    return GlobalState(w=w0, theta=base, t=0), clients, rows
 
 
 def _round_report(globals_: GlobalState, clients: list[ClientState],
@@ -376,7 +376,9 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
         raise InputError("; ".join(bad))
     globals_, clients, rows = init_state(cfg, train_ds, partition)
     pm_idx = [pm_test_indices(partition, test_ds, c.id) for c in clients]
-    pool = client_pool(rows, workers) if workers > 1 else None
+    # one job per head group: more workers than groups would sit idle
+    pool = (client_pool(rows, min(workers, -(-len(rows) // HEAD_GROUP)))
+            if workers > 1 else None)
     try:
         for _ in range(cfg.T):
             globals_, clients, reporters = run_round(globals_, clients, rows,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpParams, forward
+from .nn import Layer, forward
 
 
 def hit_rate(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -23,8 +23,8 @@ def hit_rate(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def accuracy(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
-    return hit_rate(forward(params, x), np.asarray(y))
+def accuracy(model: list[Layer], x: np.ndarray, y: np.ndarray) -> float:
+    return hit_rate(forward(model, x), np.asarray(y))
 
 
 def stats_snapshot(clients, w: np.ndarray) -> tuple[list[float], list[float]]:

@@ -1,15 +1,16 @@
 """Minimal dense MLP with exact reverse-mode gradients.
 
 The network is a fixed topology: ReLU hidden layers (the "base") followed
-by one affine classifier layer (the "head").  Everything is float64 numpy;
-gradients are derived by hand for this topology, which keeps the whole
-training loop dependency-free and easy to check against finite differences.
-`sgd_epochs` is the one mini-batch SGD loop; every scheme trains through it.
+by one affine classifier layer (the "head").  A model is the list of its
+layers in order, ``[*base, head]``; a base alone is the same list without
+its last layer.  Everything is float64 numpy; gradients are derived by hand
+for this topology, which keeps the whole training loop dependency-free and
+easy to check against finite differences.  `sgd_epochs` is the one
+mini-batch SGD loop; every scheme trains through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,27 +30,17 @@ class InputError(ValueError):
     """Invalid input data (e.g. label out of range)."""
 
 
-@dataclass
-class MlpParams:
-    """Parameters split into hidden layers (base) and the final classifier (head)."""
-
-    base: list[Layer]
-    head: Layer
-
-
 def init_mlp(input_dim: int, hidden: tuple[int, ...], classes: int,
-             rng: np.random.Generator) -> MlpParams:
-    """Uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
-    dims = (input_dim, *hidden)
-    base = []
+             rng: np.random.Generator) -> list[Layer]:
+    """``[*hidden layers, head]``, each uniform on
+    [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn in layer order."""
+    dims = (input_dim, *hidden, classes)
+    model = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        base.append((rng.uniform(-bound, bound, size=(fan_out, fan_in)),
-                     rng.uniform(-bound, bound, size=fan_out)))
-    bound = 1.0 / np.sqrt(dims[-1])
-    head = (rng.uniform(-bound, bound, size=(classes, dims[-1])),
-            rng.uniform(-bound, bound, size=classes))
-    return MlpParams(base=base, head=head)
+        model.append((rng.uniform(-bound, bound, size=(fan_out, fan_in)),
+                      rng.uniform(-bound, bound, size=fan_out)))
+    return model
 
 
 def flatten_head(head: Layer) -> np.ndarray:
@@ -97,9 +88,9 @@ def forward_base(base: list[Layer], x: np.ndarray) -> np.ndarray:
     return _base_acts(base, x)[-1]
 
 
-def forward(params: MlpParams, batch: np.ndarray) -> np.ndarray:
+def forward(model: list[Layer], batch: np.ndarray) -> np.ndarray:
     """Logits for a (B, input_dim) batch."""
-    return head_logits(forward_base(params.base, batch), params.head)
+    return head_logits(forward_base(model[:-1], batch), model[-1])
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -122,16 +113,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def backward(params: MlpParams, batch: np.ndarray, labels: np.ndarray,
-             extra_loss_grads: MlpParams | None = None) -> MlpParams:
-    """Exact gradient of cross_entropy (plus optional injected additive terms).
-
-    `extra_loss_grads` carries the parameter-space gradients of any additive
-    regularizer (KL term, proximal term); they are summed into the result.
-    """
+def backward(model: list[Layer], batch: np.ndarray,
+             labels: np.ndarray) -> list[Layer]:
+    """Exact gradient of cross_entropy w.r.t. every layer, in layer order."""
     labels = np.asarray(labels)
-    acts = _base_acts(params.base, batch)
-    logits = head_logits(acts[-1], params.head)
+    *base, head = model
+    acts = _base_acts(base, batch)
+    logits = head_logits(acts[-1], head)
 
     c = logits.shape[1]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
@@ -140,71 +128,51 @@ def backward(params: MlpParams, batch: np.ndarray, labels: np.ndarray,
     d_logits[np.arange(len(labels)), labels] -= 1.0
     d_logits /= len(labels)
 
-    g_head = (d_logits.T @ acts[-1], d_logits.sum(axis=0))
-    dh = d_logits @ params.head[0]
-    g_base: list[Layer] = [None] * len(params.base)  # type: ignore[list-item]
-    for k in range(len(params.base) - 1, -1, -1):
+    grads: list[Layer] = [None] * len(model)  # type: ignore[list-item]
+    grads[-1] = (d_logits.T @ acts[-1], d_logits.sum(axis=0))
+    dh = d_logits @ head[0]
+    for k in range(len(base) - 1, -1, -1):
         dz = dh * (acts[k + 1] > 0)
-        g_base[k] = (dz.T @ acts[k], dz.sum(axis=0))
+        grads[k] = (dz.T @ acts[k], dz.sum(axis=0))
         if k:   # nothing reads the gradient w.r.t. the input batch
-            dh = dz @ params.base[k][0]
-
-    grads = MlpParams(base=g_base, head=g_head)
-    if extra_loss_grads is not None:
-        grads = _add(grads, extra_loss_grads)
+            dh = dz @ base[k][0]
     return grads
 
 
-def _add(a: MlpParams, b: MlpParams) -> MlpParams:
-    return MlpParams(
-        base=[(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(a.base, b.base)],
-        head=(a.head[0] + b.head[0], a.head[1] + b.head[1]),
-    )
-
-
-def zeros_like(params: MlpParams) -> MlpParams:
-    return MlpParams(
-        base=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.base],
-        head=(np.zeros_like(params.head[0]), np.zeros_like(params.head[1])),
-    )
-
-
-def sgd_step(params: MlpParams, grads: MlpParams, lr: float) -> MlpParams:
-    """params - lr * grads, elementwise.  Rejects non-finite gradients."""
+def sgd_step(layers: list[Layer], grads: list[Layer],
+             lr: float) -> list[Layer]:
+    """layers - lr * grads, elementwise.  Rejects non-finite gradients."""
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
-
-    def step(p: Layer, g: Layer, name: str) -> Layer:
-        if not (np.isfinite(g[0]).all() and np.isfinite(g[1]).all()):
-            raise NumericError(f"non-finite gradient in {name}")
-        return p[0] - lr * g[0], p[1] - lr * g[1]
-
-    return MlpParams(
-        base=[step(p, g, f"base layer {k}")
-              for k, (p, g) in enumerate(zip(params.base, grads.base))],
-        head=step(params.head, grads.head, "head"),
-    )
+    out = []
+    for k, ((w, b), (gw, gb)) in enumerate(zip(layers, grads)):
+        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
+            raise NumericError(f"non-finite gradient in layer {k}")
+        out.append((w - lr * gw, b - lr * gb))
+    return out
 
 
-def sgd_epochs(params: MlpParams, x: np.ndarray, y: np.ndarray, lr: float,
+def sgd_epochs(layers: list[Layer], x: np.ndarray, y: np.ndarray, lr: float,
                epochs: int, batch: int, rng: np.random.Generator,
                head: Callable[[], Layer] | None = None,
-               extra: Callable[[MlpParams], MlpParams] | None = None,
-               ) -> MlpParams:
+               extra: Callable[[list[Layer]], list[Layer]] | None = None,
+               ) -> list[Layer]:
     """Mini-batch SGD: one ``rng.permutation`` per epoch, then its batches.
 
-    Before each batch, ``head()`` (if given) replaces the head, and
-    ``extra(params)`` (if given) adds a regularizer's gradients, e.g. a
-    proximal pull.  ``params`` is not modified.
+    With ``head``, ``layers`` is a base: each batch runs on it topped by a
+    fresh ``head()``, and only the base is stepped and returned.
+    ``extra(layers)`` (if given) adds a regularizer's gradients layer by
+    layer, e.g. a proximal pull.  ``layers`` is not modified.
     """
     n = len(x)
     for _ in range(epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             ix = perm[start:start + batch]
-            if head is not None:
-                params = MlpParams(base=params.base, head=head())
-            grads = backward(params, x[ix], y[ix], extra_loss_grads=(
-                None if extra is None else extra(params)))
-            params = sgd_step(params, grads, lr)
-    return params
+            model = layers if head is None else [*layers, head()]
+            grads = backward(model, x[ix], y[ix])[:len(layers)]
+            if extra is not None:
+                grads = [(gw + ew, gb + eb) for (gw, gb), (ew, eb)
+                         in zip(grads, extra(layers))]
+            layers = sgd_step(layers, grads, lr)
+    return layers

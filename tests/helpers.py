@@ -7,7 +7,7 @@ import numpy as np
 
 from fedvem.baselines import run_baseline
 from fedvem.federation import run_training
-from fedvem.nn import MlpParams
+from fedvem.nn import Layer
 
 
 def training_reports(cfg, train, test, partition, workers=1):
@@ -44,23 +44,18 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
 
-def flatten_params(params: MlpParams) -> np.ndarray:
-    parts = []
-    for w, b in [*params.base, params.head]:
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+def flatten_params(layers: list[Layer]) -> np.ndarray:
+    return np.concatenate([a.ravel() for layer in layers for a in layer])
 
 
-def unflatten_params(vec: np.ndarray, like: MlpParams) -> MlpParams:
-    base = []
+def unflatten_params(vec: np.ndarray, like: list[Layer]) -> list[Layer]:
+    out = []
     i = 0
-    for w, b in like.base:
-        base.append((vec[i:i + w.size].reshape(w.shape), vec[i + w.size:i + w.size + b.size].copy()))
+    for w, b in like:
+        out.append((vec[i:i + w.size].reshape(w.shape),
+                    vec[i + w.size:i + w.size + b.size].copy()))
         i += w.size + b.size
-    hw, hb = like.head
-    head = (vec[i:i + hw.size].reshape(hw.shape), vec[i + hw.size:i + hw.size + hb.size].copy())
-    return MlpParams(base=base, head=head)
+    return out
 
 
 def golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:

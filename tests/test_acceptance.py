@@ -41,7 +41,7 @@ def test_criterion_1_gradient_correctness():
     start = time.monotonic()
     rng = np.random.default_rng(11)
 
-    base = init_mlp(6, (8,), 7, rng).base       # feature width 8
+    base = init_mlp(6, (8,), 7, rng)[:-1]       # feature width 8
     d = 7 * (8 + 1)                              # 63 head coords, 126 with pi
     batch = rng.standard_normal((12, 6))
     labels = rng.integers(0, 7, size=12)
@@ -67,8 +67,10 @@ def test_criterion_1_gradient_correctness():
     params = init_mlp(6, (8,), 7, rng)           # 127 parameters
     anchor = init_mlp(6, (8,), 7, rng)
     mu_prox = 0.8
-    grads = backward(params, batch, labels,
-                     extra_loss_grads=proximal_grads(params, anchor, mu_prox))
+    # summed layer by layer, as sgd_epochs adds a proximal pull
+    grads = [(gw + ew, gb + eb) for (gw, gb), (ew, eb)
+             in zip(backward(params, batch, labels),
+                    proximal_grads(params, anchor, mu_prox))]
     a_vec = flatten_params(anchor)
 
     def prox_objective(vec):

@@ -8,7 +8,7 @@ from fedvem.baselines import (BaselineConfig, fedavg_round, local_train,
                               proximal_grads)
 from fedvem.data import PartitionSpec, SynthSpec, make_partition, synth_pair
 from fedvem.federation import TrainConfig, select_reporters
-from fedvem.nn import InputError, MlpParams, init_mlp
+from fedvem.nn import InputError, init_mlp
 
 from helpers import (baseline_reports, central_diff, flatten_params, rel_err,
                      unflatten_params)
@@ -34,21 +34,20 @@ def toy_clients(n_clients=3, n=12, dim=4, classes=2, seed=0):
 
 def test_proximal_grads_zero_at_anchor():
     params = init_mlp(3, (4,), 2, np.random.default_rng(0))
-    anchor = MlpParams(base=[(w.copy(), b.copy()) for w, b in params.base],
-                       head=(params.head[0].copy(), params.head[1].copy()))
+    anchor = [(w.copy(), b.copy()) for w, b in params]
     g = proximal_grads(params, anchor, mu_prox=2.0)
-    assert np.all(g.head[0] == 0.0)
-    assert np.all(g.base[0][0] == 0.0)
+    assert np.all(g[-1][0] == 0.0)
+    assert np.all(g[0][0] == 0.0)
 
 
 def test_proximal_grads_linear_in_displacement():
     params = init_mlp(3, (4,), 2, np.random.default_rng(1))
     anchor = init_mlp(3, (4,), 2, np.random.default_rng(2))
     g = proximal_grads(params, anchor, mu_prox=0.5)
-    np.testing.assert_allclose(g.head[0],
-                               0.5 * (params.head[0] - anchor.head[0]))
-    np.testing.assert_allclose(g.base[0][1],
-                               0.5 * (params.base[0][1] - anchor.base[0][1]))
+    np.testing.assert_allclose(g[-1][0],
+                               0.5 * (params[-1][0] - anchor[-1][0]))
+    np.testing.assert_allclose(g[0][1],
+                               0.5 * (params[0][1] - anchor[0][1]))
 
 
 def test_proximal_grads_match_finite_differences():
@@ -72,16 +71,16 @@ def test_local_train_zero_lr_is_identity():
     x, y = toy_clients(1)[0]
     cfg = BaselineConfig(lr=0.0, epochs=3, batch=4)
     out = local_train(x, y, params, cfg, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.head[0], params.head[0])
+    np.testing.assert_array_equal(out[-1][0], params[-1][0])
 
 
 def test_local_train_does_not_mutate_input():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
-    before = params.head[0].copy()
+    before = params[-1][0].copy()
     x, y = toy_clients(1)[0]
     cfg = BaselineConfig(lr=0.1, epochs=2, batch=4)
     local_train(x, y, params, cfg, np.random.default_rng(0))
-    np.testing.assert_array_equal(params.head[0], before)
+    np.testing.assert_array_equal(params[-1][0], before)
 
 
 def test_local_train_rejects_empty_client():
@@ -113,7 +112,7 @@ def test_fedavg_round_single_client_equals_local_sgd():
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, 0, 0)
     x, y = clients[0]
     expected = local_train(x, y, params, bl, rng)
-    np.testing.assert_allclose(out.head[0], expected.head[0], atol=1e-15)
+    np.testing.assert_allclose(out[-1][0], expected[-1][0], atol=1e-15)
 
 
 def test_fedprox_zero_mu_equals_fedavg():
@@ -123,7 +122,7 @@ def test_fedprox_zero_mu_equals_fedavg():
     avg, _ = fedavg_round(params, clients, cfg, BaselineConfig(epochs=1), t=0)
     prox, _ = fedavg_round(params, clients, cfg,
                            BaselineConfig(epochs=1, mu_prox=0.0), t=0)
-    np.testing.assert_allclose(prox.head[0], avg.head[0], atol=1e-15)
+    np.testing.assert_allclose(prox[-1][0], avg[-1][0], atol=1e-15)
 
 
 def test_fedprox_large_mu_pins_models_to_broadcast():
@@ -134,8 +133,8 @@ def test_fedprox_large_mu_pins_models_to_broadcast():
                            BaselineConfig(epochs=3, lr=0.01, mu_prox=50.0), t=0)
     avg, _ = fedavg_round(params, clients, cfg,
                           BaselineConfig(epochs=3, lr=0.01), t=0)
-    drift_prox = float(np.abs(prox.head[0] - params.head[0]).max())
-    drift_avg = float(np.abs(avg.head[0] - params.head[0]).max())
+    drift_prox = float(np.abs(prox[-1][0] - params[-1][0]).max())
+    drift_avg = float(np.abs(avg[-1][0] - params[-1][0]).max())
     assert drift_prox < drift_avg
 
 

@@ -274,7 +274,7 @@ def test_client_update_failure_names_round_and_client(monkeypatch, stage):
 
         def nonfinite(*args, **kwargs):
             grads = real(*args, **kwargs)
-            grads.base[0][0][...] = np.inf
+            grads[0][0][...] = np.inf
             return grads
 
         monkeypatch.setattr(nn, "backward", nonfinite)
@@ -425,6 +425,22 @@ def test_pool_sends_one_job_per_head_group_in_client_order(monkeypatch):
             range(n_clients))
     for (group, _, _), future in zip(pool.jobs, pool.futures, strict=True):
         assert [c.id for c, _ in future.result()] == [c.id for c in group]
+
+
+def test_pool_starts_no_more_workers_than_head_groups(monkeypatch):
+    # 4 clients are one head group, so one job a round: a forked pool
+    # starts all its workers at once, and all but one would sit idle
+    train, test, part = tiny_problem(clients=4)
+    sizes = []
+
+    class SizedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(federation, "ProcessPoolExecutor", SizedPool)
+    training_reports(tiny_config(T=1), train, test, part, workers=4)
+    assert sizes == [1]
 
 
 def test_run_training_spawned_workers_get_the_rows():

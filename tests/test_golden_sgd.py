@@ -18,7 +18,7 @@ from fedvem import rng as rng_mod
 from fedvem.baselines import fedavg_round, local_train
 from fedvem.config import load_config
 from fedvem.data import make_partition, synth_pair
-from fedvem.nn import MlpParams, init_mlp
+from fedvem.nn import init_mlp
 
 from test_golden import versions
 
@@ -46,9 +46,9 @@ def smoke_setup():
     return cfg, run_cfg, clients_xy, params0
 
 
-def param_bytes(params: MlpParams) -> bytes:
+def param_bytes(model: list) -> bytes:
     return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                    for layer in [*params.base, params.head] for a in layer)
+                    for layer in model for a in layer)
 
 
 def test_golden_local_train_params():

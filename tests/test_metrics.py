@@ -5,8 +5,7 @@ import pytest
 
 from fedvem.metrics import (RoundReport, accuracy, read_report, sem,
                             stats_snapshot, write_client_csv, write_report)
-from fedvem.nn import (MlpParams, forward_base, head_logits, init_mlp,
-                       unflatten_head)
+from fedvem.nn import forward_base, head_logits, init_mlp, unflatten_head
 from fedvem.variational import VariationalPosterior
 
 
@@ -34,7 +33,7 @@ def test_evaluate_pm_matches_manual_forward():
     x = np.random.default_rng(3).standard_normal((10, 4))
     y = np.random.default_rng(4).integers(0, 3, size=10)
     # PM and GM evaluation score a flat head on base features
-    logits = head_logits(forward_base(params.base, x), params.head)
+    logits = head_logits(forward_base(params[:-1], x), params[-1])
     assert float((logits.argmax(axis=1) == y).mean()) == accuracy(params, x, y)
 
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvem.nn import (InputError, MlpParams, NumericError, ShapeError,
-                       backward, cross_entropy, flatten_head, forward,
-                       init_mlp, sgd_step, unflatten_head, zeros_like)
+from fedvem import nn
+from fedvem.nn import (InputError, NumericError, ShapeError, backward,
+                       cross_entropy, flatten_head, forward, init_mlp,
+                       sgd_epochs, sgd_step, unflatten_head)
 
 from helpers import central_diff, flatten_params, rel_err, unflatten_params
 
@@ -15,11 +16,7 @@ def small_mlp(seed=0, input_dim=5, hidden=(4,), classes=3):
 
 
 def test_zero_params_give_zero_logits():
-    params = small_mlp()
-    params = MlpParams(base=[(np.zeros_like(w), np.zeros_like(b))
-                             for w, b in params.base],
-                       head=(np.zeros_like(params.head[0]),
-                             np.zeros_like(params.head[1])))
+    params = [(np.zeros_like(w), np.zeros_like(b)) for w, b in small_mlp()]
     batch = np.random.default_rng(1).standard_normal((7, 5))
     assert np.all(forward(params, batch) == 0.0)
 
@@ -27,8 +24,7 @@ def test_zero_params_give_zero_logits():
 def test_identity_network_passes_inputs_through():
     # square identity hidden layer, identity head, nonnegative inputs
     eye = np.eye(4)
-    params = MlpParams(base=[(eye.copy(), np.zeros(4))],
-                       head=(eye.copy(), np.zeros(4)))
+    params = [(eye.copy(), np.zeros(4)), (eye.copy(), np.zeros(4))]
     batch = np.abs(np.random.default_rng(2).standard_normal((6, 4)))
     np.testing.assert_array_equal(forward(params, batch), batch)
 
@@ -48,9 +44,9 @@ def test_forward_matches_triple_loop_oracle():
                 out[i, j] = acc
         return out
 
-    h = naive_matmul(batch, params.base[0][0]) + params.base[0][1]
+    h = naive_matmul(batch, params[0][0]) + params[0][1]
     h = np.maximum(h, 0.0)
-    expected = naive_matmul(h, params.head[0]) + params.head[1]
+    expected = naive_matmul(h, params[1][0]) + params[1][1]
     np.testing.assert_allclose(forward(params, batch), expected, atol=1e-12)
 
 
@@ -113,7 +109,7 @@ def test_backward_zero_at_perfect_fit():
     w = np.zeros((2, 3))
     w[0] = 300.0
     w[1] = -300.0
-    params = MlpParams(base=[], head=(w, np.zeros(2)))
+    params = [(w, np.zeros(2))]
     # flip sign so each row's true class wins by a large margin
     x = np.where(labels[:, None] == 0, features, -features)
     grads = backward(params, x, labels)
@@ -126,15 +122,14 @@ def test_backward_single_layer_closed_form():
     labels = rng.integers(0, 3, size=6)
     w = rng.standard_normal((3, 4))
     b = rng.standard_normal(3)
-    params = MlpParams(base=[], head=(w, b))
-    grads = backward(params, x, labels)
+    (g_w, g_b), = backward([(w, b)], x, labels)
 
     logits = x @ w.T + b
     p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     p[np.arange(6), labels] -= 1.0
     p /= 6
-    np.testing.assert_allclose(grads.head[0], p.T @ x, atol=1e-12)
-    np.testing.assert_allclose(grads.head[1], p.sum(axis=0), atol=1e-12)
+    np.testing.assert_allclose(g_w, p.T @ x, atol=1e-12)
+    np.testing.assert_allclose(g_b, p.sum(axis=0), atol=1e-12)
 
 
 def test_backward_matches_finite_differences():
@@ -155,36 +150,19 @@ def test_backward_matches_finite_differences():
         assert rel_err(analytic, numeric) <= 1e-4, hidden
 
 
-def test_backward_injected_extra_grads_are_added():
-    rng = np.random.default_rng(9)
-    params = init_mlp(3, (4,), 2, rng)
-    x = rng.standard_normal((4, 3))
-    labels = rng.integers(0, 2, size=4)
-    extra = zeros_like(params)
-    extra.head[0][...] = 2.5 * (params.head[0] - 1.0)  # grad of squared penalty
-    plain = backward(params, x, labels)
-    combined = backward(params, x, labels, extra_loss_grads=extra)
-    np.testing.assert_allclose(combined.head[0],
-                               plain.head[0] + extra.head[0], atol=1e-14)
-    np.testing.assert_array_equal(combined.base[0][0], plain.base[0][0])
-
-
 def test_sgd_step_zero_lr_is_identity():
     params = small_mlp()
     grads = small_mlp(seed=1)
     out = sgd_step(params, grads, 0.0)
-    np.testing.assert_array_equal(out.head[0], params.head[0])
-    np.testing.assert_array_equal(out.base[0][0], params.base[0][0])
+    np.testing.assert_array_equal(out[-1][0], params[-1][0])
+    np.testing.assert_array_equal(out[0][0], params[0][0])
 
 
 def test_sgd_step_from_zero_params():
     params = small_mlp()
-    zero = MlpParams(base=[(np.zeros_like(w), np.zeros_like(b))
-                           for w, b in params.base],
-                     head=(np.zeros_like(params.head[0]),
-                           np.zeros_like(params.head[1])))
+    zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
     out = sgd_step(zero, params, 1.0)
-    np.testing.assert_array_equal(out.head[0], -params.head[0])
+    np.testing.assert_array_equal(out[-1][0], -params[-1][0])
 
 
 def test_sgd_two_steps_equal_summed_step_on_frozen_gradient():
@@ -192,20 +170,45 @@ def test_sgd_two_steps_equal_summed_step_on_frozen_gradient():
     grads = small_mlp(seed=2)
     two = sgd_step(sgd_step(params, grads, 0.3), grads, 0.2)
     one = sgd_step(params, grads, 0.5)
-    np.testing.assert_allclose(two.head[0], one.head[0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(two[-1][0], one[-1][0], rtol=0, atol=1e-15)
 
 
 def test_sgd_step_rejects_nonfinite_gradient():
     params = small_mlp()
     grads = small_mlp(seed=3)
-    grads.base[0][0][0, 0] = np.nan
-    with pytest.raises(NumericError, match="base layer 0"):
+    grads[1][0][0, 0] = np.nan
+    with pytest.raises(NumericError, match="layer 1"):
         sgd_step(params, grads, 0.1)
+
+
+def test_sgd_epochs_with_head_trains_only_the_base(monkeypatch):
+    # pFedVEM's base SGD: each batch tops the base with a fresh head() and
+    # steps only the base's gradients
+    rng = np.random.default_rng(10)
+    *base, head = init_mlp(3, (4, 5), 2, rng)
+    x = rng.standard_normal((11, 3))
+    y = rng.integers(0, 2, size=11)
+    draws, stepped = [], []
+
+    def draw():
+        draws.append(len(draws))
+        return head
+
+    def sgd_step(layers, grads, lr):
+        stepped.append([(gw.shape, gb.shape) for gw, gb in grads])
+        return real_step(layers, grads, lr)
+
+    real_step = nn.sgd_step
+    monkeypatch.setattr(nn, "sgd_step", sgd_step)
+    out = sgd_epochs(base, x, y, 0.1, epochs=3, batch=4, rng=rng, head=draw)
+    assert len(out) == len(base)
+    assert len(draws) == 3 * 3   # epochs x ceil(11 / 4) batches
+    assert stepped == [[(w.shape, b.shape) for w, b in base]] * 9
 
 
 def test_head_flatten_roundtrip():
     params = small_mlp()
-    vec = flatten_head(params.head)
-    w, b = unflatten_head(vec, params.head[0].shape[1])
-    np.testing.assert_array_equal(w, params.head[0])
-    np.testing.assert_array_equal(b, params.head[1])
+    vec = flatten_head(params[-1])
+    w, b = unflatten_head(vec, params[-1][0].shape[1])
+    np.testing.assert_array_equal(w, params[-1][0])
+    np.testing.assert_array_equal(b, params[-1][1])

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedvem import variational
-from fedvem.nn import (InputError, MlpParams, backward, cross_entropy,
-                       flatten_head, forward, forward_base, init_mlp,
-                       unflatten_head)
+from fedvem.nn import (InputError, backward, cross_entropy, flatten_head,
+                       forward, forward_base, init_mlp, unflatten_head)
 from fedvem.variational import (GRAD_CLIP, IsotropicPrior, PosteriorError,
                                 VariationalPosterior, confidence,
                                 fit_posterior, head_loss_closure, kl_to_prior,
@@ -170,10 +169,10 @@ def toy_problem(seed=0, n=12, dim=3, hidden=4, classes=3):
     params = init_mlp(dim, (hidden,), classes, rng)
     x = rng.standard_normal((n, dim))
     y = rng.integers(0, classes, size=n)
-    d = flatten_head(params.head).size
+    d = flatten_head(params[-1]).size
     post = VariationalPosterior(mu=rng.normal(0, 0.5, d), pi=rng.normal(0, 0.5, d))
     prior = IsotropicPrior(center=rng.normal(0, 0.5, d), tau=1.7)
-    closure = head_loss_closure([forward_base(params.base, x)], [y])
+    closure = head_loss_closure([forward_base(params[:-1], x)], [y])
     return params, x, y, post, prior, closure
 
 
@@ -188,10 +187,10 @@ def test_head_loss_closure_stack_rows_match_single_heads():
         one_loss, one_grad = closure(head[None, None, :])
         assert loss == one_loss[0, 0]
         np.testing.assert_array_equal(grad, one_grad[0, 0])
-        p = MlpParams(base=params.base, head=unflatten_head(head, 4))
+        p = [*params[:-1], unflatten_head(head, 4)]
         assert loss == pytest.approx(len(x) * cross_entropy(forward(p, x), y),
                                      rel=1e-12)
-        expected = len(x) * flatten_head(backward(p, x, y).head)
+        expected = len(x) * flatten_head(backward(p, x, y)[-1])
         assert rel_err(grad, expected) <= 1e-12
 
 
@@ -201,7 +200,7 @@ def test_head_loss_closure_rejects_labels_out_of_range(bad):
     params, x, y, post, _, _ = toy_problem(seed=5)
     labels = y.copy()
     labels[4] = bad
-    closure = head_loss_closure([forward_base(params.base, x)], [labels])
+    closure = head_loss_closure([forward_base(params[:-1], x)], [labels])
     with pytest.raises(InputError, match=r"\[0, 3\)"):
         closure(post.mu[None, None, :])
 
@@ -219,7 +218,7 @@ def test_mc_local_loss_degenerate_posterior():
     params, x, y, post, prior, closure = toy_problem()
     post = VariationalPosterior(mu=post.mu, pi=np.full(post.d, -40.0))
     loss, _, _ = one_client(post, prior, closure, np.zeros((1, post.d)))
-    det = MlpParams(base=params.base, head=unflatten_head(post.mu, 4))
+    det = [*params[:-1], unflatten_head(post.mu, 4)]
     expected = (len(x) * cross_entropy(forward(det, x), y)
                 + kl_to_prior(post, prior)[0])
     assert loss == pytest.approx(expected, rel=1e-12)
