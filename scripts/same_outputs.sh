@@ -1,9 +1,10 @@
 #!/bin/sh
 # Byte-identity check against another revision: exports REV with
-# `git archive`, runs the same six configs under REV and under this
+# `git archive`, runs the same seven configs under REV and under this
 # working tree, and fails unless every output file (per-seed JSONL, client
 # CSV, summary, every checkpoint) is byte-identical.
 #   - the smoke config (3 classes, 23 clients) on one worker;
+#   - the smoke config under quantity_only, seeds 0-2, on one worker;
 #   - a 5-class concept_drift config, seeds 0-2, on one worker;
 #   - a 10-class label_skew config, seeds 0-2, on a two-worker pool;
 #   - the smoke config under fedavg, fedprox and local, seeds 0-2.
@@ -24,6 +25,9 @@ git archive "$1" | tar -x -C "$tmp/rev"
 
 { sed 's/^partition\.clients = .*/partition.clients = 23/' configs/smoke.cfg
   echo "checkpoint_every = 1"; } > "$tmp/cfg/smoke.cfg"
+{ sed -e 's/^partition\.scenario = .*/partition.scenario = quantity_only/' \
+      -e 's/^seeds = .*/seeds = 0,1,2/' configs/smoke.cfg
+  echo "checkpoint_every = 1"; } > "$tmp/cfg/quantity.cfg"
 { sed -e 's/^dataset\.points_per_subclass = .*/dataset.points_per_subclass = 40/' \
       -e 's/^dataset\.test_points_per_subclass = .*/dataset.test_points_per_subclass = 10/' \
       -e 's/^partition\.clients = .*/partition.clients = 23/' \
@@ -47,7 +51,8 @@ done
 
 for tree in "$tmp/rev" "$here"; do
     side=$( [ "$tree" = "$here" ] && echo here || echo rev )
-    for run in smoke:1 drift5:1 skew10:2 fedavg:1 fedprox:1 local:1; do
+    for run in smoke:1 quantity:1 drift5:1 skew10:2 fedavg:1 fedprox:1 \
+               local:1; do
         name=${run%:*}
         (cd "$tree" && PYTHONPATH=src python -m fedvem.cli run \
             --config "$tmp/cfg/$name.cfg" --workers "${run#*:}" \

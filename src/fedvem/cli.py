@@ -42,6 +42,9 @@ def run_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     if cfg.dataset_kind == "fmnist":
         train = load_idx(cfg.train_images, cfg.train_labels)
         test = load_idx(cfg.test_images, cfg.test_labels)
+        if test.input_dim != train.input_dim:
+            raise FormatError(f"{cfg.test_images}: {test.input_dim} pixels per "
+                              f"image, training images have {train.input_dim}")
     else:
         train, test = synth_pair(replace(cfg.synth, seed=seed))
     train, partition = group_by_client(

@@ -1,18 +1,19 @@
 """Datasets and heterogeneity partitioners.
 
 Ingestion covers big-endian IDX image/label files and a synthetic Gaussian
-mixture testbed with subclass structure.  Partitioners realize three
-heterogeneity scenarios: label-distribution skew (each client holds k of C
-labels), label concept drift (one subclass per superclass per client), and
-data-quantity disparity via random slicing.  All of them are deterministic
-functions of (spec, seed).
+mixture testbed with subclass structure.  Label-distribution skew (k of C
+labels per client) and label concept drift (one subclass per superclass per
+client) follow one rule: a client holds keys, each key's rows are
+random-sliced among its holders, and a client's PM test set is the test
+rows whose key it holds.  Data-quantity disparity random-slices an IID
+shuffle.  All partitioners are deterministic functions of (spec, seed).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,8 +79,8 @@ class Partition:
     """Disjoint, covering, per-client index lists into the parent dataset."""
 
     client_indices: list[np.ndarray]
-    client_labels: list[frozenset] | None = None      # label_skew
-    client_subclasses: list[frozenset] | None = None  # concept_drift
+    held: list[frozenset] | None = None   # client j's keys into ds.<by>
+    by: str | None = None                 # "labels", "subclasses" or None
 
     @property
     def sizes(self) -> list[int]:
@@ -161,45 +162,40 @@ class _RefillPool:
         return pick
 
 
-def _distribute(groups: dict, holders: dict, seed: int, tag: int,
-                n_clients: int) -> list[np.ndarray]:
-    """Split each group's indices across its holders by shuffled random slicing."""
-    per_client: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
-    for key in sorted(groups):
-        idx = groups[key]
-        owners = holders[key]
+def _slice_by_key(ds: Dataset, by: str, held: list[list], seed: int,
+                  tag: int) -> Partition:
+    """Client j holds the keys ``held[j]`` of ``ds.<by>``; each key's rows
+    are shuffled and random-sliced among its holders in client order."""
+    holders: dict = {}
+    for j, keys in enumerate(held):
+        for key in keys:
+            holders.setdefault(key, []).append(j)
+    per_client: list[list[np.ndarray]] = [[] for _ in held]
+    for key in sorted(holders):
         r = rng_mod.stream(seed, rng_mod.TAG_PARTITION, tag, int(key))
-        idx = r.permutation(idx)
-        sizes = slice_sizes(len(idx), len(owners), r)
-        start = 0
-        for owner, size in zip(owners, sizes):
-            per_client[owner].append(idx[start:start + size])
-            start += size
-    return [np.sort(np.concatenate(parts)) if parts else np.array([], dtype=int)
-            for parts in per_client]
+        idx = r.permutation(np.flatnonzero(getattr(ds, by) == key))
+        sizes = slice_sizes(len(idx), len(holders[key]), r)
+        for owner, part in zip(holders[key], np.split(idx, np.cumsum(sizes)[:-1])):
+            per_client[owner].append(part)
+    return Partition(
+        client_indices=[np.sort(np.concatenate(parts)) if parts
+                        else np.array([], dtype=int) for parts in per_client],
+        held=[frozenset(keys) for keys in held], by=by)
 
 
 def partition_label_skew(ds: Dataset, clients: int, k: int, seed: int) -> Partition:
     """Give each client k of C labels (refilled pool), then random-slice per label."""
     if k > ds.classes:
         raise InputError(f"k={k} exceeds class count {ds.classes}")
-    draw_rng = rng_mod.stream(seed, rng_mod.TAG_PARTITION, 0)
-    pool = _RefillPool(range(ds.classes), draw_rng)
-    label_sets: list[list[int]] = []
-    holders: dict[int, list[int]] = {c: [] for c in range(ds.classes)}
-    for j in range(clients):
+    pool = _RefillPool(range(ds.classes),
+                       rng_mod.stream(seed, rng_mod.TAG_PARTITION, 0))
+    held: list[list[int]] = []
+    for _ in range(clients):
         owned: list[int] = []
         for _ in range(k):
-            lab = pool.draw(exclude=owned)
-            owned.append(lab)
-            holders[lab].append(j)
-        label_sets.append(owned)
-    groups = {c: np.flatnonzero(ds.labels == c) for c in range(ds.classes)
-              if holders[c]}
-    holders = {c: h for c, h in holders.items() if h}
-    indices = _distribute(groups, holders, seed, 1, clients)
-    return Partition(client_indices=indices,
-                     client_labels=[frozenset(s) for s in label_sets])
+            owned.append(pool.draw(exclude=owned))
+        held.append(owned)
+    return _slice_by_key(ds, "labels", held, seed, 1)
 
 
 def partition_concept_drift(ds: Dataset, clients: int, seed: int) -> Partition:
@@ -207,22 +203,11 @@ def partition_concept_drift(ds: Dataset, clients: int, seed: int) -> Partition:
     if ds.subclasses is None:
         raise InputError("dataset has no subclass annotations")
     draw_rng = rng_mod.stream(seed, rng_mod.TAG_PARTITION, 0)
-    supers = {}
-    for c in range(ds.classes):
-        subs = sorted(set(ds.subclasses[ds.labels == c].tolist()))
-        supers[c] = subs
-    pools = {c: _RefillPool(subs, draw_rng) for c, subs in supers.items()}
-    sub_sets: list[list[int]] = [[] for _ in range(clients)]
-    holders: dict[int, list[int]] = {}
-    for j in range(clients):
-        for c in range(ds.classes):
-            sub = pools[c].draw()
-            sub_sets[j].append(sub)
-            holders.setdefault(sub, []).append(j)
-    groups = {s: np.flatnonzero(ds.subclasses == s) for s in holders}
-    indices = _distribute(groups, holders, seed, 2, clients)
-    return Partition(client_indices=indices,
-                     client_subclasses=[frozenset(s) for s in sub_sets])
+    pools = [_RefillPool(sorted(set(ds.subclasses[ds.labels == c].tolist())),
+                         draw_rng) for c in range(ds.classes)]
+    return _slice_by_key(ds, "subclasses",
+                         [[pool.draw() for pool in pools] for _ in range(clients)],
+                         seed, 2)
 
 
 def partition_quantity(ds: Dataset, clients: int, seed: int,
@@ -262,8 +247,8 @@ def group_by_client(ds: Dataset, partition: Partition,
     Client j's rows keep their values and order; its indices become one
     ascending run, so ``client_rows`` takes them as a view.  The images are
     permuted row by row along the permutation's cycles, so no second copy
-    of them is made; labels and subclasses are gathered.  The label and
-    subclass sets are shared with ``partition``.
+    of them is made; labels and subclasses are gathered.  The held keys
+    are shared with ``partition``.
     """
     partition.validate(len(ds))   # a permutation, or the walk never ends
     order = np.concatenate(partition.client_indices)
@@ -280,10 +265,8 @@ def group_by_client(ds: Dataset, partition: Partition,
     if ds.subclasses is not None:
         ds.subclasses = ds.subclasses[order]
     starts = np.cumsum([0] + partition.sizes)
-    return ds, Partition(
-        client_indices=[np.arange(a, b) for a, b in zip(starts, starts[1:])],
-        client_labels=partition.client_labels,
-        client_subclasses=partition.client_subclasses)
+    return ds, replace(partition, client_indices=[
+        np.arange(a, b) for a, b in zip(starts, starts[1:])])
 
 
 def client_rows(ds: Dataset, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,17 +279,13 @@ def client_rows(ds: Dataset, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pm_test_indices(partition: Partition, test_ds: Dataset, client: int) -> np.ndarray:
-    """Test points matching the labels/subclasses held by the client."""
-    if partition.client_labels is not None:
-        mask = np.isin(test_ds.labels, list(partition.client_labels[client]))
-    elif partition.client_subclasses is not None:
-        if test_ds.subclasses is None:
-            raise InputError("test dataset lacks subclass annotations")
-        mask = np.isin(test_ds.subclasses,
-                       list(partition.client_subclasses[client]))
-    else:
-        mask = np.ones(len(test_ds), dtype=bool)
-    return np.flatnonzero(mask)
+    """Test points whose key the client holds; every point if none is held."""
+    if partition.by is None:
+        return np.arange(len(test_ds))
+    keys = getattr(test_ds, partition.by)
+    if keys is None:
+        raise InputError("test dataset lacks subclass annotations")
+    return np.flatnonzero(np.isin(keys, list(partition.held[client])))
 
 
 @dataclass

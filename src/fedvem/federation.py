@@ -263,6 +263,9 @@ def serialize_upload(mu: np.ndarray, tau: float, theta: list[Layer]) -> bytes:
 
 def deserialize_upload(buf: bytes, d: int,
                        theta_like: list[Layer]) -> tuple[np.ndarray, float, list[Layer]]:
+    expected = 8 * (d + sum(w.size + b.size for w, b in theta_like) + 1)
+    if len(buf) != expected:
+        raise InputError(f"upload payload is {len(buf)} bytes, expected {expected}")
     mu = np.frombuffer(buf, dtype="<f8", count=d).copy()
     offset = 8 * d
     theta = []
@@ -273,8 +276,6 @@ def deserialize_upload(buf: bytes, d: int,
         offset += 8 * b.size
         theta.append((wv.reshape(w.shape).copy(), bv.copy()))
     (tau,) = struct.unpack_from("<d", buf, offset)
-    if offset + 8 != len(buf):
-        raise InputError("upload payload has trailing bytes")
     return mu, tau, theta
 
 

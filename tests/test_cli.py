@@ -534,6 +534,29 @@ def test_main_truncated_idx_file_exits_two(tmp_path, capsys, cut, message):
     assert err == f"{tmp_path / message}\n", err
 
 
+def test_main_test_images_of_another_size_exit_two(tmp_path, capsys):
+    # 4x4 training images against 5x5 test images
+    for split, side in (("train", 4), ("test", 5)):
+        (tmp_path / f"{split}_img").write_bytes(
+            struct.pack(">IIII", 0x803, 2, side, side) + bytes(2 * side * side))
+        (tmp_path / f"{split}_lab").write_bytes(
+            struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+    path = tmp_path / "idx.cfg"
+    path.write_text(
+        "dataset.kind = fmnist\n"
+        + "".join(f"dataset.{split}_{kind} = {tmp_path / split}_{name}\n"
+                  for split in ("train", "test")
+                  for kind, name in (("images", "img"), ("labels", "lab")))
+        + "partition.scenario = iid_equal\npartition.clients = 1\n"
+          "model.hidden = 2\ntrain.T = 1\nseeds = 0\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"{tmp_path / 'test_img'}: 25 pixels per image, "
+                   "training images have 16\n"), err
+    assert not (out / "seed0.jsonl").exists()
+
+
 def test_main_rejects_empty_out(tmp_path, capsys):
     path = smoke_config(tmp_path, extra="out =\n")
     assert main(["validate", "--config", str(path)]) == 2

@@ -135,7 +135,7 @@ def toy_dataset(n=600, classes=10, seed=0, subclasses_per_class=0):
 def test_label_skew_two_clients_cover_all_labels():
     ds = toy_dataset()
     p = partition_label_skew(ds, clients=2, k=5, seed=0)
-    a, b = p.client_labels
+    a, b = p.held
     assert a.isdisjoint(b)
     assert a | b == set(range(10))
 
@@ -152,7 +152,7 @@ def test_label_skew_refill_counting():
     ds = toy_dataset(n=60000)
     p = partition_label_skew(ds, clients=100, k=5, seed=3)
     holder_counts = {c: 0 for c in range(10)}
-    for labs in p.client_labels:
+    for labs in p.held:
         for lab in labs:
             holder_counts[lab] += 1
     assert all(v == 50 for v in holder_counts.values())
@@ -168,13 +168,13 @@ def test_concept_drift_single_superclass_two_clients():
     ds = toy_dataset(n=100, classes=1, subclasses_per_class=1)
     p = partition_concept_drift(ds, clients=2, seed=0)
     assert all(len(ix) >= 1 for ix in p.client_indices)
-    assert p.client_subclasses[0] == p.client_subclasses[1] == frozenset({0})
+    assert p.held[0] == p.held[1] == frozenset({0})
 
 
 def test_concept_drift_single_client_one_subclass_per_superclass():
     ds = toy_dataset(n=400, classes=3, subclasses_per_class=4, seed=1)
     p = partition_concept_drift(ds, clients=1, seed=0)
-    assert len(p.client_subclasses[0]) == 3
+    assert len(p.held[0]) == 3
 
 
 def test_concept_drift_refill_counting():
@@ -183,7 +183,7 @@ def test_concept_drift_refill_counting():
     ds = toy_dataset(n=2400, classes=3, subclasses_per_class=4, seed=2)
     p = partition_concept_drift(ds, clients=8, seed=1)
     counts: dict[int, int] = {}
-    for subs in p.client_subclasses:
+    for subs in p.held:
         for s in subs:
             counts[s] = counts.get(s, 0) + 1
     assert sorted(counts) == list(range(12))
@@ -211,18 +211,39 @@ def test_partition_is_deterministic():
     p2 = make_partition(ds, spec)
     for a, b in zip(p1.client_indices, p2.client_indices):
         assert np.array_equal(a, b)
-    assert p1.client_labels == p2.client_labels
+    assert p1.held == p2.held
 
 
-def test_pm_test_indices_mirror_client_labels():
-    train = toy_dataset(n=500, classes=5, seed=8)
-    test = toy_dataset(n=200, classes=5, seed=9)
-    spec = PartitionSpec(scenario="label_skew", clients=4, labels_per_client=2,
+@pytest.mark.parametrize("scenario,by", [
+    ("label_skew", "labels"), ("concept_drift", "subclasses"),
+    ("quantity_only", None), ("iid_equal", None)])
+def test_pm_test_indices_mirror_held_keys(scenario, by):
+    train = toy_dataset(n=500, classes=5, seed=8, subclasses_per_class=3)
+    test = toy_dataset(n=200, classes=5, seed=9, subclasses_per_class=3)
+    spec = PartitionSpec(scenario=scenario, clients=4, labels_per_client=2,
                          seed=0)
     p = make_partition(train, spec)
+    assert p.by == by
     for j in range(4):
         idx = pm_test_indices(p, test, j)
-        assert set(test.labels[idx].tolist()) <= set(p.client_labels[j])
+        if by is None:
+            assert p.held is None
+            assert idx.tolist() == list(range(len(test)))
+            continue
+        keys = getattr(test, by)
+        assert set(keys[idx].tolist()) <= set(p.held[j])
+        # and every test row with a held key is in
+        assert idx.tolist() == [i for i, key in enumerate(keys.tolist())
+                                if key in p.held[j]]
+
+
+def test_pm_test_indices_concept_drift_needs_test_subclasses():
+    train = toy_dataset(n=500, classes=5, seed=8, subclasses_per_class=3)
+    test = toy_dataset(n=200, classes=5, seed=9)
+    p = make_partition(train, PartitionSpec(scenario="concept_drift",
+                                            clients=4, seed=0))
+    with pytest.raises(InputError, match="lacks subclass annotations"):
+        pm_test_indices(p, test, 0)
 
 
 def test_quantity_partition_sizes_sum():
@@ -244,8 +265,8 @@ def test_group_by_client_keeps_every_clients_rows(scenario):
     grouped, gp = group_by_client(ds, p)
     gp.validate(len(grouped))
     assert grouped.classes == before.classes
-    assert gp.client_labels == p.client_labels
-    assert gp.client_subclasses == p.client_subclasses
+    assert gp.held == p.held
+    assert gp.by == p.by
     start = 0
     for j, (idx, gidx) in enumerate(zip(p.client_indices, gp.client_indices,
                                         strict=True)):

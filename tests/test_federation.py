@@ -150,11 +150,15 @@ def test_upload_roundtrip_and_size():
         np.testing.assert_array_equal(b, b2)
 
 
-def test_upload_rejects_trailing_bytes():
+@pytest.mark.parametrize("extra", [8, -1, -8])
+def test_upload_rejects_trailing_bytes(extra):
+    # a payload 8 bytes too long, or 1 or 8 bytes short, is one InputError
     mu = np.zeros(2)
     theta = [(np.zeros((1, 1)), np.zeros(1))]
-    buf = serialize_upload(mu, 1.0, theta) + b"\x00" * 8
-    with pytest.raises(InputError):
+    buf = serialize_upload(mu, 1.0, theta)
+    buf = buf + b"\x00" * extra if extra > 0 else buf[:extra]
+    with pytest.raises(InputError, match=f"upload payload is {len(buf)} bytes, "
+                                         "expected 40"):
         deserialize_upload(buf, 2, theta)
 
 
