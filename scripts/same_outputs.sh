@@ -1,16 +1,19 @@
 #!/bin/sh
 # Byte-identity check against another revision: exports REV with
-# `git archive`, runs the same seven configs under REV and under this
+# `git archive`, runs the same eight configs under REV and under this
 # working tree, and fails unless every output file (per-seed JSONL, client
 # CSV, summary, every checkpoint) is byte-identical.
 #   - the smoke config (3 classes, 23 clients) on one worker;
 #   - the smoke config under quantity_only, seeds 0-2, on one worker;
 #   - a 5-class concept_drift config, seeds 0-2, on one worker;
 #   - a 10-class label_skew config, seeds 0-2, on a two-worker pool;
-#   - the smoke config under fedavg, fedprox and local, seeds 0-2.
-# The pFedVEM runs write a checkpoint every round.  The configs are
-# generated with sed from the shipped ones, with few rounds and points so
-# the check takes seconds.  Usage: scripts/same_outputs.sh REV
+#   - the smoke config under fedavg, fedprox and local, seeds 0-2;
+#   - a 10-class label_skew config over IDX files, seeds 0-1, on one
+#     worker: 600 + 100 generated 8x8 uint8 images, which both trees read.
+# The five pFedVEM runs write a checkpoint every round; the three baseline
+# runs write none.  The configs are generated with sed from the shipped
+# ones, with few rounds and points so the check takes seconds.
+# Usage: scripts/same_outputs.sh REV
 set -e
 if [ $# -ne 1 ]; then
     echo "usage: $0 REV" >&2
@@ -44,6 +47,35 @@ git archive "$1" | tar -x -C "$tmp/rev"
       -e 's/^seeds = .*/seeds = 0,1,2/' configs/synth_conceptdrift.cfg
   echo "partition.labels_per_client = 5"
   echo "checkpoint_every = 1"; } > "$tmp/cfg/skew10.cfg"
+# class-dependent pixels from a fixed seed, labels 0-9 in turn
+python - "$tmp" <<'GEN'
+import struct
+import sys
+
+import numpy as np
+
+rng = np.random.default_rng(0)
+centers = rng.integers(0, 256, size=(10, 64))
+for split, n in (("train", 600), ("test", 100)):
+    labels = np.arange(n) % 10
+    pixels = np.clip(centers[labels] + rng.normal(0, 40, (n, 64)), 0, 255)
+    with open(f"{sys.argv[1]}/{split}-images", "wb") as f:
+        f.write(struct.pack(">IIII", 2051, n, 8, 8)
+                + pixels.astype(np.uint8).tobytes())
+    with open(f"{sys.argv[1]}/{split}-labels", "wb") as f:
+        f.write(struct.pack(">II", 2049, n) + labels.astype(np.uint8).tobytes())
+GEN
+{ sed -e '/^dataset\./d' -e '/^partition\./d' -e 's/^seeds = .*/seeds = 0,1/' \
+      configs/smoke.cfg
+  echo "dataset.kind = fmnist"
+  for split in train test; do
+      echo "dataset.${split}_images = $tmp/$split-images"
+      echo "dataset.${split}_labels = $tmp/$split-labels"
+  done
+  echo "partition.scenario = label_skew"
+  echo "partition.clients = 23"
+  echo "partition.labels_per_client = 5"
+  echo "checkpoint_every = 1"; } > "$tmp/cfg/idx.cfg"
 for scheme in fedavg fedprox local; do
     sed -e "s/^scheme = .*/scheme = $scheme/" -e 's/^seeds = .*/seeds = 0,1,2/' \
         configs/smoke.cfg > "$tmp/cfg/$scheme.cfg"
@@ -52,7 +84,7 @@ done
 for tree in "$tmp/rev" "$here"; do
     side=$( [ "$tree" = "$here" ] && echo here || echo rev )
     for run in smoke:1 quantity:1 drift5:1 skew10:2 fedavg:1 fedprox:1 \
-               local:1; do
+               local:1 idx:1; do
         name=${run%:*}
         (cd "$tree" && PYTHONPATH=src python -m fedvem.cli run \
             --config "$tmp/cfg/$name.cfg" --workers "${run#*:}" \

@@ -21,7 +21,7 @@ from .nn import InputError, Layer, forward, init_mlp, sgd_epochs
 SCHEMES = ("local", "fedavg", "fedprox")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineConfig:
     """The ``baseline.*`` section; rounds, reporting, seed and width come
     from the shared ``TrainConfig``."""

@@ -45,6 +45,9 @@ def run_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
         if test.input_dim != train.input_dim:
             raise FormatError(f"{cfg.test_images}: {test.input_dim} pixels per "
                               f"image, training images have {train.input_dim}")
+        if test.classes > train.classes:   # a label no head can output
+            raise FormatError(f"{cfg.test_labels}: label {test.classes - 1}, "
+                              f"training labels lie in [0, {train.classes})")
     else:
         train, test = synth_pair(replace(cfg.synth, seed=seed))
     train, partition = group_by_client(

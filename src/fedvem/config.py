@@ -18,16 +18,17 @@ Each key sets exactly one field.  `model.hidden` and `train.*` fill the
 `mu_prox`, which must be positive under `fedprox`.
 
 A float value must be finite: `nan` and `inf` are parse errors naming the
-key.  Unknown keys are validation errors, as are out-of-range values;
+key, as are unknown keys.  Out-of-range values are validation errors:
 `validate` checks every `train.*` field whatever the scheme, and returns the
-full list of violations with field names, one per bad value.
+full list of violations, one per bad value, each starting with its key.
+Every config is frozen: `build_config` makes it once from the defaults.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .baselines import SCHEMES, BaselineConfig
 from .data import PartitionSpec, SynthSpec
@@ -37,10 +38,10 @@ ALL_SCHEMES = ("pfedvem",) + SCHEMES
 
 
 class ConfigError(ValueError):
-    """Unparseable or invalid configuration; message names the field."""
+    """Unparseable or invalid configuration; message names the key."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset_kind: str = "synth"
     # fmnist paths
@@ -134,17 +135,19 @@ _SCHEMA = {
 
 
 def build_config(kv: dict[str, str]) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    targets = {"root": cfg, "synth": cfg.synth, "partition": cfg.partition,
-               "train": cfg.train, "baseline": cfg.baseline}
+    """The defaults with every key's parsed value, built once."""
+    parsed: dict[str, dict] = {"root": {}, "synth": {}, "partition": {},
+                               "train": {}, "baseline": {}}
     for key, value in kv.items():
         if key not in _SCHEMA:
             raise ConfigError(f"{key}: unknown configuration key")
         target, attr, kind = _SCHEMA[key]
-        parsed = (_int_tuple(key, value) if kind == "int_tuple"
-                  else _convert(key, value, kind))
-        setattr(targets[target], attr, parsed)
-    return cfg
+        parsed[target][attr] = (_int_tuple(key, value) if kind == "int_tuple"
+                                else _convert(key, value, kind))
+    cfg = ExperimentConfig()
+    root = parsed.pop("root")
+    return replace(cfg, **root, **{name: replace(getattr(cfg, name), **values)
+                                   for name, values in parsed.items()})
 
 
 def load_config(path) -> ExperimentConfig:

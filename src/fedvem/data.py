@@ -53,7 +53,7 @@ class Dataset:
         return self.images.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionSpec:
     scenario: str
     clients: int
@@ -63,14 +63,14 @@ class PartitionSpec:
     def violations(self, classes: int | None = None) -> list[str]:
         out = []
         if self.scenario not in SCENARIOS:
-            out.append(f"PartitionSpec.scenario: unknown scenario {self.scenario!r}")
+            out.append(f"partition.scenario: unknown scenario {self.scenario!r}")
         if self.clients < 1:
-            out.append("PartitionSpec.clients: must be >= 1")
+            out.append("partition.clients: must be >= 1")
         if self.scenario == "label_skew":
             if self.labels_per_client < 1:
-                out.append("PartitionSpec.labels_per_client: must be >= 1 for label_skew")
+                out.append("partition.labels_per_client: must be >= 1 for label_skew")
             elif classes is not None and self.labels_per_client > classes:
-                out.append("PartitionSpec.labels_per_client: exceeds class count")
+                out.append("partition.labels_per_client: exceeds class count")
         return out
 
 
@@ -288,7 +288,7 @@ def pm_test_indices(partition: Partition, test_ds: Dataset, client: int) -> np.n
     return np.flatnonzero(np.isin(keys, list(partition.held[client])))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Gaussian-mixture testbed: C superclasses, each a set of subclass modes."""
 
@@ -305,15 +305,15 @@ class SynthSpec:
     def violations(self) -> list[str]:
         out = []
         if self.classes < 2:
-            out.append("SynthSpec.classes: need >= 2 classes")
+            out.append("dataset.classes: need >= 2 classes")
         if self.subclasses_per_class < 1:
-            out.append("SynthSpec.subclasses_per_class: must be >= 1")
+            out.append("dataset.subclasses_per_class: must be >= 1")
         if self.dim < self.classes:
-            out.append("SynthSpec.dim: must be >= class count for separable centers")
+            out.append("dataset.dim: must be >= class count for separable centers")
         if self.points_per_subclass < 1:
-            out.append("SynthSpec.points_per_subclass: must be >= 1")
+            out.append("dataset.points_per_subclass: must be >= 1")
         if self.noise < 0:
-            out.append("SynthSpec.noise: must be nonnegative")
+            out.append("dataset.noise: must be nonnegative")
         return out
 
 

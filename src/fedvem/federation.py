@@ -17,7 +17,8 @@ once (``init_state``), and its base upload lives only within a round.
 Per-(seed, round, client) random streams make results independent of worker
 scheduling and grouping; client updates within a round may run on a process
 pool whose workers hold all clients' rows (``client_pool``), one job per
-head group.
+head group.  Uploads and checkpoints hold ``nn.flatten``'s layout as
+little-endian float64 (``_f64``), read back with ``nn.unflatten``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, client_rows, pm_test_indices
-from .nn import (InputError, Layer, flatten_head, forward_base, head_logits,
-                 init_mlp, sgd_epochs, unflatten_head)
+from .nn import (InputError, Layer, flatten, forward_base, head_logits,
+                 init_mlp, sgd_epochs, unflatten, unflatten_head)
 from .variational import (IsotropicPrior, PosteriorError,
                           VariationalPosterior, confidence, fit_posterior,
                           head_loss_closure, sample, softplus_inv)
@@ -54,7 +55,7 @@ class TrainingError(RuntimeError):
     """Numeric failure during a round; names the round and client."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """The run config every scheme reads.
 
@@ -77,28 +78,28 @@ class TrainConfig:
     def violations(self) -> list[str]:
         out = []
         if not 0 < self.s <= 1:
-            out.append(f"TrainConfig.s: must satisfy 0 < s <= 1, got {self.s}")
+            out.append(f"train.s: must satisfy 0 < s <= 1, got {self.s}")
         if self.K < 1:
-            out.append(f"TrainConfig.K: must be >= 1, got {self.K}")
+            out.append(f"train.K: must be >= 1, got {self.K}")
         if self.R < 1:
-            out.append(f"TrainConfig.R: must be >= 1, got {self.R}")
+            out.append(f"train.R: must be >= 1, got {self.R}")
         if self.rho0_sq <= 0:
-            out.append(f"TrainConfig.rho0_sq: must be positive, got {self.rho0_sq}")
+            out.append(f"train.rho0_sq: must be positive, got {self.rho0_sq}")
         if self.T < 0:
-            out.append(f"TrainConfig.T: must be >= 0, got {self.T}")
+            out.append(f"train.T: must be >= 0, got {self.T}")
         if self.eta < 0:
-            out.append(f"TrainConfig.eta: must be >= 0, got {self.eta}")
+            out.append(f"train.eta: must be >= 0, got {self.eta}")
         if self.base_lr < 0:
-            out.append(f"TrainConfig.base_lr: must be >= 0, got {self.base_lr}")
+            out.append(f"train.base_lr: must be >= 0, got {self.base_lr}")
         if self.base_epochs < 0:
-            out.append("TrainConfig.base_epochs: must be >= 0")
+            out.append("train.base_epochs: must be >= 0")
         if self.base_batch < 1:
-            out.append("TrainConfig.base_batch: must be >= 1")
+            out.append("train.base_batch: must be >= 1")
         if self.confidence_mode not in ("full", "uncertainty_only", "deviation_only"):
             out.append(
-                f"TrainConfig.confidence_mode: unknown mode {self.confidence_mode!r}")
+                f"train.confidence_mode: unknown mode {self.confidence_mode!r}")
         if not self.hidden or any(h < 1 for h in self.hidden):
-            out.append("TrainConfig.hidden: need at least one hidden layer, "
+            out.append("model.hidden: need at least one hidden layer, "
                        f"all widths positive, got {self.hidden}")
         return out
 
@@ -251,32 +252,26 @@ def client_pool(rows: Rows, workers: int) -> ProcessPoolExecutor:
                                initargs=(rows, np.geterr()))
 
 
+def _f64(*parts) -> bytes:
+    """The parts, each flat, concatenated as little-endian float64 bytes."""
+    return np.concatenate(parts, dtype="<f8").tobytes()
+
+
 def serialize_upload(mu: np.ndarray, tau: float, theta: list[Layer]) -> bytes:
-    """Reporter payload: head mean + base parameters + exactly one scalar."""
-    parts = [np.asarray(mu, dtype="<f8").tobytes()]
-    for w, b in theta:
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    parts.append(struct.pack("<d", tau))
-    return b"".join(parts)
+    """Reporter payload: head mean, flattened base, then exactly one scalar."""
+    return _f64(mu, flatten(theta), [tau])
 
 
 def deserialize_upload(buf: bytes, d: int,
                        theta_like: list[Layer]) -> tuple[np.ndarray, float, list[Layer]]:
+    """Inverse of ``serialize_upload``; copies, so none keeps ``buf`` alive."""
     expected = 8 * (d + sum(w.size + b.size for w, b in theta_like) + 1)
     if len(buf) != expected:
         raise InputError(f"upload payload is {len(buf)} bytes, expected {expected}")
-    mu = np.frombuffer(buf, dtype="<f8", count=d).copy()
-    offset = 8 * d
-    theta = []
-    for w, b in theta_like:
-        wv = np.frombuffer(buf, dtype="<f8", count=w.size, offset=offset)
-        offset += 8 * w.size
-        bv = np.frombuffer(buf, dtype="<f8", count=b.size, offset=offset)
-        offset += 8 * b.size
-        theta.append((wv.reshape(w.shape).copy(), bv.copy()))
-    (tau,) = struct.unpack_from("<d", buf, offset)
-    return mu, tau, theta
+    vec = np.frombuffer(buf, dtype="<f8")
+    theta = unflatten(vec[d:-1], [w.shape for w, _ in theta_like])
+    return (vec[:d].copy(), float(vec[-1]),
+            [(w.copy(), b.copy()) for w, b in theta])
 
 
 def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
@@ -334,7 +329,7 @@ def init_state(cfg: TrainConfig, train_ds: Dataset, partition: Partition,
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_INIT)
     *base, head = init_mlp(train_ds.input_dim, tuple(cfg.hidden),
                            train_ds.classes, rng)
-    w0 = flatten_head(head)
+    w0 = flatten([head])
     pi0 = float(softplus_inv(np.sqrt(cfg.rho0_sq)))
     rows = [client_rows(train_ds, idx) for idx in partition.client_indices]
     clients = [ClientState(j, VariationalPosterior(w0.copy(),
@@ -398,28 +393,22 @@ def write_checkpoint(path, globals_: GlobalState,
     """Binary snapshot: header + little-endian f64 payload.
 
     Layout: magic "FVEM", version u32, d u32, J u32, base layer count u32,
-    per-layer (out, in) u32 pairs, round u64, then w, theta (row-major W
-    then b per layer), and per client mu, pi, tau.  The file is written
+    per-layer (out, in) u32 pairs, round u64, then w, theta (``nn.flatten``:
+    row-major W then b per layer), and per client mu, pi, tau.  The file is written
     beside ``path`` and renamed over it, so an interrupted write never
     leaves a partial checkpoint under ``path``.
     """
-    d = globals_.w.size
     tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<III", CHECKPOINT_VERSION, d, len(clients)))
-        f.write(struct.pack("<I", len(globals_.theta)))
+        f.write(struct.pack("<IIII", CHECKPOINT_VERSION, globals_.w.size,
+                            len(clients), len(globals_.theta)))
         for w, _ in globals_.theta:
             f.write(struct.pack("<II", *w.shape))
         f.write(struct.pack("<Q", globals_.t))
-        f.write(np.asarray(globals_.w, dtype="<f8").tobytes())
-        for w, b in globals_.theta:
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        for c in clients:
-            f.write(np.asarray(c.posterior.mu, dtype="<f8").tobytes())
-            f.write(np.asarray(c.posterior.pi, dtype="<f8").tobytes())
-            f.write(struct.pack("<d", c.tau))
+        f.write(_f64(globals_.w, flatten(globals_.theta)))
+        for c in clients:   # one client at a time: no buffer of all J
+            f.write(_f64(c.posterior.mu, c.posterior.pi, [c.tau]))
     os.replace(tmp, path)
 
 
@@ -438,32 +427,21 @@ def read_checkpoint(path) -> tuple[GlobalState, list[ClientState]]:
         if version != CHECKPOINT_VERSION:
             raise InputError(f"{path}: unsupported checkpoint version {version}")
         (n_layers,) = struct.unpack_from("<I", raw, 16)
-        offset = 20
-        shapes = []
-        for _ in range(n_layers):
-            shapes.append(struct.unpack_from("<II", raw, offset))
-            offset += 8
+        shapes = [struct.unpack_from("<II", raw, 20 + 8 * k)
+                  for k in range(n_layers)]
+        offset = 20 + 8 * n_layers
         (t,) = struct.unpack_from("<Q", raw, offset)
     except struct.error as exc:
         raise InputError(f"{path}: truncated checkpoint header") from exc
     offset += 8
-    size = offset + 8 * (d + sum(o * i + o for o, i in shapes)
-                         + n_clients * (2 * d + 1))
+    n_theta = sum(o * i + o for o, i in shapes)
+    size = offset + 8 * (d + n_theta + n_clients * (2 * d + 1))
     if len(raw) != size:
         raise InputError(f"{path}: checkpoint holds {len(raw)} bytes, its "
                          f"header implies {size}")
-
-    def take(count):
-        nonlocal offset
-        out = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).copy()
-        offset += 8 * count
-        return out
-
-    w = take(d)
-    theta = []
-    for out_dim, in_dim in shapes:
-        theta.append((take(out_dim * in_dim).reshape(out_dim, in_dim),
-                      take(out_dim)))
-    clients = [ClientState(j, VariationalPosterior(take(d), take(d)),
-                           float(take(1)[0])) for j in range(n_clients)]
-    return GlobalState(w=w, theta=theta, t=int(t)), clients
+    vec = np.frombuffer(raw, dtype="<f8", offset=offset).copy()
+    theta = unflatten(vec[d:d + n_theta], shapes)
+    rows = vec[d + n_theta:].reshape(n_clients, 2 * d + 1)
+    clients = [ClientState(j, VariationalPosterior(r[:d], r[d:-1]),
+                           float(r[-1])) for j, r in enumerate(rows)]
+    return GlobalState(w=vec[:d], theta=theta, t=int(t)), clients

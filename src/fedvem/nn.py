@@ -3,10 +3,12 @@
 The network is a fixed topology: ReLU hidden layers (the "base") followed
 by one affine classifier layer (the "head").  A model is the list of its
 layers in order, ``[*base, head]``; a base alone is the same list without
-its last layer.  Everything is float64 numpy; gradients are derived by hand
-for this topology, which keeps the whole training loop dependency-free and
-easy to check against finite differences.  `sgd_epochs` is the one
-mini-batch SGD loop; every scheme trains through it.
+its last layer; `flatten` and `unflatten` are its one flat form, which the
+head vector, the upload and the checkpoint share.  Everything is float64
+numpy; gradients are derived by hand for this topology, which keeps the
+whole training loop dependency-free and easy to check against finite
+differences.  `sgd_epochs` is the one mini-batch SGD loop; every scheme
+trains through it.
 """
 
 from __future__ import annotations
@@ -43,20 +45,32 @@ def init_mlp(input_dim: int, hidden: tuple[int, ...], classes: int,
     return model
 
 
-def flatten_head(head: Layer) -> np.ndarray:
-    w, b = head
-    return np.concatenate([w.ravel(), b.ravel()])
+def flatten(layers: list[Layer]) -> np.ndarray:
+    """One vector: each layer's weight in row-major order, then its bias."""
+    return np.concatenate([a.ravel() for layer in layers for a in layer])
+
+
+def unflatten(vec: np.ndarray, shapes: list[tuple[int, int]]) -> list[Layer]:
+    """Views of a `flatten`ed ``vec`` as layers with (out, in) weights."""
+    sizes = [n for out_dim, in_dim in shapes
+             for n in (out_dim * in_dim, out_dim)]
+    if sum(sizes) != vec.size:
+        raise ShapeError(f"{vec.size} parameters for layers of shapes {shapes}")
+    parts = np.split(vec, np.cumsum(sizes)[:-1])
+    return [(w.reshape(shape), b)
+            for shape, w, b in zip(shapes, parts[::2], parts[1::2])]
 
 
 def unflatten_head(vec: np.ndarray, width: int) -> Layer:
-    """Views (W, b) of a flat head on ``width`` features; the class count is
-    the only one that fits ``len(vec) = classes * (width + 1)``."""
-    classes, rem = divmod(vec.size, width + 1)
+    """Views (W, b) of the flat heads along ``vec``'s last axis, d = classes *
+    (width + 1): (..., d) gives (..., classes, width) and (..., classes)."""
+    d = vec.shape[-1]
+    classes, rem = divmod(d, width + 1)
     if rem != 0 or classes < 1:
-        raise ShapeError(
-            f"head dim {vec.size} incompatible with feature width {width}")
+        raise ShapeError(f"head dim {d} incompatible with feature width {width}")
     split = classes * width
-    return vec[:split].reshape(classes, width), vec[split:]
+    return (vec[..., :split].reshape(*vec.shape[:-1], classes, width),
+            vec[..., split:])
 
 
 def _check_layer(x: np.ndarray, w: np.ndarray, name: str) -> None:

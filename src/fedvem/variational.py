@@ -206,9 +206,8 @@ def head_loss_closure(features: Sequence[np.ndarray],
     buffers: list[np.ndarray] = []
 
     def fn(heads: np.ndarray, value: bool = True):
-        classes = unflatten_head(heads[0, 0], width)[1].size   # checks d
-        split = classes * width
-        g, k, _ = heads.shape
+        w, b = unflatten_head(heads, width)   # checks d
+        g, k, classes, _ = w.shape
         if g != len(rows):
             raise ShapeError(f"{g} head stacks for {len(rows)} clients")
         shape = (k, len(labels), classes)
@@ -219,12 +218,9 @@ def head_loss_closure(features: Sequence[np.ndarray],
             buffers[:] = [np.empty(shape), np.empty(shape),
                           np.eye(classes)[labels]]
         logits, d_logits, one_hot = buffers
-        w_t = heads[..., :split].reshape(g, k, classes, width).transpose(
-            0, 1, 3, 2)
-        for r, f, w in zip(rows, features, w_t):
-            np.matmul(f, w, out=logits[:, r])
-        logits += np.repeat(heads[..., split:].transpose(1, 0, 2), counts,
-                            axis=1)
+        for r, f, w_j in zip(rows, features, w.transpose(0, 1, 3, 2)):
+            np.matmul(f, w_j, out=logits[:, r])
+        logits += np.repeat(b.transpose(1, 0, 2), counts, axis=1)
         logits -= _fold_columns(np.maximum, logits)[..., None]
         np.exp(logits, out=d_logits)
         lse = np.log(_fold_columns(np.add, d_logits) if classes < 8
@@ -232,8 +228,8 @@ def head_loss_closure(features: Sequence[np.ndarray],
         np.exp(np.subtract(logits, lse[..., None], out=d_logits), out=d_logits)
         d_logits -= one_hot
         grads = np.empty(heads.shape)
-        d_w = grads[..., :split].reshape(g, k, classes, width)
-        for r, f, g_w, g_b in zip(rows, features, d_w, grads[..., split:]):
+        for r, f, g_w, g_b in zip(rows, features,
+                                  *unflatten_head(grads, width)):
             np.matmul(d_logits[:, r].transpose(0, 2, 1), f, out=g_w)
             d_logits[:, r].sum(axis=1, out=g_b)
         if not value:

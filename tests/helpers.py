@@ -1,5 +1,5 @@
-"""Shared test utilities: finite differences, golden-section search,
-flattening, and the reports a run hands to its ``on_round``."""
+"""Shared test utilities: finite differences, golden-section search, and
+the reports a run hands to its ``on_round``."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import numpy as np
 
 from fedvem.baselines import run_baseline
 from fedvem.federation import run_training
-from fedvem.nn import Layer
 
 
 def training_reports(cfg, train, test, partition, workers=1):
@@ -42,20 +41,6 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     """max_i |a_i - b_i| / max(1, |b_i|)."""
     a, b = np.asarray(a), np.asarray(b)
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
-
-
-def flatten_params(layers: list[Layer]) -> np.ndarray:
-    return np.concatenate([a.ravel() for layer in layers for a in layer])
-
-
-def unflatten_params(vec: np.ndarray, like: list[Layer]) -> list[Layer]:
-    out = []
-    i = 0
-    for w, b in like:
-        out.append((vec[i:i + w.size].reshape(w.shape),
-                    vec[i + w.size:i + w.size + b.size].copy()))
-        i += w.size + b.size
-    return out
 
 
 def golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:

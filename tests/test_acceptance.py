@@ -19,13 +19,14 @@ from fedvem.data import (Dataset, PartitionSpec, SynthSpec, load_idx,
                          make_partition, slice_sizes, synth_pair)
 from fedvem.federation import TrainConfig, select_reporters
 from fedvem.metrics import sem, write_report
-from fedvem.nn import backward, cross_entropy, forward, forward_base, init_mlp
+from fedvem.nn import (backward, cross_entropy, flatten, forward, forward_base,
+                       init_mlp, unflatten)
 from fedvem.variational import (IsotropicPrior, VariationalPosterior,
                                 confidence, head_loss_closure, kl_to_prior,
                                 mc_objective)
 
-from helpers import (baseline_reports, central_diff, flatten_params, golden_max,
-                     rel_err, training_reports, unflatten_params)
+from helpers import (baseline_reports, central_diff, golden_max, rel_err,
+                     training_reports)
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -71,15 +72,15 @@ def test_criterion_1_gradient_correctness():
     grads = [(gw + ew, gb + eb) for (gw, gb), (ew, eb)
              in zip(backward(params, batch, labels),
                     proximal_grads(params, anchor, mu_prox))]
-    a_vec = flatten_params(anchor)
+    a_vec = flatten(anchor)
 
     def prox_objective(vec):
-        p = unflatten_params(vec, params)
+        p = unflatten(vec, [w.shape for w, _ in params])
         return (cross_entropy(forward(p, batch), labels)
                 + mu_prox / 2 * float(((vec - a_vec) ** 2).sum()))
 
-    numeric_px = central_diff(prox_objective, flatten_params(params))
-    err_px = rel_err(flatten_params(grads), numeric_px)
+    numeric_px = central_diff(prox_objective, flatten(params))
+    err_px = rel_err(flatten(grads), numeric_px)
 
     elapsed = time.monotonic() - start
     coords = analytic.size + numeric_px.size

@@ -5,7 +5,7 @@ import signal
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +15,8 @@ import fedvem
 from fedvem import baselines, cli, federation
 from fedvem.baselines import BaselineConfig
 from fedvem.cli import main, run_experiment, run_seed
-from fedvem.config import (ConfigError, build_config, load_config, parse_kv,
-                           validate)
+from fedvem.config import (_SCHEMA, ConfigError, build_config, load_config,
+                           parse_kv, validate)
 from fedvem.metrics import read_report
 
 SMOKE = """\
@@ -95,7 +95,28 @@ def test_validate_reports_field_names(tmp_path):
                         "train.s": "0"})
     bad = validate(cfg)
     assert any(v.startswith("dataset.train_images") for v in bad)
-    assert any(v.startswith("TrainConfig.s") for v in bad)
+    assert any(v.startswith("train.s") for v in bad)
+
+
+def test_validate_names_the_keys_a_user_writes():
+    # one bad value in every section; each line starts with its key
+    cfg = build_config({"dataset.classes": "1", "partition.clients": "0",
+                        "scheme": "fedavg", "model.hidden": "0",
+                        "train.K": "0", "baseline.lr": "-1", "seeds": "-1",
+                        "out": "", "checkpoint_every": "-1"})
+    keys = [v.split(":", 1)[0] for v in validate(cfg)]
+    assert set(keys) <= set(_SCHEMA), keys
+    assert {"dataset.classes", "partition.clients", "model.hidden", "train.K",
+            "baseline.lr", "seeds", "out", "checkpoint_every"} <= set(keys)
+
+
+def test_loaded_config_is_frozen(tmp_path):
+    cfg = load_config(smoke_config(tmp_path))
+    for obj, attr in [(cfg, "scheme"), (cfg.synth, "classes"),
+                      (cfg.partition, "clients"), (cfg.train, "T"),
+                      (cfg.baseline, "lr")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, attr, getattr(obj, attr))
 
 
 def test_validate_clean_synth_config(tmp_path):
@@ -113,7 +134,7 @@ def stand_in_idx_paths(cfg, tmp_path):
     for attr in ("train_images", "train_labels", "test_images", "test_labels"):
         if getattr(cfg, attr):
             (tmp_path / attr).touch()
-            setattr(cfg, attr, str(tmp_path / attr))
+            cfg = replace(cfg, **{attr: str(tmp_path / attr)})
     return cfg
 
 
@@ -344,14 +365,14 @@ def test_main_validate_ok_and_bad(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(SMOKE.replace("train.s = 1.0", "train.s = 0"))
     assert main(["validate", "--config", str(bad)]) == 2
-    assert "TrainConfig.s" in capsys.readouterr().out
+    assert "train.s" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("scheme", ["pfedvem", "fedavg", "fedprox", "local"])
 @pytest.mark.parametrize("old,new,field", [
-    ("train.T = 2", "train.T = -3", "TrainConfig.T"),
-    ("model.hidden = 5", "model.hidden = 0", "TrainConfig.hidden"),
-    ("model.hidden = 5", "model.hidden =", "TrainConfig.hidden"),
+    ("train.T = 2", "train.T = -3", "train.T"),
+    ("model.hidden = 5", "model.hidden = 0", "model.hidden"),
+    ("model.hidden = 5", "model.hidden =", "model.hidden"),
 ])
 def test_main_validate_reports_bad_value_once(tmp_path, capsys, scheme, old,
                                               new, field):
@@ -534,13 +555,15 @@ def test_main_truncated_idx_file_exits_two(tmp_path, capsys, cut, message):
     assert err == f"{tmp_path / message}\n", err
 
 
-def test_main_test_images_of_another_size_exit_two(tmp_path, capsys):
-    # 4x4 training images against 5x5 test images
-    for split, side in (("train", 4), ("test", 5)):
+def idx_config(tmp_path, train, test):
+    """A one-client config over IDX files; ``train`` and ``test`` are each
+    split's (image side, labels), its images all zero."""
+    for split, (side, labels) in (("train", train), ("test", test)):
+        n = len(labels)
         (tmp_path / f"{split}_img").write_bytes(
-            struct.pack(">IIII", 0x803, 2, side, side) + bytes(2 * side * side))
+            struct.pack(">IIII", 0x803, n, side, side) + bytes(n * side * side))
         (tmp_path / f"{split}_lab").write_bytes(
-            struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+            struct.pack(">II", 0x801, n) + bytes(labels))
     path = tmp_path / "idx.cfg"
     path.write_text(
         "dataset.kind = fmnist\n"
@@ -549,11 +572,28 @@ def test_main_test_images_of_another_size_exit_two(tmp_path, capsys):
                   for kind, name in (("images", "img"), ("labels", "lab")))
         + "partition.scenario = iid_equal\npartition.clients = 1\n"
           "model.hidden = 2\ntrain.T = 1\nseeds = 0\n")
+    return path
+
+
+def test_main_test_images_of_another_size_exit_two(tmp_path, capsys):
+    # 4x4 training images against 5x5 test images
+    path = idx_config(tmp_path, train=(4, [0, 1]), test=(5, [0, 1]))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == (f"{tmp_path / 'test_img'}: 25 pixels per image, "
                    "training images have 16\n"), err
+    assert not (out / "seed0.jsonl").exists()
+
+
+def test_main_test_labels_past_training_classes_exit_two(tmp_path, capsys):
+    # training labels 0-2, test labels 0-3: a 3-class head never outputs 3
+    path = idx_config(tmp_path, train=(4, [0, 1, 2, 0]), test=(4, [0, 1, 2, 3]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"{tmp_path / 'test_lab'}: label 3, training labels lie "
+                   "in [0, 3)\n"), err
     assert not (out / "seed0.jsonl").exists()
 
 

@@ -148,6 +148,10 @@ def test_upload_roundtrip_and_size():
     for (w, b), (w2, b2) in zip(theta, theta2):
         np.testing.assert_array_equal(w, w2)
         np.testing.assert_array_equal(b, b2)
+    # copies, not views: a kept mean must not pin the whole payload
+    assert all(a.base is None for layer in theta2 for a in layer)
+    assert mu2.base is None
+    assert serialize_upload(mu2, tau2, theta2) == buf
 
 
 @pytest.mark.parametrize("extra", [8, -1, -8])
@@ -556,7 +560,7 @@ def test_run_training_produces_per_round_reports():
 
 def test_run_training_rejects_invalid_config():
     train, test, part = tiny_problem()
-    with pytest.raises(InputError, match="TrainConfig.s"):
+    with pytest.raises(InputError, match="train.s"):
         training_reports(tiny_config(s=0.0), train, test, part)
 
 
@@ -618,7 +622,7 @@ def test_run_training_learns_tiny_problem():
 
 def test_checkpoint_roundtrip(tmp_path):
     train, test, part = tiny_problem()
-    cfg = tiny_config(T=1, s=1.0)
+    cfg = tiny_config(T=1, s=1.0, hidden=(5, 3))   # a base of two layers
     path = tmp_path / "round0001.fvem"
     gs, clients = run_training(
         cfg, train, test, part,
@@ -627,13 +631,19 @@ def test_checkpoint_roundtrip(tmp_path):
     gs2, dumped = read_checkpoint(path)
     assert gs2.t == 1
     np.testing.assert_array_equal(gs2.w, gs.w)
-    np.testing.assert_array_equal(gs2.theta[0][0], gs.theta[0][0])
+    assert len(gs2.theta) == len(gs.theta)
+    for (w, b), (w2, b2) in zip(gs.theta, gs2.theta):
+        np.testing.assert_array_equal(w2, w)
+        np.testing.assert_array_equal(b2, b)
     assert len(dumped) == len(clients)
     for c, d in zip(clients, dumped, strict=True):
         assert isinstance(d, ClientState) and d.id == c.id
         np.testing.assert_array_equal(d.posterior.mu, c.posterior.mu)
         np.testing.assert_array_equal(d.posterior.pi, c.posterior.pi)
         assert d.tau == c.tau
+    # writing what was read gives the same bytes
+    write_checkpoint(tmp_path / "again.fvem", gs2, dumped)
+    assert (tmp_path / "again.fvem").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from fedvem import nn
 from fedvem.nn import (InputError, NumericError, ShapeError, backward,
-                       cross_entropy, flatten_head, forward, init_mlp,
-                       sgd_epochs, sgd_step, unflatten_head)
+                       cross_entropy, flatten, forward, init_mlp, sgd_epochs,
+                       sgd_step, unflatten, unflatten_head)
 
-from helpers import central_diff, flatten_params, rel_err, unflatten_params
+from helpers import central_diff, rel_err
 
 
 def small_mlp(seed=0, input_dim=5, hidden=(4,), classes=3):
@@ -113,7 +113,7 @@ def test_backward_zero_at_perfect_fit():
     # flip sign so each row's true class wins by a large margin
     x = np.where(labels[:, None] == 0, features, -features)
     grads = backward(params, x, labels)
-    assert np.linalg.norm(flatten_params(grads)) < 1e-8
+    assert np.linalg.norm(flatten(grads)) < 1e-8
 
 
 def test_backward_single_layer_closed_form():
@@ -140,13 +140,13 @@ def test_backward_matches_finite_differences():
         params = init_mlp(3, hidden, 3, rng)
         x = rng.standard_normal((5, 3))
         labels = rng.integers(0, 3, size=5)
-        analytic = flatten_params(backward(params, x, labels))
+        analytic = flatten(backward(params, x, labels))
+        shapes = [w.shape for w, _ in params]
 
         def loss(vec):
-            return cross_entropy(forward(unflatten_params(vec, params), x),
-                                 labels)
+            return cross_entropy(forward(unflatten(vec, shapes), x), labels)
 
-        numeric = central_diff(loss, flatten_params(params))
+        numeric = central_diff(loss, flatten(params))
         assert rel_err(analytic, numeric) <= 1e-4, hidden
 
 
@@ -208,7 +208,33 @@ def test_sgd_epochs_with_head_trains_only_the_base(monkeypatch):
 
 def test_head_flatten_roundtrip():
     params = small_mlp()
-    vec = flatten_head(params[-1])
+    vec = flatten([params[-1]])
     w, b = unflatten_head(vec, params[-1][0].shape[1])
     np.testing.assert_array_equal(w, params[-1][0])
     np.testing.assert_array_equal(b, params[-1][1])
+
+    # a (G, K, d) stack: the same views as one call per head, sharing memory
+    stack = np.random.default_rng(3).standard_normal((2, 3, vec.size))
+    w, b = unflatten_head(stack, params[-1][0].shape[1])
+    assert w.shape == (2, 3, *params[-1][0].shape)
+    assert np.shares_memory(w, stack) and np.shares_memory(b, stack)
+    for g in range(2):
+        for k in range(3):
+            w_gk, b_gk = unflatten_head(stack[g, k], params[-1][0].shape[1])
+            np.testing.assert_array_equal(w[g, k], w_gk)
+            np.testing.assert_array_equal(b[g, k], b_gk)
+
+    # a whole model: weight then bias, layer after layer
+    params = small_mlp(hidden=(4, 3))
+    (w0, b0), (w1, b1), (w2, b2) = params
+    vec = flatten(params)
+    np.testing.assert_array_equal(vec, np.concatenate(
+        [w0.ravel(), b0, w1.ravel(), b1, w2.ravel(), b2]))
+    layers = unflatten(vec, [w.shape for w, _ in params])
+    assert len(layers) == len(params)
+    for (w, b), (w0, b0) in zip(layers, params):
+        np.testing.assert_array_equal(w, w0)
+        np.testing.assert_array_equal(b, b0)
+        assert np.shares_memory(w, vec) and np.shares_memory(b, vec)
+    with pytest.raises(ShapeError):
+        unflatten(vec[:-1], [w.shape for w, _ in params])

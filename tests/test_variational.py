@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedvem import variational
-from fedvem.nn import (InputError, backward, cross_entropy, flatten_head,
-                       forward, forward_base, init_mlp, unflatten_head)
+from fedvem.nn import (InputError, backward, cross_entropy, flatten, forward,
+                       forward_base, init_mlp, unflatten_head)
 from fedvem.variational import (GRAD_CLIP, IsotropicPrior, PosteriorError,
                                 VariationalPosterior, confidence,
                                 fit_posterior, head_loss_closure, kl_to_prior,
@@ -169,7 +169,7 @@ def toy_problem(seed=0, n=12, dim=3, hidden=4, classes=3):
     params = init_mlp(dim, (hidden,), classes, rng)
     x = rng.standard_normal((n, dim))
     y = rng.integers(0, classes, size=n)
-    d = flatten_head(params[-1]).size
+    d = flatten([params[-1]]).size
     post = VariationalPosterior(mu=rng.normal(0, 0.5, d), pi=rng.normal(0, 0.5, d))
     prior = IsotropicPrior(center=rng.normal(0, 0.5, d), tau=1.7)
     closure = head_loss_closure([forward_base(params[:-1], x)], [y])
@@ -190,7 +190,7 @@ def test_head_loss_closure_stack_rows_match_single_heads():
         p = [*params[:-1], unflatten_head(head, 4)]
         assert loss == pytest.approx(len(x) * cross_entropy(forward(p, x), y),
                                      rel=1e-12)
-        expected = len(x) * flatten_head(backward(p, x, y)[-1])
+        expected = len(x) * flatten(backward(p, x, y)[-1:])
         assert rel_err(grad, expected) <= 1e-12
 
 
