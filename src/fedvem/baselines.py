@@ -16,7 +16,8 @@ from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, client_rows, pm_test_indices
 from .federation import (TrainConfig, TrainingError, aggregate_base,
                          select_reporters)
-from .nn import InputError, Layer, forward, init_mlp, sgd_epochs
+from .nn import (InputError, Layer, flatten, forward, init_mlp, sgd_epochs,
+                 unflatten)
 
 SCHEMES = ("local", "fedavg", "fedprox")
 
@@ -80,17 +81,19 @@ def fedavg_round(theta_full: list[Layer],
         return theta_full, 0
     extra = ((lambda p: proximal_grads(p, theta_full, bl.mu_prox))
              if bl.mu_prox > 0 else None)
-    models, ns = [], []
+    sums = None
     for j in reporters:
         x, y = clients_xy[j]
         rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, t, int(j))
         try:
-            models.append(sgd_epochs(theta_full, x, y, bl.lr, bl.epochs,
-                                     bl.batch, rng, extra=extra))
+            model = sgd_epochs(theta_full, x, y, bl.lr, bl.epochs, bl.batch,
+                               rng, extra=extra)
         except FloatingPointError as exc:
             raise TrainingError(f"round {t}, client {j}: {exc}") from exc
-        ns.append(len(x))
-    return aggregate_base(models, ns), len(reporters)
+        sums = aggregate_base(sums, flatten(model), len(x))
+    total = float(sum(len(clients_xy[j][1]) for j in reporters))
+    return (unflatten(sums / total, [w.shape for w, _ in theta_full]),
+            len(reporters))
 
 
 def _gm_report(t: int, model: list[Layer], sizes: list[int], test_ds: Dataset,

@@ -175,8 +175,9 @@ def validate(cfg: ExperimentConfig) -> list[str]:
                        "annotations, which dataset.kind=fmnist lacks")
     else:
         out.extend(cfg.synth.violations())
-    classes = 10 if cfg.dataset_kind == "fmnist" else cfg.synth.classes
-    out.extend(cfg.partition.violations(classes))
+    # IDX data's class count is known once loaded; make_partition checks it
+    out.extend(cfg.partition.violations(
+        None if cfg.dataset_kind == "fmnist" else cfg.synth.classes))
     if cfg.scheme not in ALL_SCHEMES:
         out.append(f"scheme: unknown scheme {cfg.scheme!r}")
     out.extend(cfg.train.violations())

@@ -162,6 +162,9 @@ class _RefillPool:
         return pick
 
 
+_KEY_NAMES = {"labels": "label", "subclasses": "subclass"}
+
+
 def _slice_by_key(ds: Dataset, by: str, held: list[list], seed: int,
                   tag: int) -> Partition:
     """Client j holds the keys ``held[j]`` of ``ds.<by>``; each key's rows
@@ -174,6 +177,10 @@ def _slice_by_key(ds: Dataset, by: str, held: list[list], seed: int,
     for key in sorted(holders):
         r = rng_mod.stream(seed, rng_mod.TAG_PARTITION, tag, int(key))
         idx = r.permutation(np.flatnonzero(getattr(ds, by) == key))
+        if len(idx) < len(holders[key]):
+            raise InputError(
+                f"partition.clients: {_KEY_NAMES[by]} {key} has {len(idx)} "
+                f"rows for its {len(holders[key])} holders")
         sizes = slice_sizes(len(idx), len(holders[key]), r)
         for owner, part in zip(holders[key], np.split(idx, np.cumsum(sizes)[:-1])):
             per_client[owner].append(part)
@@ -213,6 +220,9 @@ def partition_concept_drift(ds: Dataset, clients: int, seed: int) -> Partition:
 def partition_quantity(ds: Dataset, clients: int, seed: int,
                        equal: bool = False) -> Partition:
     """IID shuffle, then equal split or random slicing into J parts."""
+    if clients > len(ds):
+        raise InputError(f"partition.clients: {clients} clients for "
+                         f"{len(ds)} rows")
     r = rng_mod.stream(seed, rng_mod.TAG_PARTITION, 0)
     perm = r.permutation(len(ds))
     if equal:

@@ -8,23 +8,29 @@ too, because the posterior feeds their next confidence and their PM
 accuracy.  The heads of ``HEAD_GROUP`` clients at a time are fitted as one
 stack (``update_clients``); rows never mix, so a client's fit does not
 depend on its group.  Only reporters then train a base copy by mini-batch
-SGD (``nn.sgd_epochs``), since only an uploaded base is ever read.  The
-server aggregates reporter heads by confidence and reporter bases by data
-size, adding each upload to its sums as it arrives.
+SGD (``nn.sgd_epochs``), since only an uploaded base is ever read.  A
+reporter sends its head mean, base and confidence as wire bytes
+(``serialize_upload``), built where the client runs.  The server
+aggregates reporter heads by confidence and reporter bases by data size,
+folding each flat base into one sum as it arrives (``aggregate_base``, the
+baselines' fold too) and dividing once.
 
 A client's state is its head posterior and confidence: its rows are built
-once (``init_state``), and its base upload lives only within a round.
+once (``init_state``), and its upload lives only within a round.
 Per-(seed, round, client) random streams make results independent of worker
 scheduling and grouping; client updates within a round may run on a process
 pool whose workers hold all clients' rows (``client_pool``), one job per
-head group.  Uploads and checkpoints hold ``nn.flatten``'s layout as
-little-endian float64 (``_f64``), read back with ``nn.unflatten``.
+head group, and exit with the seed process.  Uploads and checkpoints hold
+``nn.flatten``'s layout as little-endian float64 (``_f64``), read back with
+``nn.unflatten``.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import threading
+import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -120,8 +126,8 @@ class ClientState:
 
 
 Rows = list[tuple[np.ndarray, np.ndarray]]   # rows[j] = client j's (x, y)
-# a client's new state and its base upload, None unless it reports
-Update = tuple[ClientState, list[Layer] | None]
+# a client's new state and its wire-format upload, None unless it reports
+Update = tuple[ClientState, bytes | None]
 
 
 def select_reporters(n_clients: int, s: float,
@@ -144,25 +150,12 @@ def aggregate_heads(mus: list[np.ndarray], taus: list[float]) -> np.ndarray:
     return (taus[:, None] * stacked).sum(axis=0) / taus.sum()
 
 
-def aggregate_base(thetas: list[list[Layer]], ns: list[int]) -> list[Layer]:
-    """Data-size-weighted average of reporter base models, per parameter."""
-    if not ns:
-        raise InputError("no reporters to aggregate")
-    total = float(sum(ns))
-    if total <= 0:
-        raise InputError("total reporter data size must be positive")
-    sums = None
-    for theta, n in zip(thetas, ns):
-        sums = add_base(sums, theta, n)
-    return [(sw / total, sb / total) for sw, sb in sums]
-
-
-def add_base(sums: list[Layer] | None, theta: list[Layer],
-             n: int) -> list[Layer]:
-    """One step of the weighted base sum: ``sums + n * theta`` per
-    parameter, from 0 when ``sums`` is None, as ``sum`` runs it."""
-    return [(sw + n * w, sb + n * b) for (sw, sb), (w, b)
-            in zip(sums or [(0, 0)] * len(theta), theta)]
+def aggregate_base(sums: np.ndarray | None, vec: np.ndarray,
+                   n: int) -> np.ndarray:
+    """One step of the data-size-weighted base sum over flat bases
+    (``nn.flatten``'s layout): ``sums + n * vec``, from 0 when ``sums`` is
+    None, as ``sum`` runs it."""
+    return (0 if sums is None else sums) + n * vec
 
 
 def update_clients(group: list[ClientState], rows: Rows, globals_: GlobalState,
@@ -175,11 +168,12 @@ def update_clients(group: list[ClientState], rows: Rows, globals_: GlobalState,
     head posterior for R full-batch steps, the group as one stack, each on
     its own (seed, round, client) stream; then each client in
     ``globals_.reporters`` trains its base copy (``client_update``) on the
-    rest of that stream.
+    rest of that stream and uploads it in the wire format.
     """
     rngs = [rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, globals_.t, c.id)
             for c in group]
-    return [(c, client_update(c, globals_, cfg, rng, *rows[c.id])
+    return [(c, serialize_upload(c.posterior.mu, c.tau, client_update(
+                c, globals_, cfg, rng, *rows[c.id]))
              if c.id in globals_.reporters else None)
             for c, rng in zip(_fit_heads(group, rows, globals_, cfg, rngs),
                               rngs)]
@@ -213,7 +207,7 @@ def _fit_heads(group: list[ClientState], rows: Rows, globals_: GlobalState,
 def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
                   rng: np.random.Generator, x: np.ndarray,
                   y: np.ndarray) -> list[Layer]:
-    """A reporter's base upload, trained after its head fit: a copy of the
+    """A reporter's base for upload, trained after its head fit: a copy of the
     broadcast base by mini-batch SGD on the client's rows ``x``, ``y``, with
     the head held as a draw from the client's fitted posterior per
     mini-batch.  ``rng`` is the client's stream after the head fit's draws."""
@@ -243,11 +237,22 @@ def _update_worker(group: list[ClientState], globals_: GlobalState,
 def _init_worker(rows, errstate) -> None:
     _ROWS[:] = rows
     np.seterr(**errstate)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                     daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Ends this worker once ``parent`` is gone: a seed process killed by
+    SIGKILL never shuts its pool down."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 def client_pool(rows: Rows, workers: int) -> ProcessPoolExecutor:
     """A pool whose workers hold every client's rows (forked ones inherit
-    them, spawned ones get them pickled once) and the caller's error state."""
+    them, spawned ones get them pickled once) and the caller's error state,
+    and exit within a second of the seed process."""
     return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                initargs=(rows, np.geterr()))
 
@@ -263,15 +268,15 @@ def serialize_upload(mu: np.ndarray, tau: float, theta: list[Layer]) -> bytes:
 
 
 def deserialize_upload(buf: bytes, d: int,
-                       theta_like: list[Layer]) -> tuple[np.ndarray, float, list[Layer]]:
-    """Inverse of ``serialize_upload``; copies, so none keeps ``buf`` alive."""
-    expected = 8 * (d + sum(w.size + b.size for w, b in theta_like) + 1)
+                       n_base: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Inverse of ``serialize_upload`` for a head of ``d`` and a base of
+    ``n_base`` parameters: a copy of the head mean, so a kept mean does not
+    pin ``buf``, the confidence, and a flat view of the base."""
+    expected = 8 * (d + n_base + 1)
     if len(buf) != expected:
         raise InputError(f"upload payload is {len(buf)} bytes, expected {expected}")
     vec = np.frombuffer(buf, dtype="<f8")
-    theta = unflatten(vec[d:-1], [w.shape for w, _ in theta_like])
-    return (vec[:d].copy(), float(vec[-1]),
-            [(w.copy(), b.copy()) for w, b in theta])
+    return vec[:d].copy(), float(vec[-1]), vec[d:-1]
 
 
 def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
@@ -281,7 +286,7 @@ def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
 
     The updates are walked in client order as they arrive, one head group
     at a time, in process or one pool job per group.  Each reporter's
-    upload goes through the wire format and into the server's sums, and is
+    upload arrives in the wire format, goes into the server's sums and is
     then let go.
     """
     reporters = select_reporters(len(clients), cfg.s,
@@ -289,6 +294,7 @@ def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
                                                 globals_.t))
     broadcast = replace(globals_, reporters=frozenset(reporters.tolist()))
     d = globals_.w.size
+    n_base = sum(w.size + b.size for w, b in globals_.theta)
     new_clients, mus, taus, sums = [], [], [], None
     groups = [clients[start:start + HEAD_GROUP]
               for start in range(0, len(clients), HEAD_GROUP)]
@@ -302,23 +308,20 @@ def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
             results = (futures.popleft().result() for _ in groups)
         for c, upload in (u for group in results for u in group):
             if upload is not None:
-                mu, tau, theta = deserialize_upload(serialize_upload(
-                    c.posterior.mu, c.tau, upload), d, globals_.theta)
+                mu, tau, base = deserialize_upload(upload, d, n_base)
                 mus.append(mu)
                 taus.append(tau)
-                sums = add_base(sums, theta, len(rows[c.id][1]))
+                sums = aggregate_base(sums, base, len(rows[c.id][1]))
             new_clients.append(c)
     except BrokenProcessPool as exc:
         raise TrainingError(
             f"round {globals_.t}: worker pool failed: {exc}") from exc
 
-    if len(reporters) == 0:   # the state carries over
-        w = globals_.w.copy()
-        theta = [(wl.copy(), bl.copy()) for wl, bl in globals_.theta]
-    else:
-        total = float(sum(len(rows[j][1]) for j in reporters))
+    w, theta = globals_.w, globals_.theta   # no reporters: carried over
+    if len(reporters):
         w = aggregate_heads(mus, taus)
-        theta = [(sw / total, sb / total) for sw, sb in sums]
+        total = float(sum(len(rows[j][1]) for j in reporters))
+        theta = unflatten(sums / total, [wl.shape for wl, _ in theta])
     return GlobalState(w=w, theta=theta, t=globals_.t + 1), new_clients, reporters
 
 

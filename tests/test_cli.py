@@ -5,6 +5,7 @@ import signal
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -301,6 +302,36 @@ def test_killed_run_leaves_whole_records(tmp_path, k):
     assert_whole_rounds(tmp_path / "whole", tmp_path / "cut", k)
 
 
+def test_pool_workers_exit_with_a_killed_seed_process(tmp_path):
+    # 23 clients are three head groups, so the pool starts both workers;
+    # only the seed process is killed, and its workers must follow it
+    path = smoke_config(tmp_path, replace={
+        "partition.clients = 3": "partition.clients = 23",
+        "train.T = 2": "train.T = 4"})
+    env = dict(os.environ, PYTHONPATH=str(Path(fedvem.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", KILL_AT_ROUND.replace("os.killpg(", "os.kill("),
+         "2", "run", "--config", str(path), "--out", str(tmp_path / "cut"),
+         "--workers", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        start_new_session=True)
+    try:
+        assert proc.wait(timeout=300) == -signal.SIGKILL
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                os.killpg(proc.pid, 0)   # a process of the group remains
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "workers outlived the run"
+            time.sleep(0.1)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
 @pytest.mark.parametrize("scheme", ["pfedvem", "fedavg"])
 def test_run_seed_clients_view_one_grouped_training_set(tmp_path, monkeypatch,
                                                         scheme):
@@ -528,6 +559,24 @@ def test_main_broken_pool_names_round(tmp_path, capsys, monkeypatch):
     assert err.startswith("runtime failure: round 1: worker pool failed: "), err
 
 
+@pytest.mark.parametrize("scenario,clients,message", [
+    ("concept_drift", 50, "subclass 0 has 20 rows for its 25 holders"),
+    ("label_skew", 100, "label 0 has 40 rows for its 66 holders"),
+    ("quantity_only", 500, "500 clients for 120 rows"),
+    ("iid_equal", 500, "500 clients for 120 rows"),
+])
+def test_main_too_many_clients_for_the_rows_exits_two(tmp_path, capsys,
+                                                      scenario, clients,
+                                                      message):
+    path = smoke_config(tmp_path, replace={
+        "partition.scenario = label_skew": f"partition.scenario = {scenario}",
+        "partition.clients = 3": f"partition.clients = {clients}"})
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config: partition.clients: {message}\n", err
+
+
 @pytest.mark.parametrize("cut,message", [
     ("img", "img: expected 56 bytes, truncated at byte 36"),
     ("lab", "lab: expected 10 bytes, truncated at byte 9"),
@@ -595,6 +644,29 @@ def test_main_test_labels_past_training_classes_exit_two(tmp_path, capsys):
     assert err == (f"{tmp_path / 'test_lab'}: label 3, training labels lie "
                    "in [0, 3)\n"), err
     assert not (out / "seed0.jsonl").exists()
+
+
+@pytest.mark.parametrize("k", [11, 13])
+def test_main_label_skew_over_idx_counts_the_loaded_classes(tmp_path, capsys,
+                                                            k):
+    # IDX files may hold more than FMNIST's 10 classes; these hold 12
+    labels = list(range(12)) * 3
+    path = idx_config(tmp_path, train=(2, labels), test=(2, labels))
+    path.write_text(path.read_text().replace(
+        "partition.scenario = iid_equal\npartition.clients = 1\n",
+        "partition.scenario = label_skew\npartition.clients = 2\n"
+        f"partition.labels_per_client = {k}\n"))
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if k == 11:
+        assert code == 0 and (out / "seed0.jsonl").exists(), err
+    else:
+        assert code == 2, err
+        assert err == ("config: partition.labels_per_client: exceeds class "
+                       "count\n"), err
 
 
 def test_main_rejects_empty_out(tmp_path, capsys):

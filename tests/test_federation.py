@@ -23,7 +23,7 @@ from fedvem.federation import (HEAD_GROUP, ClientState, GlobalState,
                                run_training, select_reporters,
                                serialize_upload, update_clients,
                                write_checkpoint)
-from fedvem.nn import InputError
+from fedvem.nn import InputError, flatten, unflatten
 from fedvem.variational import VariationalPosterior, confidence
 
 from helpers import training_reports
@@ -85,10 +85,19 @@ def test_aggregate_heads_convexity(seed):
     assert np.all(out <= stacked.max(axis=0) + 1e-12)
 
 
+def average_bases(thetas, ns):
+    """The server's data-size-weighted base mean: each base folded in
+    order through ``aggregate_base``, then divided once."""
+    sums = None
+    for theta, n in zip(thetas, ns, strict=True):
+        sums = aggregate_base(sums, flatten(theta), n)
+    return unflatten(sums / float(sum(ns)), [w.shape for w, _ in thetas[0]])
+
+
 def test_aggregate_base_weighted_mean():
     th1 = [(np.ones((2, 2)), np.zeros(2))]
     th2 = [(3 * np.ones((2, 2)), np.ones(2))]
-    out = aggregate_base([th1, th2], [1, 3])
+    out = average_bases([th1, th2], [1, 3])
     np.testing.assert_allclose(out[0][0], 2.5 * np.ones((2, 2)))
     np.testing.assert_allclose(out[0][1], 0.75 * np.ones(2))
 
@@ -100,7 +109,7 @@ def test_aggregate_base_adds_in_reporter_order():
                for s in shapes] for _ in range(5)]
     thetas[0][0][0][0, 0] = -0.0   # 0 + n * (-0.0) is +0.0, as sum() has it
     ns = [3, 1, 4, 1, 5]
-    out = aggregate_base(thetas, ns)
+    out = average_bases(thetas, ns)
     total = float(sum(ns))
     for i, (w, b) in enumerate(out):
         # sum() runs ((0 + n0 * w0) + n1 * w1) + ..., and so must the server
@@ -108,7 +117,7 @@ def test_aggregate_base_adds_in_reporter_order():
                                / total).tobytes()
         assert b.tobytes() == (sum(n * th[i][1] for th, n in zip(thetas, ns))
                                / total).tobytes()
-    single = aggregate_base(thetas[:1], ns[:1])
+    single = average_bases(thetas[:1], ns[:1])
     assert single[0][0][0, 0] == 0.0 and not np.signbit(single[0][0][0, 0])
 
 
@@ -141,16 +150,18 @@ def test_upload_roundtrip_and_size():
              (rng.standard_normal((2, 3)), rng.standard_normal(2))]
     buf = serialize_upload(mu, 0.125, theta)
     base_size = sum(w.size + b.size for w, b in theta)
-    assert len(buf) == 8 * (7 + base_size + 1)
-    mu2, tau2, theta2 = deserialize_upload(buf, 7, theta)
+    assert isinstance(buf, bytes) and len(buf) == 8 * (7 + base_size + 1)
+    mu2, tau2, base2 = deserialize_upload(buf, 7, base_size)
     np.testing.assert_array_equal(mu2, mu)
     assert tau2 == 0.125
-    for (w, b), (w2, b2) in zip(theta, theta2):
+    theta2 = unflatten(base2, [w.shape for w, _ in theta])
+    for (w, b), (w2, b2) in zip(theta, theta2, strict=True):
         np.testing.assert_array_equal(w, w2)
         np.testing.assert_array_equal(b, b2)
-    # copies, not views: a kept mean must not pin the whole payload
-    assert all(a.base is None for layer in theta2 for a in layer)
+    # the mean is a copy, as a kept mean must not pin the whole payload;
+    # the base is a flat view, folded into the sums at once
     assert mu2.base is None
+    assert base2.shape == (base_size,) and base2.base is not None
     assert serialize_upload(mu2, tau2, theta2) == buf
 
 
@@ -163,7 +174,7 @@ def test_upload_rejects_trailing_bytes(extra):
     buf = buf + b"\x00" * extra if extra > 0 else buf[:extra]
     with pytest.raises(InputError, match=f"upload payload is {len(buf)} bytes, "
                                          "expected 40"):
-        deserialize_upload(buf, 2, theta)
+        deserialize_upload(buf, 2, 2)
 
 
 # ------------------------------------------------------------- init_state
@@ -196,6 +207,28 @@ def test_init_state_is_seed_deterministic():
 
 # ----------------------------------------------------------- update_clients
 
+def upload_base(upload, gs):
+    """The base layers of a reporter's wire-format ``upload`` against the
+    broadcast ``gs``."""
+    n_base = sum(w.size + b.size for w, b in gs.theta)
+    _, _, base = deserialize_upload(upload, gs.w.size, n_base)
+    return unflatten(base, [w.shape for w, _ in gs.theta])
+
+
+def test_update_clients_reporter_uploads_wire_bytes():
+    train, _, part = tiny_problem()
+    cfg = tiny_config()
+    gs, clients, rows = init_state(cfg, train, part)
+    gs = replace(gs, t=1, reporters=frozenset({1}))
+    [(_, none), (out, upload), _] = update_clients(clients, rows, gs, cfg)
+    n_base = sum(w.size + b.size for w, b in gs.theta)
+    assert none is None
+    assert isinstance(upload, bytes)
+    assert len(upload) == 8 * (gs.w.size + n_base + 1)
+    mu, tau, _ = deserialize_upload(upload, gs.w.size, n_base)
+    assert mu.tobytes() == out.posterior.mu.tobytes() and tau == out.tau
+
+
 def test_client_update_round0_uses_initial_variance():
     train, _, part = tiny_problem()
     cfg = tiny_config()
@@ -222,7 +255,7 @@ def test_client_update_moves_posterior_and_base():
     gs.reporters = frozenset({0})
     out, upload = update_clients([clients[0]], rows, gs, cfg)[0]
     assert not np.array_equal(out.posterior.mu, clients[0].posterior.mu)
-    assert not np.array_equal(upload[0][0], gs.theta[0][0])
+    assert not np.array_equal(upload_base(upload, gs)[0][0], gs.theta[0][0])
     # broadcast state must be untouched
     np.testing.assert_array_equal(clients[0].posterior.mu, gs.w)
 
@@ -234,7 +267,8 @@ def test_client_update_zero_rates_freeze_everything():
     gs.reporters = frozenset({0})
     out, upload = update_clients([clients[0]], rows, gs, cfg)[0]
     np.testing.assert_array_equal(out.posterior.mu, clients[0].posterior.mu)
-    np.testing.assert_array_equal(upload[0][0], gs.theta[0][0])
+    np.testing.assert_array_equal(upload_base(upload, gs)[0][0],
+                                  gs.theta[0][0])
 
 
 def test_client_update_non_reporter_fits_head_only():
@@ -250,7 +284,7 @@ def test_client_update_non_reporter_fits_head_only():
     np.testing.assert_array_equal(straggler.posterior.pi, reporter.posterior.pi)
     assert straggler.tau == reporter.tau
     assert no_upload is None
-    assert len(upload) == len(gs.theta)
+    assert len(upload_base(upload, gs)) == len(gs.theta)
 
 
 def test_update_clients_group_equals_one_client_groups():
@@ -266,9 +300,7 @@ def test_update_clients_group_equals_one_client_groups():
         np.testing.assert_array_equal(out.posterior.pi, alone.posterior.pi)
         assert out.tau == alone.tau
         assert (upload is None) == (upload1 is None)
-        for (w, b), (w1, b1) in zip(upload or [], upload1 or [], strict=True):
-            np.testing.assert_array_equal(w, w1)
-            np.testing.assert_array_equal(b, b1)
+        assert upload == upload1
 
 
 @pytest.mark.parametrize("stage", ["head_fit", "base_sgd"])
@@ -333,7 +365,8 @@ def test_run_round_all_reporters_aggregate():
     # round's updates
     updated = update_clients(clients, rows, replace(
         gs, reporters=frozenset(reporters.tolist())), cfg)
-    expected_base = aggregate_base([upload for _, upload in updated], ns)
+    expected_base = average_bases(
+        [upload_base(upload, gs) for _, upload in updated], ns)
     np.testing.assert_allclose(gs2.theta[0][0], expected_base[0][0], atol=1e-12)
 
 
@@ -375,23 +408,29 @@ def test_run_round_holds_at_most_one_head_group_of_uploads(workers,
     train, _, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
     cfg = tiny_config(s=1.0)
     gs, clients, rows = init_state(cfg, train, part)
-    uploads = []   # weakrefs to the base arrays of each upload serialized
+    uploads = []   # weakrefs to each upload as the server receives it
     real_serialize = federation.serialize_upload
+    real_deserialize = federation.deserialize_upload
 
     def serialize_upload(mu, tau, theta):
-        uploads.append([weakref.ref(a) for layer in theta for a in layer])
-        alive = sum(any(r() is not None for r in refs) for refs in uploads)
+        # the same payload as an array, which, unlike bytes, takes weakrefs
+        return np.frombuffer(real_serialize(mu, tau, theta), dtype=np.uint8)
+
+    def deserialize_upload(buf, d, n_base):
+        uploads.append(weakref.ref(buf))
+        alive = sum(r() is not None for r in uploads)
         assert alive <= HEAD_GROUP, f"{alive} uploads alive"
-        return real_serialize(mu, tau, theta)
+        return real_deserialize(buf, d, n_base)
 
     monkeypatch.setattr(federation, "serialize_upload", serialize_upload)
+    monkeypatch.setattr(federation, "deserialize_upload", deserialize_upload)
     if workers == 1:
         gs2, clients2, reporters = run_round(gs, clients, rows, cfg)
     else:
         with client_pool(rows, workers) as pool:
             gs2, clients2, reporters = run_round(gs, clients, rows, cfg, pool)
     assert len(uploads) == len(reporters) == len(clients)
-    assert all(r() is None for refs in uploads for r in refs)
+    assert all(r() is None for r in uploads)
 
 
 class RecordingPool(ProcessPoolExecutor):
@@ -588,9 +627,10 @@ def test_run_training_worker_count_invariance(clients, s):
 def test_run_training_releases_spent_uploads(workers, monkeypatch):
     train, test, part = tiny_problem()
     cfg = tiny_config(T=3, s=1.0)
-    uploads = []   # weakrefs to each round's uploads, taken as they are sent
+    uploads = []   # weakrefs to each round's uploads, taken as they arrive
     real_run_round = federation.run_round
     real_serialize = federation.serialize_upload
+    real_deserialize = federation.deserialize_upload
 
     def run_round(*args, **kwargs):
         # the last round's uploads are dead before this round starts
@@ -599,11 +639,16 @@ def test_run_training_releases_spent_uploads(workers, monkeypatch):
         return real_run_round(*args, **kwargs)
 
     def serialize_upload(mu, tau, theta):
-        uploads[-1].extend(weakref.ref(a) for layer in theta for a in layer)
-        return real_serialize(mu, tau, theta)
+        # the same payload as an array, which, unlike bytes, takes weakrefs
+        return np.frombuffer(real_serialize(mu, tau, theta), dtype=np.uint8)
+
+    def deserialize_upload(buf, d, n_base):
+        uploads[-1].append(weakref.ref(buf))
+        return real_deserialize(buf, d, n_base)
 
     monkeypatch.setattr(federation, "run_round", run_round)
     monkeypatch.setattr(federation, "serialize_upload", serialize_upload)
+    monkeypatch.setattr(federation, "deserialize_upload", deserialize_upload)
     training_reports(cfg, train, test, part, workers=workers)
     assert len(uploads) == cfg.T
     # every upload is dead once the run returns
