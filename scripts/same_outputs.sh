@@ -1,6 +1,6 @@
 #!/bin/sh
 # Byte-identity check against another revision: exports REV with
-# `git archive`, runs the same nine configs under REV and under this
+# `git archive`, runs the same eleven configs under REV and under this
 # working tree, and fails unless every output file (per-seed JSONL, client
 # CSV, summary, every checkpoint) is byte-identical.
 #   - the smoke config (3 classes, 23 clients) on one worker;
@@ -12,8 +12,11 @@
 #     rounds and a local rate of 0.1, seeds 0-2, where the proximal pull
 #     changes the reports (at smoke scale FedProx writes FedAvg's bytes);
 #   - a 10-class label_skew config over IDX files, seeds 0-1, on one
-#     worker: 600 + 100 generated 8x8 uint8 images, which both trees read.
-# The five pFedVEM runs write a checkpoint every round; the four baseline
+#     worker: 600 + 100 generated 8x8 uint8 images, which both trees read;
+#   - the smoke config with two hidden layers (16,8), seeds 0-2, under
+#     pFedVEM with 23 clients on a two-worker pool, and under fedavg, so
+#     the backward pass through a hidden layer into the one below runs.
+# The six pFedVEM runs write a checkpoint every round; the five baseline
 # runs write none.  The configs are generated with sed from the shipped
 # ones, with few rounds and points so the check takes seconds.
 # Usage: scripts/same_outputs.sh REV
@@ -88,11 +91,18 @@ sed -e 's/^scheme = .*/scheme = fedprox/' \
     -e 's/^train\.T = .*/train.T = 10/' -e 's/^seeds = .*/seeds = 0,1,2/' \
     configs/smoke.cfg > "$tmp/cfg/prox.cfg"
 echo "baseline.lr = 0.1" >> "$tmp/cfg/prox.cfg"
+{ sed -e 's/^model\.hidden = .*/model.hidden = 16,8/' \
+      -e 's/^partition\.clients = .*/partition.clients = 23/' \
+      -e 's/^seeds = .*/seeds = 0,1,2/' configs/smoke.cfg
+  echo "checkpoint_every = 1"; } > "$tmp/cfg/deep.cfg"
+sed -e 's/^scheme = .*/scheme = fedavg/' \
+    -e 's/^model\.hidden = .*/model.hidden = 16,8/' \
+    -e 's/^seeds = .*/seeds = 0,1,2/' configs/smoke.cfg > "$tmp/cfg/deepavg.cfg"
 
 for tree in "$tmp/rev" "$here"; do
     side=$( [ "$tree" = "$here" ] && echo here || echo rev )
     for run in smoke:1 quantity:1 drift5:1 skew10:2 fedavg:1 fedprox:1 \
-               prox:1 local:1 idx:1; do
+               prox:1 local:1 idx:1 deep:2 deepavg:1; do
         name=${run%:*}
         (cd "$tree" && PYTHONPATH=src python -m fedvem.cli run \
             --config "$tmp/cfg/$name.cfg" --workers "${run#*:}" \

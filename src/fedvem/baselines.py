@@ -1,8 +1,9 @@
 """Reference schemes: Local, FedAvg, FedProx.
 
-All three share the MLP, the partition object, the seeded initialization,
-and the reporter/straggler semantics of the federated protocol, so paired
-comparisons isolate the objective and aggregation differences.
+All three share pFedVEM's MLP, partition and seeded initialization, and
+train by one ``nn.sgd_epochs`` call.  FedAvg and FedProx also share its
+reporter draw (``federation.select_reporters``) and weighted fold
+(``federation.aggregate_base``), so paired comparisons isolate the objective.
 """
 
 from __future__ import annotations
@@ -54,14 +55,6 @@ def proximal_grads(layers: list[Layer], anchor: list[Layer],
             for (w, b), (aw, ab) in zip(layers, anchor)]
 
 
-def local_train(x: np.ndarray, y: np.ndarray, model: list[Layer],
-                cfg: BaselineConfig, rng: np.random.Generator) -> list[Layer]:
-    """Standalone per-client training; no communication."""
-    if len(x) == 0:
-        raise InputError("client dataset is empty")
-    return sgd_epochs(model, x, y, cfg.lr, cfg.epochs, cfg.batch, rng)
-
-
 def fedavg_round(theta_full: list[Layer],
                  clients_xy: list[tuple[np.ndarray, np.ndarray]],
                  cfg: TrainConfig, bl: BaselineConfig,
@@ -71,12 +64,10 @@ def fedavg_round(theta_full: list[Layer],
     Returns the new global model and the reporter count.  With
     ``bl.mu_prox > 0`` local gradients carry the proximal pull towards the
     broadcast (FedProx); FedAvg is the case ``mu_prox = 0``.
-    Reporter selection uses the same seeded stream layout as the federated
-    protocol, so straggler draws match across schemes for a given seed.
+    The reporters are pFedVEM's (``select_reporters``) for a given seed.
     Non-reporting clients are stateless here, so their training is skipped.
     """
-    reporters = select_reporters(len(clients_xy), cfg.s,
-                                 rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, t))
+    reporters = select_reporters(cfg, t, len(clients_xy))
     if len(reporters) == 0:
         return theta_full, 0
     extra = ((lambda p: proximal_grads(p, theta_full, bl.mu_prox))
@@ -136,7 +127,8 @@ def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
         for j, (x, y) in enumerate(clients_xy):
             rng = rng_mod.stream(cfg.seed, rng_mod.TAG_BASELINE, j)
             try:
-                model = local_train(x, y, params0, bl, rng)
+                model = sgd_epochs(params0, x, y, bl.lr, bl.epochs, bl.batch,
+                                   rng)
             except FloatingPointError as exc:
                 raise TrainingError(f"client {j}: {exc}") from exc
             idx = pm_idx[j]

@@ -173,6 +173,10 @@ def _slice_by_key(ds: Dataset, by: str, held: list[list], seed: int,
     for j, keys in enumerate(held):
         for key in keys:
             holders.setdefault(key, []).append(j)
+    unheld = sorted(set(getattr(ds, by).tolist()) - holders.keys())
+    if unheld:
+        raise InputError(f"partition.clients: {_KEY_NAMES[by]} {unheld[0]} "
+                         "is held by no client")
     per_client: list[list[np.ndarray]] = [[] for _ in held]
     for key in sorted(holders):
         r = rng_mod.stream(seed, rng_mod.TAG_PARTITION, tag, int(key))

@@ -1,7 +1,8 @@
 """Server/client protocol for confidence-weighted personalized training.
 
-Each round the server draws a binomial subset of reporters and broadcasts
-the latent head w, the shared base theta and the reporter ids.  Every client
+Each round the server draws a binomial subset of reporters from the round's
+own stream (``select_reporters``, every scheme's draw) and broadcasts the
+latent head w, the shared base theta and the reporter ids.  Every client
 recomputes its confidence and trains its head posterior by full-batch
 gradient descent on the Monte-Carlo objective: stragglers fit their heads
 too, because the posterior feeds their next confidence and their PM
@@ -11,9 +12,9 @@ depend on its group.  Only reporters then train a base copy by mini-batch
 SGD (``nn.sgd_epochs``), since only an uploaded base is ever read.  A
 reporter sends its head mean, base and confidence as wire bytes
 (``serialize_upload``), built where the client runs.  The server
-aggregates reporter heads by confidence and reporter bases by data size,
-folding each flat base into one sum as it arrives (``aggregate_base``, the
-baselines' fold too) and dividing once.
+weights reporter heads by confidence and reporter bases by data size: as
+each upload arrives, one weighted fold (``aggregate_base``, the baselines'
+fold too) adds its flat head and base into two sums, each divided once.
 
 A client's state is its head posterior and confidence: its rows are built
 once (``init_state``), and its upload lives only within a round.
@@ -130,32 +131,29 @@ Rows = list[tuple[np.ndarray, np.ndarray]]   # rows[j] = client j's (x, y)
 Update = tuple[ClientState, bytes | None]
 
 
-def select_reporters(n_clients: int, s: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Each client reports independently with probability s."""
-    if not 0 <= s <= 1:
-        raise InputError(f"reporting probability must lie in [0, 1], got {s}")
-    return np.flatnonzero(rng.random(n_clients) < s)
+def select_reporters(cfg: TrainConfig, t: int, n_clients: int) -> np.ndarray:
+    """Round t's reporters, drawn from the round's own stream: each client
+    reports independently with probability ``cfg.s``."""
+    if not 0 <= cfg.s <= 1:
+        raise InputError(f"reporting probability must lie in [0, 1], got {cfg.s}")
+    rng = rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, t)
+    return np.flatnonzero(rng.random(n_clients) < cfg.s)
 
 
-def aggregate_heads(mus: list[np.ndarray], taus: list[float]) -> np.ndarray:
-    """Confidence-weighted mean of reporter head means."""
-    if not mus:
+def aggregate_heads(heads: np.ndarray, taus: list[float]) -> np.ndarray:
+    """Confidence-weighted mean of the reporter head means, from their
+    ``aggregate_base`` fold ``heads`` weighted by the confidences ``taus``."""
+    if not taus:
         raise InputError("no reporters to aggregate")
-    d = mus[0].size
-    if any(mu.size != d for mu in mus):
-        raise InputError("reporter head dimensions disagree")
-    taus = np.asarray(taus, dtype=float)
-    stacked = np.stack(mus)
-    return (taus[:, None] * stacked).sum(axis=0) / taus.sum()
+    return heads / np.sum(taus)
 
 
 def aggregate_base(sums: np.ndarray | None, vec: np.ndarray,
-                   n: int) -> np.ndarray:
-    """One step of the data-size-weighted base sum over flat bases
-    (``nn.flatten``'s layout): ``sums + n * vec``, from 0 when ``sums`` is
-    None, as ``sum`` runs it."""
-    return (0 if sums is None else sums) + n * vec
+                   weight: float) -> np.ndarray:
+    """One step of a weighted sum over flat vectors, ``sums + weight * vec``
+    from 0 when ``sums`` is None, as ``sum`` runs it: reporter bases
+    (``nn.flatten``'s layout) by data size, reporter heads by confidence."""
+    return (0 if sums is None else sums) + weight * vec
 
 
 def update_clients(group: list[ClientState], rows: Rows, globals_: GlobalState,
@@ -270,13 +268,13 @@ def serialize_upload(mu: np.ndarray, tau: float, theta: list[Layer]) -> bytes:
 def deserialize_upload(buf: bytes, d: int,
                        n_base: int) -> tuple[np.ndarray, float, np.ndarray]:
     """Inverse of ``serialize_upload`` for a head of ``d`` and a base of
-    ``n_base`` parameters: a copy of the head mean, so a kept mean does not
-    pin ``buf``, the confidence, and a flat view of the base."""
+    ``n_base`` parameters: views of the head mean and the flat base, and
+    the confidence."""
     expected = 8 * (d + n_base + 1)
     if len(buf) != expected:
         raise InputError(f"upload payload is {len(buf)} bytes, expected {expected}")
     vec = np.frombuffer(buf, dtype="<f8")
-    return vec[:d].copy(), float(vec[-1]), vec[d:-1]
+    return vec[:d], float(vec[-1]), vec[d:-1]
 
 
 def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
@@ -289,13 +287,11 @@ def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
     upload arrives in the wire format, goes into the server's sums and is
     then let go.
     """
-    reporters = select_reporters(len(clients), cfg.s,
-                                 rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS,
-                                                globals_.t))
+    reporters = select_reporters(cfg, globals_.t, len(clients))
     broadcast = replace(globals_, reporters=frozenset(reporters.tolist()))
     d = globals_.w.size
     n_base = sum(w.size + b.size for w, b in globals_.theta)
-    new_clients, mus, taus, sums = [], [], [], None
+    new_clients, taus, heads, sums = [], [], None, None
     groups = [clients[start:start + HEAD_GROUP]
               for start in range(0, len(clients), HEAD_GROUP)]
     try:
@@ -309,8 +305,8 @@ def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
         for c, upload in (u for group in results for u in group):
             if upload is not None:
                 mu, tau, base = deserialize_upload(upload, d, n_base)
-                mus.append(mu)
                 taus.append(tau)
+                heads = aggregate_base(heads, mu, tau)
                 sums = aggregate_base(sums, base, len(rows[c.id][1]))
             new_clients.append(c)
     except BrokenProcessPool as exc:
@@ -319,7 +315,7 @@ def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
 
     w, theta = globals_.w, globals_.theta   # no reporters: carried over
     if len(reporters):
-        w = aggregate_heads(mus, taus)
+        w = aggregate_heads(heads, taus)
         total = float(sum(len(rows[j][1]) for j in reporters))
         theta = unflatten(sums / total, [wl.shape for wl, _ in theta])
     return GlobalState(w=w, theta=theta, t=globals_.t + 1), new_clients, reporters

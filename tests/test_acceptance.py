@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedvem import federation, rng as rng_mod
+from fedvem import federation
 from fedvem.baselines import BaselineConfig, proximal_grads
 from fedvem.data import (Dataset, PartitionSpec, SynthSpec, load_idx,
                          make_partition, slice_sizes, synth_pair)
@@ -380,8 +380,7 @@ def test_criterion_8_determinism_and_payload(tmp_path, monkeypatch):
     identical &= bool(np.array_equal(gs1.w, gs2.w))
 
     # the upload of the first last-round reporter, as run 1 sent it
-    last = select_reporters(len(clients1), cfg.s, rng_mod.stream(
-        cfg.seed, rng_mod.TAG_REPORTERS, cfg.T - 1))
+    last = select_reporters(cfg, cfg.T - 1, len(clients1))
     payload, base_params = sent1[-len(last)]
     expected = 8 * (gs1.w.size + base_params + 1)
     size_ok = base_params > 0 and len(payload) == expected

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from fedvem import rng as rng_mod
-from fedvem.baselines import (BaselineConfig, fedavg_round, local_train,
-                              proximal_grads)
+from fedvem.baselines import BaselineConfig, fedavg_round, proximal_grads
 from fedvem.data import PartitionSpec, SynthSpec, make_partition, synth_pair
-from fedvem.federation import TrainConfig, select_reporters
-from fedvem.nn import InputError, flatten, init_mlp
+from fedvem.federation import TrainConfig
+from fedvem.nn import InputError, flatten, init_mlp, sgd_epochs
 
-from helpers import baseline_reports, central_diff, rel_err
+from helpers import baseline_reports, central_diff, rel_err, training_reports
 
 
 def tiny_problem(clients=3, seed=0):
@@ -63,33 +62,6 @@ def test_proximal_grads_match_finite_differences():
     assert rel_err(analytic, numeric) <= 1e-6
 
 
-# -------------------------------------------------------------- local_train
-
-def test_local_train_zero_lr_is_identity():
-    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
-    x, y = toy_clients(1)[0]
-    cfg = BaselineConfig(lr=0.0, epochs=3, batch=4)
-    out = local_train(x, y, params, cfg, np.random.default_rng(0))
-    np.testing.assert_array_equal(out[-1][0], params[-1][0])
-
-
-def test_local_train_does_not_mutate_input():
-    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
-    before = params[-1][0].copy()
-    x, y = toy_clients(1)[0]
-    cfg = BaselineConfig(lr=0.1, epochs=2, batch=4)
-    local_train(x, y, params, cfg, np.random.default_rng(0))
-    np.testing.assert_array_equal(params[-1][0], before)
-
-
-def test_local_train_rejects_empty_client():
-    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
-    cfg = BaselineConfig()
-    with pytest.raises(InputError):
-        local_train(np.zeros((0, 4)), np.zeros(0, dtype=int), params, cfg,
-                    np.random.default_rng(0))
-
-
 # ------------------------------------------------------------ fedavg rounds
 
 def test_fedavg_round_no_reporters_returns_broadcast():
@@ -110,7 +82,7 @@ def test_fedavg_round_single_client_equals_local_sgd():
     assert reporter_count == 1
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, 0, 0)
     x, y = clients[0]
-    expected = local_train(x, y, params, bl, rng)
+    expected = sgd_epochs(params, x, y, bl.lr, bl.epochs, bl.batch, rng)
     np.testing.assert_allclose(out[-1][0], expected[-1][0], atol=1e-15)
 
 
@@ -137,14 +109,17 @@ def test_fedprox_large_mu_pins_models_to_broadcast():
     assert drift_prox < drift_avg
 
 
-def test_reporter_draws_match_federated_stream():
-    cfg = TrainConfig(s=0.3, seed=9)
-    for t in range(5):
-        ours = select_reporters(10, cfg.s,
-                                rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, t))
-        again = select_reporters(10, cfg.s,
-                                 rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, t))
-        assert ours.tolist() == again.tolist()
+def test_fedavg_draws_pfedvem_reporters():
+    # the same seed gives every round the same reporters under both schemes
+    train, test, part = tiny_problem(clients=23)
+    cfg = TrainConfig(T=5, R=1, K=1, base_epochs=1, s=0.3, seed=9,
+                      hidden=(5,))
+    _, _, ours = training_reports(cfg, train, test, part)
+    theirs = baseline_reports("fedavg", cfg, BaselineConfig(epochs=1), train,
+                              test, part)
+    counts = [r.reporter_count for r in ours]
+    assert len(set(counts)) > 1
+    assert [r.reporter_count for r in theirs] == counts
 
 
 # ------------------------------------------------------------ run_baseline

@@ -577,6 +577,33 @@ def test_main_too_many_clients_for_the_rows_exits_two(tmp_path, capsys,
     assert err == f"config: partition.clients: {message}\n", err
 
 
+@pytest.mark.parametrize("scheme", ["pfedvem", "fedavg"])
+@pytest.mark.parametrize("edits,message", [
+    ({"partition.clients = 4": "partition.clients = 1"},
+     "subclass 0 is held by no client"),
+    ({"partition.scenario = concept_drift": "partition.scenario = label_skew\n"
+                                            "partition.labels_per_client = 1",
+      "partition.clients = 4": "partition.clients = 2"},
+     "label 1 is held by no client"),
+], ids=["concept_drift", "label_skew"])
+def test_main_key_held_by_no_client_exits_two(tmp_path, capsys, scheme, edits,
+                                              message):
+    text = (CONFIGS / "smoke.cfg").read_text().replace(
+        "scheme = pfedvem", f"scheme = {scheme}")
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config: partition.clients: {message}\n", err
+    assert not list(tmp_path.glob("out/**/*.jsonl"))
+
+
 @pytest.mark.parametrize("cut,message", [
     ("img", "img: expected 56 bytes, truncated at byte 36"),
     ("lab", "lab: expected 10 bytes, truncated at byte 9"),

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedvem import rng as rng_mod
 from fedvem.data import (Dataset, FormatError, Partition, PartitionSpec,
-                         SynthSpec, client_rows, group_by_client, load_idx,
+                         SynthSpec, _slice_by_key, client_rows,
+                         group_by_client, load_idx,
                          make_partition, partition_concept_drift,
                          partition_label_skew, partition_quantity,
                          pm_test_indices, slice_sizes, synth_pair)
@@ -172,9 +174,25 @@ def test_concept_drift_single_superclass_two_clients():
 
 
 def test_concept_drift_single_client_one_subclass_per_superclass():
-    ds = toy_dataset(n=400, classes=3, subclasses_per_class=4, seed=1)
+    ds = toy_dataset(n=400, classes=3, subclasses_per_class=1, seed=1)
     p = partition_concept_drift(ds, clients=1, seed=0)
-    assert len(p.held[0]) == 3
+    assert p.held[0] == frozenset({0, 1, 2})
+    p.validate(len(ds))
+
+
+@pytest.mark.parametrize("by,held,message", [
+    ("subclasses", [[1, 4, 9]], "subclass 0"),
+    ("subclasses", [[0, 4, 9], [0, 5, 11]], "subclass 1"),
+    ("labels", [[0], [2]], "label 1"),
+])
+def test_slice_by_key_names_the_smallest_key_held_by_no_client(
+        monkeypatch, by, held, message):
+    # the error comes before any per-key stream is drawn from
+    ds = toy_dataset(n=400, classes=3, subclasses_per_class=4, seed=1)
+    monkeypatch.setattr(rng_mod, "stream", None)
+    with pytest.raises(InputError, match=f"^partition.clients: {message} "
+                                         "is held by no client$"):
+        _slice_by_key(ds, by, held, seed=0, tag=1)
 
 
 def test_concept_drift_refill_counting():
@@ -335,29 +353,25 @@ def test_synth_zero_noise_points_equal_centers():
 
 
 def test_synth_separable_classes_local_fit():
-    from fedvem.baselines import BaselineConfig, local_train
     from fedvem.metrics import accuracy
-    from fedvem.nn import init_mlp
+    from fedvem.nn import init_mlp, sgd_epochs
     spec = SynthSpec(classes=2, subclasses_per_class=1, dim=4,
                      points_per_subclass=50, noise=0.05, separation=2.0, seed=0)
     ds = synth_pair(spec)[0]
     rng = np.random.default_rng(0)
     params = init_mlp(4, (8,), 2, rng)
-    cfg = BaselineConfig(lr=0.1, epochs=50, batch=20)
-    model = local_train(ds.images, ds.labels, params, cfg, rng)
+    model = sgd_epochs(params, ds.images, ds.labels, 0.1, 50, 20, rng)
     assert accuracy(model, ds.images, ds.labels) == 1.0
 
 
 def test_synth_default_spec_centrally_learnable():
     # frozen oracle expectation: a centralized MLP clears 95% on held-out data
-    from fedvem.baselines import BaselineConfig, local_train
     from fedvem.metrics import accuracy
-    from fedvem.nn import init_mlp
+    from fedvem.nn import init_mlp, sgd_epochs
     train, test = synth_pair(SynthSpec(seed=0))
     rng = np.random.default_rng(0)
     params = init_mlp(train.input_dim, (32,), train.classes, rng)
-    cfg = BaselineConfig(lr=0.05, epochs=40, batch=50)
-    model = local_train(train.images, train.labels, params, cfg, rng)
+    model = sgd_epochs(params, train.images, train.labels, 0.05, 40, 50, rng)
     assert accuracy(model, test.images, test.labels) >= 0.95
 
 
@@ -370,7 +384,6 @@ def test_synth_pair_shares_centers():
 
 
 def test_synth_pair_draws_each_split_in_one_allocation():
-    from fedvem import rng as rng_mod
     from fedvem.data import _synth_centers
     spec = SynthSpec(classes=4, subclasses_per_class=3, dim=16,
                      points_per_subclass=500, test_points_per_subclass=100,

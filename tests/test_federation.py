@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedvem
-from fedvem import federation, nn, rng as rng_mod
+from fedvem import federation, nn
 from fedvem.data import Dataset, PartitionSpec, SynthSpec, make_partition, synth_pair
 from fedvem.federation import (HEAD_GROUP, ClientState, GlobalState,
                                TrainConfig, TrainingError, aggregate_base,
@@ -48,28 +48,35 @@ def tiny_config(**kw):
 
 # ------------------------------------------------------------- aggregation
 
+def average_heads(mus, taus):
+    """The server's confidence-weighted head mean: each mean folded in
+    order through ``aggregate_base``, then divided once by ``aggregate_heads``."""
+    heads = None
+    for mu, tau in zip(mus, taus, strict=True):
+        heads = aggregate_base(heads, mu, tau)
+    return aggregate_heads(heads, taus)
+
+
 def test_aggregate_heads_equal_confidence_is_mean():
     mus = [np.array([1.0, 2.0]), np.array([3.0, 6.0])]
-    out = aggregate_heads(mus, [2.0, 2.0])
+    out = average_heads(mus, [2.0, 2.0])
     np.testing.assert_allclose(out, [2.0, 4.0])
 
 
 def test_aggregate_heads_dominant_confidence():
     mus = [np.array([0.0]), np.array([10.0])]
-    out = aggregate_heads(mus, [1e-8, 1e8])
+    out = average_heads(mus, [1e-8, 1e8])
     assert out[0] == pytest.approx(10.0, abs=1e-8)
 
 
 def test_aggregate_heads_single_reporter_identity():
     mu = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_allclose(aggregate_heads([mu], [0.37]), mu, rtol=1e-15)
+    np.testing.assert_allclose(average_heads([mu], [0.37]), mu, rtol=1e-15)
 
 
-def test_aggregate_heads_rejects_empty_and_mismatched():
-    with pytest.raises(InputError):
-        aggregate_heads([], [])
-    with pytest.raises(InputError):
-        aggregate_heads([np.zeros(2), np.zeros(3)], [1.0, 1.0])
+def test_aggregate_heads_rejects_no_reporters():
+    with pytest.raises(InputError, match="no reporters to aggregate"):
+        average_heads([], [])
 
 
 @settings(max_examples=100, deadline=None)
@@ -79,7 +86,7 @@ def test_aggregate_heads_convexity(seed):
     rng = np.random.default_rng(seed)
     mus = [rng.standard_normal(4) for _ in range(3)]
     taus = rng.uniform(1e-3, 1e3, size=3).tolist()
-    out = aggregate_heads(mus, taus)
+    out = average_heads(mus, taus)
     stacked = np.stack(mus)
     assert np.all(out >= stacked.min(axis=0) - 1e-12)
     assert np.all(out <= stacked.max(axis=0) + 1e-12)
@@ -124,13 +131,12 @@ def test_aggregate_base_adds_in_reporter_order():
 # --------------------------------------------------------------- reporters
 
 def test_select_reporters_extremes():
-    rng = np.random.default_rng(0)
-    assert select_reporters(10, 0.0, rng).size == 0
-    assert select_reporters(10, 1.0, rng).tolist() == list(range(10))
+    assert select_reporters(TrainConfig(s=0.0), 0, 10).size == 0
+    assert select_reporters(TrainConfig(s=1.0), 0, 10).tolist() == list(range(10))
 
 
 def test_select_reporters_binomial_rate():
-    counts = [select_reporters(100, 0.1, np.random.default_rng(s)).size
+    counts = [select_reporters(TrainConfig(s=0.1, seed=s), 0, 100).size
               for s in range(2000)]
     # mean 10, sd 3; a 2000-draw average sits within ~0.2 of the mean
     assert abs(np.mean(counts) - 10.0) < 0.3
@@ -138,7 +144,7 @@ def test_select_reporters_binomial_rate():
 
 def test_select_reporters_rejects_bad_probability():
     with pytest.raises(InputError):
-        select_reporters(5, 1.5, np.random.default_rng(0))
+        select_reporters(TrainConfig(s=1.5), 0, 5)
 
 
 # ------------------------------------------------------------ wire format
@@ -158,9 +164,8 @@ def test_upload_roundtrip_and_size():
     for (w, b), (w2, b2) in zip(theta, theta2, strict=True):
         np.testing.assert_array_equal(w, w2)
         np.testing.assert_array_equal(b, b2)
-    # the mean is a copy, as a kept mean must not pin the whole payload;
-    # the base is a flat view, folded into the sums at once
-    assert mu2.base is None
+    # the mean and the base are views, each folded into its sum at once
+    assert mu2.base is not None
     assert base2.shape == (base_size,) and base2.base is not None
     assert serialize_upload(mu2, tau2, theta2) == buf
 
@@ -359,7 +364,7 @@ def test_run_round_all_reporters_aggregate():
     assert reporters.tolist() == [0, 1, 2]
     mus = [c.posterior.mu for c in clients2]
     taus = [c.tau for c in clients2]
-    np.testing.assert_allclose(gs2.w, aggregate_heads(mus, taus), atol=1e-12)
+    np.testing.assert_allclose(gs2.w, average_heads(mus, taus), atol=1e-12)
     ns = [len(y) for _, y in rows]
     # the round spends its uploads: the oracle's bases come from the same
     # round's updates
@@ -374,8 +379,7 @@ def test_run_round_single_reporter_adopts_its_head():
     train, _, part = tiny_problem()
     cfg = tiny_config(s=0.5, seed=11)
     gs, clients, rows = init_state(cfg, train, part)
-    rng = rng_mod.stream(cfg.seed, rng_mod.TAG_REPORTERS, 0)
-    expected = select_reporters(len(clients), cfg.s, rng)
+    expected = select_reporters(cfg, 0, len(clients))
     gs2, clients2, reporters = run_round(gs, clients, rows, cfg)
     assert reporters.tolist() == expected.tolist()
     if reporters.size == 1:

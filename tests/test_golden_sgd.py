@@ -3,9 +3,10 @@
 The smoke-run report of FedProx equals FedAvg's (the proximal pull changes
 no accuracy at that scale), so the report hashes in ``test_golden.py`` do not
 pin the proximal term.  These tests hash the float64 bytes of the parameters
-that ``local_train`` and ``fedavg_round`` return on the ``configs/smoke.cfg``
-data instead, so any change to the batch order, the proximal gradient or the
-step shows up byte for byte.  Recorded with numpy 2.4.6 on OpenBLAS 0.3.31.
+that Local's ``sgd_epochs`` call and ``fedavg_round`` return on the
+``configs/smoke.cfg`` data instead, so any change to the batch order, the
+proximal gradient or the step shows up byte for byte.  Recorded with numpy
+2.4.6 on OpenBLAS 0.3.31.
 """
 
 import hashlib
@@ -15,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from fedvem import rng as rng_mod
-from fedvem.baselines import fedavg_round, local_train
+from fedvem.baselines import fedavg_round
 from fedvem.config import load_config
 from fedvem.data import make_partition, synth_pair
-from fedvem.nn import init_mlp
+from fedvem.nn import init_mlp, sgd_epochs
 
 from test_golden import versions
 
@@ -53,11 +54,12 @@ def param_bytes(model: list) -> bytes:
 
 def test_golden_local_train_params():
     cfg, _, clients_xy, params0 = smoke_setup()
+    bl = cfg.baseline
     digest = hashlib.sha256()
     for j, (x, y) in enumerate(clients_xy):
         rng = rng_mod.stream(SEED, rng_mod.TAG_BASELINE, j)
-        digest.update(param_bytes(local_train(x, y, params0, cfg.baseline,
-                                              rng)))
+        digest.update(param_bytes(sgd_epochs(params0, x, y, bl.lr, bl.epochs,
+                                             bl.batch, rng)))
     assert digest.hexdigest() == LOCAL_PARAMS, versions()
 
 

@@ -181,6 +181,26 @@ def test_sgd_step_rejects_nonfinite_gradient():
         sgd_step(params, grads, 0.1)
 
 
+def toy_rows(n=12, dim=4, classes=2, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, dim)), rng.integers(0, classes, size=n)
+
+
+def test_sgd_epochs_zero_lr_is_identity():
+    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
+    x, y = toy_rows()
+    out = sgd_epochs(params, x, y, 0.0, 3, 4, np.random.default_rng(0))
+    np.testing.assert_array_equal(out[-1][0], params[-1][0])
+
+
+def test_sgd_epochs_does_not_mutate_input():
+    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
+    before = params[-1][0].copy()
+    x, y = toy_rows()
+    sgd_epochs(params, x, y, 0.1, 2, 4, np.random.default_rng(0))
+    np.testing.assert_array_equal(params[-1][0], before)
+
+
 def test_sgd_epochs_with_head_trains_only_the_base(monkeypatch):
     # pFedVEM's base SGD: each batch tops the base with a fresh head() and
     # steps only the base's gradients
