@@ -1,6 +1,6 @@
 #!/bin/sh
 # Byte-identity check against another revision: exports REV with
-# `git archive`, runs the same eleven configs under REV and under this
+# `git archive`, runs the same fourteen configs under REV and under this
 # working tree, and fails unless every output file (per-seed JSONL, client
 # CSV, summary, every checkpoint) is byte-identical.
 #   - the smoke config (3 classes, 23 clients) on one worker;
@@ -15,8 +15,15 @@
 #     worker: 600 + 100 generated 8x8 uint8 images, which both trees read;
 #   - the smoke config with two hidden layers (16,8), seeds 0-2, under
 #     pFedVEM with 23 clients on a two-worker pool, and under fedavg, so
-#     the backward pass through a hidden layer into the one below runs.
-# The six pFedVEM runs write a checkpoint every round; the five baseline
+#     the backward pass through a hidden layer into the one below runs;
+#   - the smoke config under quantity_only with every client reporting
+#     (train.s = 1.0) and baseline.batch = 8, seeds 0-2, under fedavg and
+#     local: one SGD group of all 4 clients, 6-121 rows each, whose
+#     batches differ in size at many steps;
+#   - the smoke config under fedavg with 23 clients all reporting and
+#     baseline.batch = 4, seeds 0-2: more reporters than nn's group size
+#     (federation.HEAD_GROUP), so each round trains in three groups.
+# The six pFedVEM runs write a checkpoint every round; the eight baseline
 # runs write none.  The configs are generated with sed from the shipped
 # ones, with few rounds and points so the check takes seconds.
 # Usage: scripts/same_outputs.sh REV
@@ -98,11 +105,24 @@ echo "baseline.lr = 0.1" >> "$tmp/cfg/prox.cfg"
 sed -e 's/^scheme = .*/scheme = fedavg/' \
     -e 's/^model\.hidden = .*/model.hidden = 16,8/' \
     -e 's/^seeds = .*/seeds = 0,1,2/' configs/smoke.cfg > "$tmp/cfg/deepavg.cfg"
+for scheme in fedavg local; do
+    { sed -e "s/^scheme = .*/scheme = $scheme/" \
+          -e 's/^partition\.scenario = .*/partition.scenario = quantity_only/' \
+          -e 's/^train\.s = .*/train.s = 1.0/' \
+          -e 's/^seeds = .*/seeds = 0,1,2/' configs/smoke.cfg
+      echo "baseline.batch = 8"; } > "$tmp/cfg/ragged$scheme.cfg"
+done
+{ sed -e 's/^scheme = .*/scheme = fedavg/' \
+      -e 's/^partition\.clients = .*/partition.clients = 23/' \
+      -e 's/^train\.s = .*/train.s = 1.0/' \
+      -e 's/^seeds = .*/seeds = 0,1,2/' configs/smoke.cfg
+  echo "baseline.batch = 4"; } > "$tmp/cfg/split.cfg"
 
 for tree in "$tmp/rev" "$here"; do
     side=$( [ "$tree" = "$here" ] && echo here || echo rev )
     for run in smoke:1 quantity:1 drift5:1 skew10:2 fedavg:1 fedprox:1 \
-               prox:1 local:1 idx:1 deep:2 deepavg:1; do
+               prox:1 local:1 idx:1 deep:2 deepavg:1 raggedfedavg:1 \
+               raggedlocal:1 split:1; do
         name=${run%:*}
         (cd "$tree" && PYTHONPATH=src python -m fedvem.cli run \
             --config "$tmp/cfg/$name.cfg" --workers "${run#*:}" \

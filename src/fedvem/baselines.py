@@ -1,8 +1,9 @@
 """Reference schemes: Local, FedAvg, FedProx.
 
 All three share pFedVEM's MLP, partition and seeded initialization, and
-train by one ``nn.sgd_epochs`` call.  FedAvg and FedProx also share its
-reporter draw (``federation.select_reporters``) and weighted fold
+train by ``nn.sgd_epochs``, ``federation.HEAD_GROUP`` clients at a time
+(``_train``).  FedAvg and FedProx also share its reporter draw
+(``federation.select_reporters``) and weighted fold
 (``federation.aggregate_base``), so paired comparisons isolate the objective.
 """
 
@@ -15,10 +16,10 @@ import numpy as np
 
 from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, client_rows, pm_test_indices
-from .federation import (TrainConfig, TrainingError, aggregate_base,
-                         select_reporters)
-from .nn import (InputError, Layer, flatten, forward, init_mlp, sgd_epochs,
-                 unflatten)
+from .federation import (HEAD_GROUP, TrainConfig, TrainingError,
+                         aggregate_base, select_reporters)
+from .nn import (InputError, Layer, NumericError, flatten, forward, init_mlp,
+                 sgd_epochs, unflatten)
 
 SCHEMES = ("local", "fedavg", "fedprox")
 
@@ -55,6 +56,21 @@ def proximal_grads(layers: list[Layer], anchor: list[Layer],
             for (w, b), (aw, ab) in zip(layers, anchor)]
 
 
+def _train(layers: list[Layer], clients_xy: list, ids, stream,
+           bl: BaselineConfig, where: str, extra=None):
+    """(j, model) for each client j of ``ids`` in order, trained from
+    ``layers`` on stream ``stream(j)``, a group of HEAD_GROUP at a time."""
+    for start in range(0, len(ids), HEAD_GROUP):
+        group = ids[start:start + HEAD_GROUP]
+        try:
+            yield from zip(group, sgd_epochs(
+                layers, [clients_xy[j] for j in group], bl.lr, bl.epochs,
+                bl.batch, [stream(j) for j in group], extra=extra))
+        except NumericError as exc:
+            raise TrainingError(
+                f"{where}client {group[exc.row]}: {exc}") from exc
+
+
 def fedavg_round(theta_full: list[Layer],
                  clients_xy: list[tuple[np.ndarray, np.ndarray]],
                  cfg: TrainConfig, bl: BaselineConfig,
@@ -73,26 +89,29 @@ def fedavg_round(theta_full: list[Layer],
     extra = ((lambda p: proximal_grads(p, theta_full, bl.mu_prox))
              if bl.mu_prox > 0 else None)
     sums = None
-    for j in reporters:
-        x, y = clients_xy[j]
-        rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, t, int(j))
-        try:
-            model = sgd_epochs(theta_full, x, y, bl.lr, bl.epochs, bl.batch,
-                               rng, extra=extra)
-        except FloatingPointError as exc:
-            raise TrainingError(f"round {t}, client {j}: {exc}") from exc
-        sums = aggregate_base(sums, flatten(model), len(x))
+    for j, model in _train(
+            theta_full, clients_xy, reporters,
+            lambda j: rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, t, int(j)),
+            bl, f"round {t}, ", extra):
+        sums = aggregate_base(sums, flatten(model), len(clients_xy[j][1]))
     total = float(sum(len(clients_xy[j][1]) for j in reporters))
     return (unflatten(sums / total, [w.shape for w, _ in theta_full]),
             len(reporters))
 
 
 def _gm_report(t: int, model: list[Layer], sizes: list[int], test_ds: Dataset,
-               pm_idx: list[np.ndarray], reporter_count: int) -> metrics.RoundReport:
+               pm_idx: tuple[np.ndarray, np.ndarray],
+               reporter_count: int) -> metrics.RoundReport:
     """One forward of the global model over the test set serves every client:
-    client j's PM accuracy is the hit rate on ``pm_idx[j]``."""
+    client j's PM accuracy is the hit rate on its PM test rows.  ``pm_idx``
+    holds every client's row indices end to end and each one's count; a hit
+    count is an exact integer, so count / n has the bits of the mean."""
+    idx, counts = pm_idx
     hits = forward(model, test_ds.images).argmax(axis=1) == test_ds.labels
-    pm = [float(hits[idx].mean()) if len(idx) else None for idx in pm_idx]
+    running = np.concatenate(([0], np.cumsum(hits[idx])))
+    ends = np.cumsum(counts)
+    rates = (running[ends] - running[ends - counts]) / np.maximum(counts, 1)
+    pm = [rate if n else None for rate, n in zip(rates.tolist(), counts)]
     return metrics.round_report(t, float(hits.mean()), pm, sizes,
                                 reporter_count)
 
@@ -123,25 +142,22 @@ def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
               for j in range(len(clients_xy))]
 
     if scheme == "local":
-        pm = []
-        for j, (x, y) in enumerate(clients_xy):
-            rng = rng_mod.stream(cfg.seed, rng_mod.TAG_BASELINE, j)
-            try:
-                model = sgd_epochs(params0, x, y, bl.lr, bl.epochs, bl.batch,
-                                   rng)
-            except FloatingPointError as exc:
-                raise TrainingError(f"client {j}: {exc}") from exc
-            idx = pm_idx[j]
-            pm.append(metrics.accuracy(model, test_ds.images[idx],
-                                       test_ds.labels[idx])
-                      if len(idx) else None)
+        pm = [metrics.accuracy(model, test_ds.images[pm_idx[j]],
+                               test_ds.labels[pm_idx[j]])
+              if len(pm_idx[j]) else None
+              for j, model in _train(
+                  params0, clients_xy, range(len(clients_xy)),
+                  lambda j: rng_mod.stream(cfg.seed, rng_mod.TAG_BASELINE, j),
+                  bl, "")]
         on_round(metrics.round_report(0, float("nan"), pm, partition.sizes, 0))
         return
 
     if scheme == "fedavg":
         bl = replace(bl, mu_prox=0.0)
+    pm_rows = (np.concatenate(pm_idx).astype(np.intp),
+               np.array([len(idx) for idx in pm_idx]))
     params = params0
     for t in range(cfg.T):
         params, reporter_count = fedavg_round(params, clients_xy, cfg, bl, t)
-        on_round(_gm_report(t, params, partition.sizes, test_ds, pm_idx,
+        on_round(_gm_report(t, params, partition.sizes, test_ds, pm_rows,
                             reporter_count))

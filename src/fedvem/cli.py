@@ -5,8 +5,9 @@
 
 For each seed in the config: build the dataset and partition and run the
 configured scheme (``run_seed``), appending one JSONL record per round as
-the round ends; then write a cross-seed summary.  Exit codes: 0 success,
-1 runtime numeric failure, 2 invalid configuration or malformed data file.
+the round ends; then write a cross-seed summary (``validate`` builds only
+each seed's synthetic partition).  Exit codes: 0 success, 1 runtime
+numeric failure, 2 invalid configuration or malformed data file.
 """
 
 from __future__ import annotations
@@ -130,6 +131,14 @@ def main(argv=None) -> int:
         return 2
 
     violations = validate(cfg)
+    if (args.command == "validate" and not violations
+            and cfg.dataset_kind == "synth"):
+        try:   # each seed's partition, as run builds it
+            for seed in cfg.seeds:
+                make_partition(synth_pair(replace(cfg.synth, seed=seed))[0],
+                               replace(cfg.partition, seed=seed))
+        except InputError as exc:
+            violations = [f"config: {exc}"]
     for v in violations:
         print(v, file=sys.stdout if args.command == "validate" else sys.stderr)
     if violations or args.command == "validate":

@@ -9,7 +9,8 @@ too, because the posterior feeds their next confidence and their PM
 accuracy.  The heads of ``HEAD_GROUP`` clients at a time are fitted as one
 stack (``update_clients``); rows never mix, so a client's fit does not
 depend on its group.  Only reporters then train a base copy by mini-batch
-SGD (``nn.sgd_epochs``), since only an uploaded base is ever read.  A
+SGD (``nn.sgd_epochs``, a group of one), since only an uploaded base is
+ever read.  A
 reporter sends its head mean, base and confidence as wire bytes
 (``serialize_upload``), built where the client runs.  The server
 weights reporter heads by confidence and reporter bases by data size: as
@@ -52,9 +53,11 @@ CHECKPOINT_MAGIC = b"FVEM"
 CHECKPOINT_VERSION = 1
 
 # Clients whose heads are fitted as one stack, and so the clients in one
-# pool job.  On the drift50 shape, past 10 memory grows for no clear speed:
-# peak RSS rose 1.6 % at 10, 2.9 % at 17 and 9 % at 50 over one at a time;
-# a fit step took 77-117, 76-85, 69-88, 68-93 us a client at 5/10/25/50.
+# pool job; also the most clients the baselines train as one SGD group
+# (``nn.sgd_epochs``), which bounds its (G, P) model and gradient buffers.
+# On the drift50 shape, past 10 memory grows for no clear speed: peak RSS
+# rose 1.6 % at 10, 2.9 % at 17 and 9 % at 50 over one at a time; a fit
+# step took 77-117, 76-85, 69-88, 68-93 us a client at 5/10/25/50.
 HEAD_GROUP = 10
 
 
@@ -210,12 +213,11 @@ def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
     the head held as a draw from the client's fitted posterior per
     mini-batch.  ``rng`` is the client's stream after the head fit's draws."""
     post = client.posterior
-    width = globals_.theta[-1][0].shape[0]
     try:
         return sgd_epochs(
-            globals_.theta, x, y, cfg.base_lr, cfg.base_epochs,
-            cfg.base_batch, rng, head=lambda: unflatten_head(
-                sample(post, rng.standard_normal(post.d)), width))
+            globals_.theta, [(x, y)], cfg.base_lr, cfg.base_epochs,
+            cfg.base_batch, [rng], heads=lambda _: sample(
+                post, rng.standard_normal(post.d))[None])[0]
     except FloatingPointError as exc:
         raise TrainingError(
             f"round {globals_.t}, client {client.id}: {exc}") from exc

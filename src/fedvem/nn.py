@@ -8,11 +8,13 @@ head vector, the upload and the checkpoint share.  Everything is float64
 numpy; gradients are derived by hand for this topology, which keeps the
 whole training loop dependency-free and easy to check against finite
 differences.  `sgd_epochs` is the one mini-batch SGD loop; every scheme
-trains through it.
+trains through it, a group of clients at a time, and one model is a group
+of one: `backward` and `sgd_step` take arrays with a leading client axis.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -25,7 +27,12 @@ class ShapeError(ValueError):
 
 
 class NumericError(FloatingPointError):
-    """Non-finite values encountered; the message names the layer."""
+    """Non-finite values encountered; the message names where, and ``row``
+    the failing client of a group or stack."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 class InputError(ValueError):
@@ -51,14 +58,17 @@ def flatten(layers: list[Layer]) -> np.ndarray:
 
 
 def unflatten(vec: np.ndarray, shapes: list[tuple[int, int]]) -> list[Layer]:
-    """Views of a `flatten`ed ``vec`` as layers with (out, in) weights."""
-    sizes = [n for out_dim, in_dim in shapes
-             for n in (out_dim * in_dim, out_dim)]
-    if sum(sizes) != vec.size:
-        raise ShapeError(f"{vec.size} parameters for layers of shapes {shapes}")
-    parts = np.split(vec, np.cumsum(sizes)[:-1])
-    return [(w.reshape(shape), b)
-            for shape, w, b in zip(shapes, parts[::2], parts[1::2])]
+    """Views of `flatten`ed models along ``vec``'s last axis as layers:
+    (..., P) gives (..., out, in) weights and (..., out) biases."""
+    lead, layers, end = vec.shape[:-1], [], 0
+    for o, i in shapes:
+        start, mid, end = end, end + o * i, end + o * i + o
+        layers.append((vec[..., start:mid].reshape(lead + (o, i)),
+                       vec[..., mid:end]))
+    if end != vec.shape[-1]:
+        raise ShapeError(f"{vec.shape[-1]} parameters for layers of shapes "
+                         f"{shapes}")
+    return layers
 
 
 def unflatten_head(vec: np.ndarray, width: int) -> Layer:
@@ -74,32 +84,66 @@ def unflatten_head(vec: np.ndarray, width: int) -> Layer:
 
 
 def _check_layer(x: np.ndarray, w: np.ndarray, name: str) -> None:
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(
-            f"{name}: input of shape {x.shape} incompatible with weight {w.shape}"
-        )
+    # w is one weight (out, in) or a group's stack (G, out, in)
+    if x.ndim != 2 or x.shape[1] != w.shape[-1]:
+        raise ShapeError(f"{name}: input of shape {x.shape} incompatible "
+                         f"with weight {w.shape[-2:]}")
+
+
+def _gather(arrays: list[np.ndarray], idx: list[np.ndarray]) -> np.ndarray:
+    """Each ``arrays[i][idx[i]]``, end to end."""
+    if len(idx) == 1:
+        return arrays[0][idx[0]]
+    return np.concatenate([a[i] for a, i in zip(arrays, idx)])
+
+
+def _rows(sizes: list[int]):
+    """Each client's slice of rows laid end to end, ``sizes[i]`` of them."""
+    return map(slice, accumulate(sizes[:-1], initial=0), accumulate(sizes))
+
+
+def _rowwise(a: np.ndarray, m: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Client i's rows of ``a`` times ``m[i]``, end to end, each on its own
+    rows: a row's bits depend on how many rows share its gemm."""
+    if len(sizes) == 1:
+        return a @ m[0]
+    out = np.empty((len(a), m.shape[2]))
+    for r, m_i in zip(_rows(sizes), m):
+        np.matmul(a[r], m_i, out=out[r])
+    return out
+
+
+def _affine(x: np.ndarray, layer: Layer, sizes: list[int],
+            name: str) -> np.ndarray:
+    """``x @ w.T + b`` for a group: client i's layer on its rows."""
+    w, b = layer
+    _check_layer(x, w, name)
+    out = _rowwise(x, w.mT, sizes)
+    out += b[0] if len(sizes) == 1 else np.repeat(b, sizes, axis=0)
+    return out
 
 
 def head_logits(features: np.ndarray, head: Layer) -> np.ndarray:
     """Logits of the head layer ``(W, b)`` on (B, width) features; every
-    logit outside the stacked head fit is computed here."""
-    w, b = head
-    _check_layer(features, w, "head")
-    return features @ w.T + b
+    logit outside the stacked head fit and SGD is computed here."""
+    return _affine(features, (head[0][None], head[1][None]), [len(features)],
+                   "head")
 
 
-def _base_acts(base: list[Layer], x: np.ndarray) -> list[np.ndarray]:
-    """The input and every hidden layer's ReLU activation, in order."""
+def _base_acts(base: list[Layer], x: np.ndarray,
+               sizes: list[int]) -> list[np.ndarray]:
+    """The input and every hidden layer's ReLU activation, in order, for a
+    group: client i's base on its rows."""
     acts = [x]
-    for k, (w, b) in enumerate(base):
-        _check_layer(acts[-1], w, f"base layer {k}")
-        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    for k, layer in enumerate(base):
+        z = _affine(acts[-1], layer, sizes, f"base layer {k}")
+        acts.append(np.maximum(z, 0.0, out=z))
     return acts
 
 
 def forward_base(base: list[Layer], x: np.ndarray) -> np.ndarray:
     """Hidden-layer stack only; returns the representation fed to the head."""
-    return _base_acts(base, x)[-1]
+    return _base_acts([(w[None], b[None]) for w, b in base], x, [len(x)])[-1]
 
 
 def forward(model: list[Layer], batch: np.ndarray) -> np.ndarray:
@@ -122,71 +166,131 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-ls[np.arange(len(labels)), labels].mean())
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray) -> np.ndarray:   # in place
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
-def backward(model: list[Layer], batch: np.ndarray,
-             labels: np.ndarray) -> list[Layer]:
-    """Exact gradient of cross_entropy w.r.t. every layer, in layer order."""
+def _layer_grads(dz: np.ndarray, a: np.ndarray, sizes: list[int],
+                 out: Layer) -> None:
+    """Each client's weight and bias gradient, from its own rows of the
+    output gradient ``dz`` and the layer input ``a``, into ``out``."""
+    for r, gw, gb in zip(_rows(sizes), *out):
+        np.matmul(dz[r].T, a[r], out=gw)
+        dz[r].sum(axis=0, out=gb)
+
+
+def backward(model: list[Layer], batch: np.ndarray, labels: np.ndarray,
+             sizes: list[int], head: bool = True,
+             out: list[Layer] | None = None) -> list[Layer]:
+    """Exact gradient of each client's cross_entropy on its own rows w.r.t.
+    its layers, in layer order, for a group of G models.
+
+    Each array of ``model`` stacks G models on a leading axis; ``batch`` and
+    ``labels`` hold their rows end to end, ``sizes[i]`` of them model i's.
+    The gradients, stacked alike and without the head's if ``head`` is
+    false, are written into ``out`` (default: new arrays) and returned.
+    """
     labels = np.asarray(labels)
-    *base, head = model
-    acts = _base_acts(base, batch)
-    logits = head_logits(acts[-1], head)
+    *base, top = model
+    out = out or [(np.empty(w.shape), np.empty(b.shape))
+                  for w, b in (model if head else base)]
+    acts = _base_acts(base, batch, sizes)
+    logits = _affine(acts[-1], top, sizes, "head")
 
     c = logits.shape[1]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         raise InputError(f"labels must lie in [0, {c})")
     d_logits = _softmax(logits)
     d_logits[np.arange(len(labels)), labels] -= 1.0
-    d_logits /= len(labels)
+    d_logits /= (sizes[0] if len(sizes) == 1    # each client's own mean
+                 else np.repeat(sizes, sizes)[:, None])
 
-    grads: list[Layer] = [None] * len(model)  # type: ignore[list-item]
-    grads[-1] = (d_logits.T @ acts[-1], d_logits.sum(axis=0))
-    dh = d_logits @ head[0]
+    if head:
+        _layer_grads(d_logits, acts[-1], sizes, out[-1])
+    dh = _rowwise(d_logits, top[0], sizes)
     for k in range(len(base) - 1, -1, -1):
-        dz = dh * (acts[k + 1] > 0)
-        grads[k] = (dz.T @ acts[k], dz.sum(axis=0))
+        dh *= acts[k + 1] > 0
+        _layer_grads(dh, acts[k], sizes, out[k])
         if k:   # nothing reads the gradient w.r.t. the input batch
-            dh = dz @ base[k][0]
-    return grads
-
-
-def sgd_step(layers: list[Layer], grads: list[Layer],
-             lr: float) -> list[Layer]:
-    """layers - lr * grads, elementwise.  Rejects non-finite gradients."""
-    if lr < 0:
-        raise ValueError("learning rate must be nonnegative")
-    out = []
-    for k, ((w, b), (gw, gb)) in enumerate(zip(layers, grads)):
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise NumericError(f"non-finite gradient in layer {k}")
-        out.append((w - lr * gw, b - lr * gb))
+            dh = _rowwise(dh, base[k][0], sizes)
     return out
 
 
-def sgd_epochs(layers: list[Layer], x: np.ndarray, y: np.ndarray, lr: float,
-               epochs: int, batch: int, rng: np.random.Generator,
-               head: Callable[[], Layer] | None = None,
-               extra: Callable[[list[Layer]], list[Layer]] | None = None,
-               ) -> list[Layer]:
-    """Mini-batch SGD: one ``rng.permutation`` per epoch, then its batches.
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float,
+             shapes: list[tuple[int, int]], ids=None) -> None:
+    """params -= lr * grads in place, on (G, P) rows of `flatten`ed models
+    with layers of ``shapes``.  A non-finite gradient raises NumericError
+    before the step, naming the first such layer of the first client by
+    ``ids`` (default: row order) with one; its ``row`` is that id."""
+    if lr < 0:
+        raise ValueError("learning rate must be nonnegative")
+    if not np.isfinite(grads).all():
+        ids, bad = ids or range(len(grads)), ~np.isfinite(grads)
+        i = min(np.flatnonzero(bad.any(axis=1)), key=lambda i: ids[i])
+        k = np.searchsorted(np.cumsum([o * n + o for o, n in shapes]),
+                            bad[i].argmax(), side="right")
+        raise NumericError(f"non-finite gradient in layer {k}", ids[i])
+    params -= lr * grads
 
-    With ``head``, ``layers`` is a base: each batch runs on it topped by a
-    fresh ``head()``, and only the base is stepped and returned.
-    ``extra(layers)`` (if given) adds a regularizer's gradients layer by
-    layer, e.g. a proximal pull.  ``layers`` is not modified.
-    """
-    n = len(x)
+
+def _batches(rng: np.random.Generator, n: int, epochs: int, batch: int):
+    """A client's batches of row indices: one ``rng.permutation(n)`` as each
+    epoch begins, then its slices."""
     for _ in range(epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
-            ix = perm[start:start + batch]
-            model = layers if head is None else [*layers, head()]
-            grads = backward(model, x[ix], y[ix])[:len(layers)]
-            if extra is not None:
-                grads = [(gw + ew, gb + eb) for (gw, gb), (ew, eb)
-                         in zip(grads, extra(layers))]
-            layers = sgd_step(layers, grads, lr)
-    return layers
+            yield perm[start:start + batch]
+
+
+def sgd_epochs(layers: list[Layer], rows: list[tuple[np.ndarray, np.ndarray]],
+               lr: float, epochs: int, batch: int,
+               rngs: list[np.random.Generator],
+               heads: Callable[[list[int]], np.ndarray] | None = None,
+               extra: Callable[[list[Layer]], list[Layer]] | None = None,
+               ) -> list[list[Layer]]:
+    """Mini-batch SGD of a group of clients from ``layers``, each trained on
+    ``rows[i] = (x, y)`` exactly as alone: one ``rngs[i].permutation`` per
+    epoch, then its batches.  Step s is each client's own s-th batch; sorted
+    by batch count, the clients still training are a prefix of one (G, P)
+    buffer of flat models, stepped together.  With ``heads``, ``layers`` is
+    a base, topped on each batch by the flat heads ``heads(ids)`` draws (a
+    row per client index, after the permutation), and is all that is
+    stepped.  ``extra(layers)`` adds a regularizer's gradients, e.g. a
+    proximal pull.  Returns each client's layers; a ``NumericError``'s
+    ``row`` is a client's index."""
+    sizes = [len(y) for _, y in rows]
+    steps = [epochs * -(-n // batch) for n in sizes]
+    order = sorted(range(len(rows)), key=steps.__getitem__, reverse=True)
+    batches = [_batches(rngs[i], sizes[i], epochs, batch) for i in order]
+    xs, ys = [rows[i][0] for i in order], [rows[i][1] for i in order]
+    shapes = [w.shape for w, _ in layers]
+    params = np.array([flatten(layers)] * len(rows))   # row p: order[p]
+    grads = np.empty_like(params)
+    stacks, grad_stacks = unflatten(params, shapes), unflatten(grads, shapes)
+    g = 0
+    for s in range(max(steps, default=0)):
+        if g == 0 or steps[order[g - 1]] <= s:   # some clients are done
+            g = sum(n > s for n in steps)
+            del batches[g:]
+            group, out = ([(w[:g], b[:g]) for w, b in st]
+                          for st in (stacks, grad_stacks))
+            active = order[:g]
+            prefix = params[:g], grads[:g], lr, shapes, active
+        parts = list(map(next, batches))   # each client's own batch
+        x, y = _gather(xs, parts), _gather(ys, parts)
+        model = group if heads is None else [
+            *group, unflatten_head(heads(active), shapes[-1][0])]
+        backward(model, x, y, list(map(len, parts)), head=heads is None,
+                 out=out)
+        if extra is not None:
+            for (gw, gb), (ew, eb) in zip(out, extra(group)):
+                gw += ew
+                gb += eb
+        sgd_step(*prefix)
+    trained = [[]] * len(rows)
+    for p, i in enumerate(order):
+        trained[i] = [(w[p], b[p]) for w, b in stacks]
+    return trained

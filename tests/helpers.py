@@ -7,6 +7,7 @@ import numpy as np
 
 from fedvem.baselines import run_baseline
 from fedvem.federation import run_training
+from fedvem.nn import backward
 
 
 def training_reports(cfg, train, test, partition, workers=1):
@@ -24,6 +25,14 @@ def baseline_reports(scheme, cfg, bl, train, test, partition):
     reports = []
     run_baseline(scheme, cfg, bl, train, test, partition, reports.append)
     return reports
+
+
+def model_grads(model, x, labels):
+    """``nn.backward`` of one model, a group of one: each layer's gradient
+    of its mean cross-entropy on ``x``, ``labels``."""
+    grads = backward([(w[None], b[None]) for w, b in model], x, labels,
+                     [len(x)])
+    return [(gw[0], gb[0]) for gw, gb in grads]
 
 
 def central_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

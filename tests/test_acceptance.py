@@ -19,14 +19,14 @@ from fedvem.data import (Dataset, PartitionSpec, SynthSpec, load_idx,
                          make_partition, slice_sizes, synth_pair)
 from fedvem.federation import TrainConfig, select_reporters
 from fedvem.metrics import sem, write_report
-from fedvem.nn import (backward, cross_entropy, flatten, forward, forward_base,
-                       init_mlp, unflatten)
+from fedvem.nn import (cross_entropy, flatten, forward, forward_base, init_mlp,
+                       unflatten)
 from fedvem.variational import (IsotropicPrior, VariationalPosterior,
                                 confidence, head_loss_closure, kl_to_prior,
                                 mc_objective)
 
-from helpers import (baseline_reports, central_diff, golden_max, rel_err,
-                     training_reports)
+from helpers import (baseline_reports, central_diff, golden_max, model_grads,
+                     rel_err, training_reports)
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -70,7 +70,7 @@ def test_criterion_1_gradient_correctness():
     mu_prox = 0.8
     # summed layer by layer, as sgd_epochs adds a proximal pull
     grads = [(gw + ew, gb + eb) for (gw, gb), (ew, eb)
-             in zip(backward(params, batch, labels),
+             in zip(model_grads(params, batch, labels),
                     proximal_grads(params, anchor, mu_prox))]
     a_vec = flatten(anchor)
 

@@ -6,7 +6,7 @@ import pytest
 from fedvem import rng as rng_mod
 from fedvem.baselines import BaselineConfig, fedavg_round, proximal_grads
 from fedvem.data import PartitionSpec, SynthSpec, make_partition, synth_pair
-from fedvem.federation import TrainConfig
+from fedvem.federation import TrainConfig, TrainingError
 from fedvem.nn import InputError, flatten, init_mlp, sgd_epochs
 
 from helpers import baseline_reports, central_diff, rel_err, training_reports
@@ -73,6 +73,51 @@ def test_fedavg_round_no_reporters_returns_broadcast():
     assert reporter_count == 0
 
 
+@pytest.mark.parametrize("diverging,named", [((1,), 1), ((0, 1), 0)])
+def test_fedavg_round_names_the_diverging_client(diverging, named):
+    # reporters 0, 1, 2 hold 5, 30 and 12 rows, so the group steps them in
+    # the order 1, 2, 0; rows scaled to 1e300 overflow the gradient at the
+    # first step.  Of the reporters failing at that step, the first in
+    # reporter order is named.
+    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    clients = [(rng.standard_normal((n, 4)), rng.integers(0, 2, size=n))
+               for n in (5, 30, 12)]
+    for j in diverging:
+        clients[j] = (clients[j][0] * 1e300, clients[j][1])
+    bl = BaselineConfig(batch=4)
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingError,
+                           match=rf"^round 2, client {named}: non-finite "
+                                 r"gradient in layer \d$"):
+            fedavg_round(params, clients, TrainConfig(s=1.0, seed=0), bl, t=2)
+        # without the diverging rows the same round trains
+        for j in diverging:
+            clients[j] = (clients[j][0] * 1e-300, clients[j][1])
+        fedavg_round(params, clients, TrainConfig(s=1.0, seed=0), bl, t=2)
+
+
+def test_gm_report_pm_rates_equal_the_hit_means():
+    # one gather and one running sum give each client's hit mean to the
+    # bit; an empty PM set stays None
+    from fedvem.baselines import _gm_report
+    from fedvem.nn import forward
+    train, test, _ = tiny_problem()
+    model = init_mlp(train.input_dim, (4,), train.classes,
+                     np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    pm_idx = [np.sort(rng.choice(len(test.labels), size=n, replace=False))
+              for n in (7, 0, 30, 1, len(test.labels))]
+    report = _gm_report(5, model, [1] * 5, test, (
+        np.concatenate(pm_idx).astype(np.intp),
+        np.array([len(idx) for idx in pm_idx])), 2)
+    hits = forward(model, test.images).argmax(axis=1) == test.labels
+    expected = [float(hits[idx].mean()) if len(idx) else None
+                for idx in pm_idx]
+    assert report.pm_accuracies == expected
+    assert report.pm_accuracies[1] is None
+
+
 def test_fedavg_round_single_client_equals_local_sgd():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     clients = toy_clients(1)
@@ -82,7 +127,8 @@ def test_fedavg_round_single_client_equals_local_sgd():
     assert reporter_count == 1
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, 0, 0)
     x, y = clients[0]
-    expected = sgd_epochs(params, x, y, bl.lr, bl.epochs, bl.batch, rng)
+    expected = sgd_epochs(params, [(x, y)], bl.lr, bl.epochs, bl.batch,
+                          [rng])[0]
     np.testing.assert_allclose(out[-1][0], expected[-1][0], atol=1e-15)
 
 

@@ -595,13 +595,36 @@ def test_main_key_held_by_no_client_exits_two(tmp_path, capsys, scheme, edits,
         text = text.replace(old, new)
     path = tmp_path / "exp.cfg"
     path.write_text(text)
-    assert main(["validate", "--config", str(path)]) == 0
-    capsys.readouterr()
+    # validate builds each seed's synthetic partition and prints run's line
+    assert main(["validate", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out == f"config: partition.clients: {message}\n", out
     assert main(["run", "--config", str(path), "--out",
                  str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == f"config: partition.clients: {message}\n", err
     assert not list(tmp_path.glob("out/**/*.jsonl"))
+
+
+def test_main_validate_builds_each_seeds_partition(tmp_path, capsys):
+    # with 2 clients holding 1 of 3 labels each, seed 1 leaves label 2 and
+    # seed 0 label 1 unheld: validate reports the first seed's, as run does
+    text = (CONFIGS / "smoke.cfg").read_text()
+    for old, new in {"partition.scenario = concept_drift":
+                     "partition.scenario = label_skew\n"
+                     "partition.labels_per_client = 1",
+                     "partition.clients = 4": "partition.clients = 2",
+                     "seeds = 0": "seeds = 1,0"}.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    line = "config: partition.clients: label 2 is held by no client\n"
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().out == line
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == line
 
 
 @pytest.mark.parametrize("cut,message", [

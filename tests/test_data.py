@@ -360,7 +360,7 @@ def test_synth_separable_classes_local_fit():
     ds = synth_pair(spec)[0]
     rng = np.random.default_rng(0)
     params = init_mlp(4, (8,), 2, rng)
-    model = sgd_epochs(params, ds.images, ds.labels, 0.1, 50, 20, rng)
+    model, = sgd_epochs(params, [(ds.images, ds.labels)], 0.1, 50, 20, [rng])
     assert accuracy(model, ds.images, ds.labels) == 1.0
 
 
@@ -371,7 +371,8 @@ def test_synth_default_spec_centrally_learnable():
     train, test = synth_pair(SynthSpec(seed=0))
     rng = np.random.default_rng(0)
     params = init_mlp(train.input_dim, (32,), train.classes, rng)
-    model = sgd_epochs(params, train.images, train.labels, 0.05, 40, 50, rng)
+    model, = sgd_epochs(params, [(train.images, train.labels)], 0.05, 40, 50,
+                        [rng])
     assert accuracy(model, test.images, test.labels) >= 0.95
 
 

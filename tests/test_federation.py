@@ -318,8 +318,8 @@ def test_client_update_failure_names_round_and_client(monkeypatch, stage):
         real = nn.backward
 
         def nonfinite(*args, **kwargs):
-            grads = real(*args, **kwargs)
-            grads[0][0][...] = np.inf
+            grads = real(*args, **kwargs)   # (G, ...) stacks, G = 1 here
+            grads[0][0][0] = np.inf
             return grads
 
         monkeypatch.setattr(nn, "backward", nonfinite)

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedvem import nn
-from fedvem.nn import (InputError, NumericError, ShapeError, backward,
-                       cross_entropy, flatten, forward, init_mlp, sgd_epochs,
-                       sgd_step, unflatten, unflatten_head)
+from fedvem.nn import (InputError, NumericError, ShapeError, cross_entropy,
+                       flatten, forward, init_mlp, sgd_epochs, sgd_step,
+                       unflatten, unflatten_head)
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, model_grads, rel_err
 
 
 def small_mlp(seed=0, input_dim=5, hidden=(4,), classes=3):
@@ -112,7 +112,7 @@ def test_backward_zero_at_perfect_fit():
     params = [(w, np.zeros(2))]
     # flip sign so each row's true class wins by a large margin
     x = np.where(labels[:, None] == 0, features, -features)
-    grads = backward(params, x, labels)
+    grads = model_grads(params, x, labels)
     assert np.linalg.norm(flatten(grads)) < 1e-8
 
 
@@ -122,7 +122,7 @@ def test_backward_single_layer_closed_form():
     labels = rng.integers(0, 3, size=6)
     w = rng.standard_normal((3, 4))
     b = rng.standard_normal(3)
-    (g_w, g_b), = backward([(w, b)], x, labels)
+    (g_w, g_b), = model_grads([(w, b)], x, labels)
 
     logits = x @ w.T + b
     p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
@@ -140,7 +140,7 @@ def test_backward_matches_finite_differences():
         params = init_mlp(3, hidden, 3, rng)
         x = rng.standard_normal((5, 3))
         labels = rng.integers(0, 3, size=5)
-        analytic = flatten(backward(params, x, labels))
+        analytic = flatten(model_grads(params, x, labels))
         shapes = [w.shape for w, _ in params]
 
         def loss(vec):
@@ -150,35 +150,66 @@ def test_backward_matches_finite_differences():
         assert rel_err(analytic, numeric) <= 1e-4, hidden
 
 
+def flat_rows(*models):
+    """(G, P) rows of flattened models, and their layer shapes."""
+    return (np.array([flatten(m) for m in models]),
+            [w.shape for w, _ in models[0]])
+
+
 def test_sgd_step_zero_lr_is_identity():
     params = small_mlp()
-    grads = small_mlp(seed=1)
-    out = sgd_step(params, grads, 0.0)
+    flat, shapes = flat_rows(params)
+    grads, _ = flat_rows(small_mlp(seed=1))
+    sgd_step(flat, grads, 0.0, shapes)
+    out = unflatten(flat[0], shapes)
     np.testing.assert_array_equal(out[-1][0], params[-1][0])
     np.testing.assert_array_equal(out[0][0], params[0][0])
 
 
 def test_sgd_step_from_zero_params():
     params = small_mlp()
-    zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
-    out = sgd_step(zero, params, 1.0)
+    grads, shapes = flat_rows(params)
+    zero = np.zeros_like(grads)
+    sgd_step(zero, grads, 1.0, shapes)
+    out = unflatten(zero[0], shapes)
     np.testing.assert_array_equal(out[-1][0], -params[-1][0])
 
 
 def test_sgd_two_steps_equal_summed_step_on_frozen_gradient():
-    params = small_mlp()
-    grads = small_mlp(seed=2)
-    two = sgd_step(sgd_step(params, grads, 0.3), grads, 0.2)
-    one = sgd_step(params, grads, 0.5)
-    np.testing.assert_allclose(two[-1][0], one[-1][0], rtol=0, atol=1e-15)
+    two, shapes = flat_rows(small_mlp())
+    one = two.copy()
+    grads, _ = flat_rows(small_mlp(seed=2))
+    sgd_step(two, grads, 0.3, shapes)
+    sgd_step(two, grads, 0.2, shapes)
+    sgd_step(one, grads, 0.5, shapes)
+    np.testing.assert_allclose(unflatten(two[0], shapes)[-1][0],
+                               unflatten(one[0], shapes)[-1][0],
+                               rtol=0, atol=1e-15)
 
 
 def test_sgd_step_rejects_nonfinite_gradient():
-    params = small_mlp()
-    grads = small_mlp(seed=3)
-    grads[1][0][0, 0] = np.nan
-    with pytest.raises(NumericError, match="layer 1"):
-        sgd_step(params, grads, 0.1)
+    params, shapes = flat_rows(small_mlp())
+    before = params.copy()
+    grads, _ = flat_rows(small_mlp(seed=3))
+    unflatten(grads[0], shapes)[1][0][0, 0] = np.nan
+    with pytest.raises(NumericError, match="layer 1") as info:
+        sgd_step(params, grads, 0.1, shapes)
+    assert info.value.row == 0
+    np.testing.assert_array_equal(params, before)   # nothing stepped
+
+
+def test_sgd_step_names_the_first_failing_client_by_id():
+    # rows 0 and 2 fail, in layers 1 and 0; by id, row 2 (id 1) comes first
+    params, shapes = flat_rows(*(small_mlp(seed=s) for s in range(3)))
+    grads = np.ones_like(params)
+    unflatten(grads[0], shapes)[1][1][0] = np.inf
+    unflatten(grads[2], shapes)[0][0][1, 2] = np.nan
+    with pytest.raises(NumericError, match="layer 1$") as info:
+        sgd_step(params, grads, 0.1, shapes)
+    assert info.value.row == 0
+    with pytest.raises(NumericError, match="layer 0$") as info:
+        sgd_step(params, grads, 0.1, shapes, ids=[7, 4, 1])
+    assert info.value.row == 1
 
 
 def toy_rows(n=12, dim=4, classes=2, seed=0):
@@ -188,42 +219,80 @@ def toy_rows(n=12, dim=4, classes=2, seed=0):
 
 def test_sgd_epochs_zero_lr_is_identity():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
-    x, y = toy_rows()
-    out = sgd_epochs(params, x, y, 0.0, 3, 4, np.random.default_rng(0))
+    out, = sgd_epochs(params, [toy_rows()], 0.0, 3, 4,
+                      [np.random.default_rng(0)])
     np.testing.assert_array_equal(out[-1][0], params[-1][0])
 
 
 def test_sgd_epochs_does_not_mutate_input():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     before = params[-1][0].copy()
-    x, y = toy_rows()
-    sgd_epochs(params, x, y, 0.1, 2, 4, np.random.default_rng(0))
+    sgd_epochs(params, [toy_rows()], 0.1, 2, 4, [np.random.default_rng(0)])
     np.testing.assert_array_equal(params[-1][0], before)
 
 
 def test_sgd_epochs_with_head_trains_only_the_base(monkeypatch):
-    # pFedVEM's base SGD: each batch tops the base with a fresh head() and
-    # steps only the base's gradients
+    # pFedVEM's base SGD: each batch tops the base with a fresh head
+    # and steps only the base's gradients.  Client 0 has 11 rows (3 batches
+    # of 4), client 1 has 5 (2): both step together for 2 epochs, then
+    # client 0 alone.
     rng = np.random.default_rng(10)
     *base, head = init_mlp(3, (4, 5), 2, rng)
-    x = rng.standard_normal((11, 3))
-    y = rng.integers(0, 2, size=11)
-    draws, stepped = [], []
+    rows = [(rng.standard_normal((n, 3)), rng.integers(0, 2, size=n))
+            for n in (11, 5)]
+    draws, stepped = [[], []], []
 
-    def draw():
-        draws.append(len(draws))
-        return head
+    def draw(j):
+        draws[j].append(len(draws[j]))
+        return flatten([head])
 
-    def sgd_step(layers, grads, lr):
-        stepped.append([(gw.shape, gb.shape) for gw, gb in grads])
-        return real_step(layers, grads, lr)
+    def sgd_step(params, grads, lr, shapes, ids):
+        stepped.append((grads.shape, shapes, list(ids)))
+        return real_step(params, grads, lr, shapes, ids)
 
     real_step = nn.sgd_step
     monkeypatch.setattr(nn, "sgd_step", sgd_step)
-    out = sgd_epochs(base, x, y, 0.1, epochs=3, batch=4, rng=rng, head=draw)
-    assert len(out) == len(base)
-    assert len(draws) == 3 * 3   # epochs x ceil(11 / 4) batches
-    assert stepped == [[(w.shape, b.shape) for w, b in base]] * 9
+    out = sgd_epochs(base, rows, 0.1, epochs=3, batch=4,
+                     rngs=[rng, np.random.default_rng(11)],
+                     heads=lambda ids: np.array([draw(j) for j in ids]))
+    assert [len(layers) for layers in out] == [len(base)] * 2
+    assert len(draws[0]) == 3 * 3   # epochs x ceil(11 / 4) batches
+    assert len(draws[1]) == 3 * 2
+    shapes = [w.shape for w, _ in base]
+    size = sum(w.size + b.size for w, b in base)
+    assert stepped == ([((2, size), shapes, [0, 1])] * 6
+                       + [((1, size), shapes, [0])] * 3)
+
+
+@pytest.mark.parametrize("kind", ["plain", "prox", "head"])
+def test_sgd_epochs_group_equals_each_client_alone(kind):
+    # ragged clients at batch 50: less than a batch, an exact multiple, and
+    # tails of 1, 30 and 0 rows, given out of batch-count order
+    from fedvem.baselines import proximal_grads
+    rng = np.random.default_rng(12)
+    layers = init_mlp(6, (8, 5), 3, rng)
+    if kind == "head":
+        layers, d = layers[:-1], 3 * (5 + 1)
+    rows = [(rng.standard_normal((n, 6)), rng.integers(0, 3, size=n))
+            for n in (51, 7, 130, 50, 100)]
+    extra = ((lambda p: proximal_grads(p, layers, 0.3)) if kind == "prox"
+             else None)
+
+    def train(group):
+        rngs = [np.random.default_rng(100 + j) for j in group]
+        heads = ((lambda ids: np.array([0.1 * rngs[j].standard_normal(d)
+                                        for j in ids]))
+                 if kind == "head" else None)
+        out = sgd_epochs(layers, [rows[j] for j in group], 0.2, 3, 50, rngs,
+                         heads=heads, extra=extra)
+        return out, [r.random() for r in rngs]
+
+    together, next_draws = train(range(len(rows)))
+    for j, model in enumerate(together):
+        (alone,), (next_draw,) = train([j])
+        assert flatten(model).tobytes() == flatten(alone).tobytes(), j
+        assert next_draws[j] == next_draw, j
+        assert flatten(model).tobytes() != flatten(layers).tobytes()
 
 
 def test_head_flatten_roundtrip():
