@@ -1,6 +1,6 @@
 #!/bin/sh
 # Byte-identity check against another revision: exports REV with
-# `git archive`, runs the same fourteen configs under REV and under this
+# `git archive`, runs the same fifteen configs under REV and under this
 # working tree, and fails unless every output file (per-seed JSONL, client
 # CSV, summary, every checkpoint) is byte-identical.
 #   - the smoke config (3 classes, 23 clients) on one worker;
@@ -22,8 +22,13 @@
 #     batches differ in size at many steps;
 #   - the smoke config under fedavg with 23 clients all reporting and
 #     baseline.batch = 4, seeds 0-2: more reporters than nn's group size
-#     (federation.HEAD_GROUP), so each round trains in three groups.
-# The six pFedVEM runs write a checkpoint every round; the eight baseline
+#     (federation.HEAD_GROUP), so each round trains in three groups;
+#   - the same under fedprox with 300 points per subclass and a local rate
+#     of 0.1, seeds 0-2: groups of 10, 10 and 3 whose clients run out of
+#     batches at different steps, so the proximal pull acts on a shrinking
+#     prefix of each group (these files differ from fedavg's on the same
+#     data, unlike at the smoke config's 30 points).
+# The six pFedVEM runs write a checkpoint every round; the nine baseline
 # runs write none.  The configs are generated with sed from the shipped
 # ones, with few rounds and points so the check takes seconds.
 # Usage: scripts/same_outputs.sh REV
@@ -117,12 +122,16 @@ done
       -e 's/^train\.s = .*/train.s = 1.0/' \
       -e 's/^seeds = .*/seeds = 0,1,2/' configs/smoke.cfg
   echo "baseline.batch = 4"; } > "$tmp/cfg/split.cfg"
+{ sed -e 's/^scheme = .*/scheme = fedprox/' \
+      -e 's/^dataset\.points_per_subclass = .*/dataset.points_per_subclass = 300/' \
+      "$tmp/cfg/split.cfg"
+  echo "baseline.lr = 0.1"; } > "$tmp/cfg/splitprox.cfg"
 
 for tree in "$tmp/rev" "$here"; do
     side=$( [ "$tree" = "$here" ] && echo here || echo rev )
     for run in smoke:1 quantity:1 drift5:1 skew10:2 fedavg:1 fedprox:1 \
                prox:1 local:1 idx:1 deep:2 deepavg:1 raggedfedavg:1 \
-               raggedlocal:1 split:1; do
+               raggedlocal:1 split:1 splitprox:1; do
         name=${run%:*}
         (cd "$tree" && PYTHONPATH=src python -m fedvem.cli run \
             --config "$tmp/cfg/$name.cfg" --workers "${run#*:}" \

@@ -2,9 +2,10 @@
 
 All three share pFedVEM's MLP, partition and seeded initialization, and
 train by ``nn.sgd_epochs``, ``federation.HEAD_GROUP`` clients at a time
-(``_train``).  FedAvg and FedProx also share its reporter draw
-(``federation.select_reporters``) and weighted fold
-(``federation.aggregate_base``), so paired comparisons isolate the objective.
+(``_train``), into flat rows; FedProx adds only its ``mu_prox``.  FedAvg
+and FedProx also share its reporter draw (``federation.select_reporters``)
+and fold the rows by its weighted fold (``federation.aggregate_base``), so
+paired comparisons isolate the objective.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import metrics, rng as rng_mod
 from .data import Dataset, Partition, client_rows, pm_test_indices
 from .federation import (HEAD_GROUP, TrainConfig, TrainingError,
                          aggregate_base, select_reporters)
-from .nn import (InputError, Layer, NumericError, flatten, forward, init_mlp,
+from .nn import (InputError, Layer, NumericError, forward, init_mlp,
                  sgd_epochs, unflatten)
 
 SCHEMES = ("local", "fedavg", "fedprox")
@@ -49,23 +50,16 @@ class BaselineConfig:
         return out
 
 
-def proximal_grads(layers: list[Layer], anchor: list[Layer],
-                   mu_prox: float) -> list[Layer]:
-    """Gradient of (mu_prox / 2) * ||layers - anchor||^2, per layer."""
-    return [(mu_prox * (w - aw), mu_prox * (b - ab))
-            for (w, b), (aw, ab) in zip(layers, anchor)]
-
-
 def _train(layers: list[Layer], clients_xy: list, ids, stream,
-           bl: BaselineConfig, where: str, extra=None):
-    """(j, model) for each client j of ``ids`` in order, trained from
-    ``layers`` on stream ``stream(j)``, a group of HEAD_GROUP at a time."""
+           bl: BaselineConfig, where: str):
+    """(j, flat model row) for each client j of ``ids`` in order, trained
+    from ``layers`` by ``bl`` on ``stream(j)``, HEAD_GROUP at a time."""
     for start in range(0, len(ids), HEAD_GROUP):
         group = ids[start:start + HEAD_GROUP]
         try:
             yield from zip(group, sgd_epochs(
                 layers, [clients_xy[j] for j in group], bl.lr, bl.epochs,
-                bl.batch, [stream(j) for j in group], extra=extra))
+                bl.batch, [stream(j) for j in group], mu_prox=bl.mu_prox))
         except NumericError as exc:
             raise TrainingError(
                 f"{where}client {group[exc.row]}: {exc}") from exc
@@ -86,14 +80,12 @@ def fedavg_round(theta_full: list[Layer],
     reporters = select_reporters(cfg, t, len(clients_xy))
     if len(reporters) == 0:
         return theta_full, 0
-    extra = ((lambda p: proximal_grads(p, theta_full, bl.mu_prox))
-             if bl.mu_prox > 0 else None)
     sums = None
-    for j, model in _train(
+    for j, row in _train(
             theta_full, clients_xy, reporters,
             lambda j: rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, t, int(j)),
-            bl, f"round {t}, ", extra):
-        sums = aggregate_base(sums, flatten(model), len(clients_xy[j][1]))
+            bl, f"round {t}, "):
+        sums = aggregate_base(sums, row, len(clients_xy[j][1]))
     total = float(sum(len(clients_xy[j][1]) for j in reporters))
     return (unflatten(sums / total, [w.shape for w, _ in theta_full]),
             len(reporters))
@@ -127,7 +119,7 @@ def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
     For `local`, a single report is produced after per-client training; its
     pm_accuracies are the clients' own models on their filtered test sets.
     For `fedavg`/`fedprox`, pm_accuracies hold the global model applied to
-    each client's filtered test set; `fedavg` ignores ``bl.mu_prox``.
+    each client's filtered test set; only `fedprox` reads ``bl.mu_prox``.
     """
     if scheme not in SCHEMES:
         raise InputError(f"scheme: unknown baseline scheme {scheme!r}")
@@ -141,19 +133,21 @@ def run_baseline(scheme: str, cfg: TrainConfig, bl: BaselineConfig,
     pm_idx = [pm_test_indices(partition, test_ds, j)
               for j in range(len(clients_xy))]
 
+    if scheme != "fedprox":
+        bl = replace(bl, mu_prox=0.0)
     if scheme == "local":
-        pm = [metrics.accuracy(model, test_ds.images[pm_idx[j]],
+        shapes = [w.shape for w, _ in params0]
+        pm = [metrics.accuracy(unflatten(row, shapes),
+                               test_ds.images[pm_idx[j]],
                                test_ds.labels[pm_idx[j]])
               if len(pm_idx[j]) else None
-              for j, model in _train(
+              for j, row in _train(
                   params0, clients_xy, range(len(clients_xy)),
                   lambda j: rng_mod.stream(cfg.seed, rng_mod.TAG_BASELINE, j),
                   bl, "")]
         on_round(metrics.round_report(0, float("nan"), pm, partition.sizes, 0))
         return
 
-    if scheme == "fedavg":
-        bl = replace(bl, mu_prox=0.0)
     pm_rows = (np.concatenate(pm_idx).astype(np.intp),
                np.array([len(idx) for idx in pm_idx]))
     params = params0

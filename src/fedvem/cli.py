@@ -5,8 +5,8 @@
 
 For each seed in the config: build the dataset and partition and run the
 configured scheme (``run_seed``), appending one JSONL record per round as
-the round ends; then write a cross-seed summary (``validate`` builds only
-each seed's synthetic partition).  Exit codes: 0 success, 1 runtime
+the round ends; then write a cross-seed summary (``validate`` reads IDX
+headers and synthetic partitions only).  Exit codes: 0 success, 1 runtime
 numeric failure, 2 invalid configuration or malformed data file.
 """
 
@@ -22,8 +22,8 @@ import numpy as np
 from . import metrics
 from .baselines import run_baseline
 from .config import (ConfigError, ExperimentConfig, load_config, validate)
-from .data import (FormatError, group_by_client, load_idx, make_partition,
-                   synth_pair)
+from .data import (FormatError, group_by_client, idx_shape, load_idx,
+                   make_partition, synth_pair)
 from .federation import TrainingError, run_training, write_checkpoint
 from .nn import InputError
 
@@ -131,12 +131,18 @@ def main(argv=None) -> int:
         return 2
 
     violations = validate(cfg)
-    if (args.command == "validate" and not violations
-            and cfg.dataset_kind == "synth"):
-        try:   # each seed's partition, as run builds it
-            for seed in cfg.seeds:
-                make_partition(synth_pair(replace(cfg.synth, seed=seed))[0],
-                               replace(cfg.partition, seed=seed))
+    if args.command == "validate" and not violations:
+        try:   # what run reads before it trains, failing as run fails
+            if cfg.dataset_kind == "fmnist":
+                for path, dims in ((cfg.train_images, 3), (cfg.train_labels, 1),
+                                   (cfg.test_images, 3), (cfg.test_labels, 1)):
+                    idx_shape(path, dims)
+            else:
+                for s in cfg.seeds:
+                    make_partition(synth_pair(replace(cfg.synth, seed=s))[0],
+                                   replace(cfg.partition, seed=s))
+        except FormatError as exc:
+            violations = [str(exc)]
         except InputError as exc:
             violations = [f"config: {exc}"]
     for v in violations:

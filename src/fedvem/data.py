@@ -12,6 +12,7 @@ shuffle.  All partitioners are deterministic functions of (spec, seed).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -19,9 +20,6 @@ import numpy as np
 
 from . import rng as rng_mod
 from .nn import InputError
-
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
 
 SCENARIOS = ("label_skew", "concept_drift", "quantity_only", "iid_equal")
 
@@ -94,32 +92,34 @@ class Partition:
             raise InputError("partition contains an empty client")
 
 
-def _read_idx(path, magic: int, dims: int) -> tuple[bytes, list[int]]:
-    """An IDX file's bytes and its ``dims`` sizes, once its magic and its
-    length match the header."""
-    with open(path, "rb") as f:
-        raw = f.read()
+def idx_shape(path, dims: int) -> list[int]:
+    """The ``dims`` sizes of an IDX file of bytes (magic 0x0800 + dims), once
+    no size is zero and the file's length matches; reads only the header."""
     header = 4 + 4 * dims
+    with open(path, "rb") as f:
+        raw, size = f.read(header), os.fstat(f.fileno()).st_size
     if len(raw) < header:
         raise FormatError(f"{path}: truncated header at byte {len(raw)}")
-    found, *shape = struct.unpack(f">{1 + dims}I", raw[:header])
-    if found != magic:
+    found, *shape = struct.unpack(f">{1 + dims}I", raw)
+    if found != 0x800 + dims:
         raise FormatError(f"{path}: bad magic {found:#010x} at byte 0")
+    if 0 in shape:
+        raise FormatError(f"{path}: size 0 at byte {4 + 4 * shape.index(0)}")
     expected = header + math.prod(shape)
-    if len(raw) != expected:
+    if size != expected:
         raise FormatError(f"{path}: expected {expected} bytes, "
-                          f"truncated at byte {len(raw)}")
-    return raw, shape
+                          f"truncated at byte {size}")
+    return shape
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse the big-endian IDX pair (images + labels), scaling pixels by 1/255."""
-    raw, (n, rows, cols) = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
+    n, rows, cols = idx_shape(images_path, 3)
     # one float64 allocation, whether or not numpy elides a temporary
-    images = np.divide(np.frombuffer(raw, dtype=np.uint8, offset=16),
-                       255.0, dtype=float).reshape(n, rows * cols)
-    raw, (n_lab,) = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8).astype(int)
+    images = np.divide(np.fromfile(images_path, np.uint8, offset=16), 255.0,
+                       dtype=float).reshape(n, rows * cols)
+    (n_lab,) = idx_shape(labels_path, 1)
+    labels = np.fromfile(labels_path, np.uint8, offset=8).astype(int)
     if n_lab != n:
         raise FormatError(f"{labels_path}: {n_lab} labels for {n} images")
     return Dataset(images=images, labels=labels, classes=int(labels.max()) + 1)

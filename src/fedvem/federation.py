@@ -10,8 +10,8 @@ accuracy.  The heads of ``HEAD_GROUP`` clients at a time are fitted as one
 stack (``update_clients``); rows never mix, so a client's fit does not
 depend on its group.  Only reporters then train a base copy by mini-batch
 SGD (``nn.sgd_epochs``, a group of one), since only an uploaded base is
-ever read.  A
-reporter sends its head mean, base and confidence as wire bytes
+ever read.  A reporter sends its head mean, the flat base row that
+``sgd_epochs`` returns and its confidence as wire bytes
 (``serialize_upload``), built where the client runs.  The server
 weights reporter heads by confidence and reporter bases by data size: as
 each upload arrives, one weighted fold (``aggregate_base``, the baselines'
@@ -207,8 +207,8 @@ def _fit_heads(group: list[ClientState], rows: Rows, globals_: GlobalState,
 
 def client_update(client: ClientState, globals_: GlobalState, cfg: TrainConfig,
                   rng: np.random.Generator, x: np.ndarray,
-                  y: np.ndarray) -> list[Layer]:
-    """A reporter's base for upload, trained after its head fit: a copy of the
+                  y: np.ndarray) -> np.ndarray:
+    """A reporter's flat base for upload, trained after its head fit: the
     broadcast base by mini-batch SGD on the client's rows ``x``, ``y``, with
     the head held as a draw from the client's fitted posterior per
     mini-batch.  ``rng`` is the client's stream after the head fit's draws."""
@@ -262,9 +262,9 @@ def _f64(*parts) -> bytes:
     return np.concatenate(parts, dtype="<f8").tobytes()
 
 
-def serialize_upload(mu: np.ndarray, tau: float, theta: list[Layer]) -> bytes:
-    """Reporter payload: head mean, flattened base, then exactly one scalar."""
-    return _f64(mu, flatten(theta), [tau])
+def serialize_upload(mu: np.ndarray, tau: float, base: np.ndarray) -> bytes:
+    """Reporter payload: head mean, flat base, then exactly one scalar."""
+    return _f64(mu, base, [tau])
 
 
 def deserialize_upload(buf: bytes, d: int,

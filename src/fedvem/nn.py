@@ -7,9 +7,10 @@ its last layer; `flatten` and `unflatten` are its one flat form, which the
 head vector, the upload and the checkpoint share.  Everything is float64
 numpy; gradients are derived by hand for this topology, which keeps the
 whole training loop dependency-free and easy to check against finite
-differences.  `sgd_epochs` is the one mini-batch SGD loop; every scheme
-trains through it, a group of clients at a time, and one model is a group
-of one: `backward` and `sgd_step` take arrays with a leading client axis.
+differences.  `sgd_epochs` is the one mini-batch SGD loop, layers in and
+flat rows out; every scheme trains through it, a group of clients at a
+time, and one model is a group of one: `backward` and `sgd_step` take
+arrays with a leading client axis.
 """
 
 from __future__ import annotations
@@ -183,20 +184,18 @@ def _layer_grads(dz: np.ndarray, a: np.ndarray, sizes: list[int],
 
 
 def backward(model: list[Layer], batch: np.ndarray, labels: np.ndarray,
-             sizes: list[int], head: bool = True,
-             out: list[Layer] | None = None) -> list[Layer]:
+             sizes: list[int], out: list[Layer] | None = None) -> list[Layer]:
     """Exact gradient of each client's cross_entropy on its own rows w.r.t.
     its layers, in layer order, for a group of G models.
 
     Each array of ``model`` stacks G models on a leading axis; ``batch`` and
     ``labels`` hold their rows end to end, ``sizes[i]`` of them model i's.
-    The gradients, stacked alike and without the head's if ``head`` is
-    false, are written into ``out`` (default: new arrays) and returned.
+    The gradients, stacked alike, are written into ``out`` (default: new
+    arrays; one layer short of ``model``, it skips the head) and returned.
     """
     labels = np.asarray(labels)
     *base, top = model
-    out = out or [(np.empty(w.shape), np.empty(b.shape))
-                  for w, b in (model if head else base)]
+    out = out or [(np.empty(w.shape), np.empty(b.shape)) for w, b in model]
     acts = _base_acts(base, batch, sizes)
     logits = _affine(acts[-1], top, sizes, "head")
 
@@ -208,7 +207,7 @@ def backward(model: list[Layer], batch: np.ndarray, labels: np.ndarray,
     d_logits /= (sizes[0] if len(sizes) == 1    # each client's own mean
                  else np.repeat(sizes, sizes)[:, None])
 
-    if head:
+    if len(out) == len(model):
         _layer_grads(d_logits, acts[-1], sizes, out[-1])
     dh = _rowwise(d_logits, top[0], sizes)
     for k in range(len(base) - 1, -1, -1):
@@ -249,8 +248,7 @@ def sgd_epochs(layers: list[Layer], rows: list[tuple[np.ndarray, np.ndarray]],
                lr: float, epochs: int, batch: int,
                rngs: list[np.random.Generator],
                heads: Callable[[list[int]], np.ndarray] | None = None,
-               extra: Callable[[list[Layer]], list[Layer]] | None = None,
-               ) -> list[list[Layer]]:
+               mu_prox: float = 0.0) -> np.ndarray:
     """Mini-batch SGD of a group of clients from ``layers``, each trained on
     ``rows[i] = (x, y)`` exactly as alone: one ``rngs[i].permutation`` per
     epoch, then its batches.  Step s is each client's own s-th batch; sorted
@@ -258,39 +256,33 @@ def sgd_epochs(layers: list[Layer], rows: list[tuple[np.ndarray, np.ndarray]],
     buffer of flat models, stepped together.  With ``heads``, ``layers`` is
     a base, topped on each batch by the flat heads ``heads(ids)`` draws (a
     row per client index, after the permutation), and is all that is
-    stepped.  ``extra(layers)`` adds a regularizer's gradients, e.g. a
-    proximal pull.  Returns each client's layers; a ``NumericError``'s
-    ``row`` is a client's index."""
+    stepped.  ``mu_prox`` adds FedProx's pull ``mu_prox * (w - w0)`` towards
+    ``w0 = flatten(layers)`` to every gradient.  Returns the trained models
+    as `flatten`ed (G, P) rows in client order; a ``NumericError``'s ``row``
+    is a client's index."""
     sizes = [len(y) for _, y in rows]
     steps = [epochs * -(-n // batch) for n in sizes]
     order = sorted(range(len(rows)), key=steps.__getitem__, reverse=True)
     batches = [_batches(rngs[i], sizes[i], epochs, batch) for i in order]
     xs, ys = [rows[i][0] for i in order], [rows[i][1] for i in order]
     shapes = [w.shape for w, _ in layers]
-    params = np.array([flatten(layers)] * len(rows))   # row p: order[p]
+    anchor = flatten(layers)
+    params = np.array([anchor] * len(rows))   # row p: order[p]
     grads = np.empty_like(params)
-    stacks, grad_stacks = unflatten(params, shapes), unflatten(grads, shapes)
     g = 0
     for s in range(max(steps, default=0)):
         if g == 0 or steps[order[g - 1]] <= s:   # some clients are done
             g = sum(n > s for n in steps)
             del batches[g:]
-            group, out = ([(w[:g], b[:g]) for w, b in st]
-                          for st in (stacks, grad_stacks))
             active = order[:g]
             prefix = params[:g], grads[:g], lr, shapes, active
+            group, out = (unflatten(a, shapes) for a in prefix[:2])
         parts = list(map(next, batches))   # each client's own batch
         x, y = _gather(xs, parts), _gather(ys, parts)
         model = group if heads is None else [
             *group, unflatten_head(heads(active), shapes[-1][0])]
-        backward(model, x, y, list(map(len, parts)), head=heads is None,
-                 out=out)
-        if extra is not None:
-            for (gw, gb), (ew, eb) in zip(out, extra(group)):
-                gw += ew
-                gb += eb
+        backward(model, x, y, list(map(len, parts)), out=out)
+        if mu_prox:
+            grads[:g] += mu_prox * (params[:g] - anchor)
         sgd_step(*prefix)
-    trained = [[]] * len(rows)
-    for p, i in enumerate(order):
-        trained[i] = [(w[p], b[p]) for w, b in stacks]
-    return trained
+    return params[np.argsort(order)]

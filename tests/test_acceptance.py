@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fedvem import federation
-from fedvem.baselines import BaselineConfig, proximal_grads
+from fedvem.baselines import BaselineConfig
 from fedvem.data import (Dataset, PartitionSpec, SynthSpec, load_idx,
                          make_partition, slice_sizes, synth_pair)
 from fedvem.federation import TrainConfig, select_reporters
@@ -68,11 +68,10 @@ def test_criterion_1_gradient_correctness():
     params = init_mlp(6, (8,), 7, rng)           # 127 parameters
     anchor = init_mlp(6, (8,), 7, rng)
     mu_prox = 0.8
-    # summed layer by layer, as sgd_epochs adds a proximal pull
-    grads = [(gw + ew, gb + eb) for (gw, gb), (ew, eb)
-             in zip(model_grads(params, batch, labels),
-                    proximal_grads(params, anchor, mu_prox))]
     a_vec = flatten(anchor)
+    # the data gradient plus FedProx's pull mu * (w - w0), as sgd_epochs adds
+    grads = (flatten(model_grads(params, batch, labels))
+             + mu_prox * (flatten(params) - a_vec))
 
     def prox_objective(vec):
         p = unflatten(vec, [w.shape for w, _ in params])
@@ -80,7 +79,7 @@ def test_criterion_1_gradient_correctness():
                 + mu_prox / 2 * float(((vec - a_vec) ** 2).sum()))
 
     numeric_px = central_diff(prox_objective, flatten(params))
-    err_px = rel_err(flatten(grads), numeric_px)
+    err_px = rel_err(grads, numeric_px)
 
     elapsed = time.monotonic() - start
     coords = analytic.size + numeric_px.size
@@ -365,9 +364,8 @@ def test_criterion_8_determinism_and_payload(tmp_path, monkeypatch):
     sent = []   # (payload, base parameter count) of every upload that crosses
     real_serialize = federation.serialize_upload
 
-    def serialize_upload(mu, tau, theta):
-        sent.append((real_serialize(mu, tau, theta),
-                     sum(w.size + b.size for w, b in theta)))
+    def serialize_upload(mu, tau, base):
+        sent.append((real_serialize(mu, tau, base), base.size))
         return sent[-1][0]
 
     monkeypatch.setattr(federation, "serialize_upload", serialize_upload)

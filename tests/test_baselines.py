@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from fedvem import rng as rng_mod
-from fedvem.baselines import BaselineConfig, fedavg_round, proximal_grads
+from fedvem.baselines import BaselineConfig, fedavg_round
 from fedvem.data import PartitionSpec, SynthSpec, make_partition, synth_pair
 from fedvem.federation import TrainConfig, TrainingError
 from fedvem.nn import InputError, flatten, init_mlp, sgd_epochs
 
-from helpers import baseline_reports, central_diff, rel_err, training_reports
+from helpers import baseline_reports, training_reports
 
 
 def tiny_problem(clients=3, seed=0):
@@ -26,40 +26,6 @@ def toy_clients(n_clients=3, n=12, dim=4, classes=2, seed=0):
     rng = np.random.default_rng(seed)
     return [(rng.standard_normal((n, dim)), rng.integers(0, classes, size=n))
             for _ in range(n_clients)]
-
-
-# ---------------------------------------------------------- proximal_grads
-
-def test_proximal_grads_zero_at_anchor():
-    params = init_mlp(3, (4,), 2, np.random.default_rng(0))
-    anchor = [(w.copy(), b.copy()) for w, b in params]
-    g = proximal_grads(params, anchor, mu_prox=2.0)
-    assert np.all(g[-1][0] == 0.0)
-    assert np.all(g[0][0] == 0.0)
-
-
-def test_proximal_grads_linear_in_displacement():
-    params = init_mlp(3, (4,), 2, np.random.default_rng(1))
-    anchor = init_mlp(3, (4,), 2, np.random.default_rng(2))
-    g = proximal_grads(params, anchor, mu_prox=0.5)
-    np.testing.assert_allclose(g[-1][0],
-                               0.5 * (params[-1][0] - anchor[-1][0]))
-    np.testing.assert_allclose(g[0][1],
-                               0.5 * (params[0][1] - anchor[0][1]))
-
-
-def test_proximal_grads_match_finite_differences():
-    params = init_mlp(3, (3,), 2, np.random.default_rng(3))
-    anchor = init_mlp(3, (3,), 2, np.random.default_rng(4))
-    mu = 1.7
-    analytic = flatten(proximal_grads(params, anchor, mu))
-    a_vec = flatten(anchor)
-
-    def penalty(vec):
-        return mu / 2 * float(((vec - a_vec) ** 2).sum())
-
-    numeric = central_diff(penalty, flatten(params))
-    assert rel_err(analytic, numeric) <= 1e-6
 
 
 # ------------------------------------------------------------ fedavg rounds
@@ -129,7 +95,7 @@ def test_fedavg_round_single_client_equals_local_sgd():
     x, y = clients[0]
     expected = sgd_epochs(params, [(x, y)], bl.lr, bl.epochs, bl.batch,
                           [rng])[0]
-    np.testing.assert_allclose(out[-1][0], expected[-1][0], atol=1e-15)
+    np.testing.assert_allclose(flatten(out), expected, atol=1e-15)
 
 
 def test_fedprox_zero_mu_equals_fedavg():

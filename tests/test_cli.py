@@ -426,23 +426,25 @@ def test_validate_fedprox_needs_positive_mu(tmp_path):
 
 
 @pytest.mark.parametrize("scheme,reached", [("fedprox", True),
-                                            ("fedavg", False)])
+                                            ("fedavg", False),
+                                            ("local", False)])
 def test_run_seed_proximal_term_follows_scheme(tmp_path, monkeypatch, scheme,
                                                reached):
-    calls = []
-    real = baselines.proximal_grads
+    # every sgd_epochs call carries the configured pull under FedProx only
+    passed = []
+    real = baselines.sgd_epochs
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def recording(*args, mu_prox=0.0, **kwargs):
+        passed.append(mu_prox)
+        return real(*args, mu_prox=mu_prox, **kwargs)
 
-    monkeypatch.setattr(baselines, "proximal_grads", counting)
+    monkeypatch.setattr(baselines, "sgd_epochs", recording)
     cfg = load_config(smoke_config(
         tmp_path, extra="baseline.mu_prox = 0.1\n",
         replace={"scheme = pfedvem": f"scheme = {scheme}"}))
     assert validate(cfg) == []
     run_seed(cfg, 0, str(tmp_path))
-    assert bool(calls) == reached
+    assert passed and set(passed) == {0.1 if reached else 0.0}
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -646,12 +648,44 @@ def test_main_truncated_idx_file_exits_two(tmp_path, capsys, cut, message):
                   for kind, name in (("images", "img"), ("labels", "lab")))
         + "partition.scenario = iid_equal\npartition.clients = 1\n"
           "model.hidden = 2\ntrain.T = 1\nseeds = 0\n")
-    assert main(["validate", "--config", str(path)]) == 0
-    capsys.readouterr()
+    # validate reads each header as run does, and says the same line
+    assert main(["validate", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out == f"{tmp_path / message}\n", out
     assert main(["run", "--config", str(path), "--out",
                  str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == f"{tmp_path / message}\n", err
+
+
+def test_main_garbage_idx_files_fail_validate_as_run(tmp_path, capsys):
+    # 7 garbage bytes as every IDX path: shorter than any IDX header
+    garbage = tmp_path / "garbage"
+    garbage.write_bytes(b"garbage")
+    path = tmp_path / "idx.cfg"
+    path.write_text(
+        "dataset.kind = fmnist\n"
+        + "".join(f"dataset.{split}_{kind} = {garbage}\n"
+                  for split in ("train", "test")
+                  for kind in ("images", "labels"))
+        + "partition.scenario = iid_equal\npartition.clients = 1\n")
+    line = f"{garbage}: truncated header at byte 7\n"
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().out == line
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == line
+
+
+def test_main_zero_pixel_idx_images_exit_two(tmp_path, capsys):
+    # a well-formed header for 40 images of 0x0 pixels holds no data
+    path = idx_config(tmp_path, train=(0, [0, 1] * 20), test=(2, [0, 1]))
+    line = f"{tmp_path / 'train_img'}: size 0 at byte 8"
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().out == f"{line}\n"
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"{line}\n"
 
 
 def idx_config(tmp_path, train, test):

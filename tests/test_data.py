@@ -61,6 +61,18 @@ def test_load_idx_truncated(tmp_path):
         load_idx(img, lab)
 
 
+@pytest.mark.parametrize("shape,byte", [((40, 0, 0), 8), ((3, 4, 0), 12),
+                                        ((0, 2, 2), 4)])
+def test_load_idx_rejects_a_zero_size(tmp_path, shape, byte):
+    # a zero size leaves no pixel or no image to train on
+    img = tmp_path / "zero.idx"
+    img.write_bytes(struct.pack(">IIII", 0x803, *shape))
+    lab = tmp_path / "lab.idx"
+    lab.write_bytes(struct.pack(">II", 0x801, shape[0]) + bytes(shape[0]))
+    with pytest.raises(FormatError, match=f"^{img}: size 0 at byte {byte}$"):
+        load_idx(img, lab)
+
+
 def test_load_idx_scales_pixels_in_one_allocation(tmp_path):
     n, rows, cols = 2000, 28, 28
     pixels = np.random.default_rng(0).integers(0, 256, n * rows * cols,
@@ -354,25 +366,27 @@ def test_synth_zero_noise_points_equal_centers():
 
 def test_synth_separable_classes_local_fit():
     from fedvem.metrics import accuracy
-    from fedvem.nn import init_mlp, sgd_epochs
+    from fedvem.nn import init_mlp, sgd_epochs, unflatten
     spec = SynthSpec(classes=2, subclasses_per_class=1, dim=4,
                      points_per_subclass=50, noise=0.05, separation=2.0, seed=0)
     ds = synth_pair(spec)[0]
     rng = np.random.default_rng(0)
     params = init_mlp(4, (8,), 2, rng)
-    model, = sgd_epochs(params, [(ds.images, ds.labels)], 0.1, 50, 20, [rng])
+    row, = sgd_epochs(params, [(ds.images, ds.labels)], 0.1, 50, 20, [rng])
+    model = unflatten(row, [w.shape for w, _ in params])
     assert accuracy(model, ds.images, ds.labels) == 1.0
 
 
 def test_synth_default_spec_centrally_learnable():
     # frozen oracle expectation: a centralized MLP clears 95% on held-out data
     from fedvem.metrics import accuracy
-    from fedvem.nn import init_mlp, sgd_epochs
+    from fedvem.nn import init_mlp, sgd_epochs, unflatten
     train, test = synth_pair(SynthSpec(seed=0))
     rng = np.random.default_rng(0)
     params = init_mlp(train.input_dim, (32,), train.classes, rng)
-    model, = sgd_epochs(params, [(train.images, train.labels)], 0.05, 40, 50,
-                        [rng])
+    row, = sgd_epochs(params, [(train.images, train.labels)], 0.05, 40, 50,
+                      [rng])
+    model = unflatten(row, [w.shape for w, _ in params])
     assert accuracy(model, test.images, test.labels) >= 0.95
 
 

@@ -154,7 +154,7 @@ def test_upload_roundtrip_and_size():
     mu = rng.standard_normal(7)
     theta = [(rng.standard_normal((3, 4)), rng.standard_normal(3)),
              (rng.standard_normal((2, 3)), rng.standard_normal(2))]
-    buf = serialize_upload(mu, 0.125, theta)
+    buf = serialize_upload(mu, 0.125, flatten(theta))
     base_size = sum(w.size + b.size for w, b in theta)
     assert isinstance(buf, bytes) and len(buf) == 8 * (7 + base_size + 1)
     mu2, tau2, base2 = deserialize_upload(buf, 7, base_size)
@@ -167,15 +167,14 @@ def test_upload_roundtrip_and_size():
     # the mean and the base are views, each folded into its sum at once
     assert mu2.base is not None
     assert base2.shape == (base_size,) and base2.base is not None
-    assert serialize_upload(mu2, tau2, theta2) == buf
+    assert serialize_upload(mu2, tau2, base2) == buf
 
 
 @pytest.mark.parametrize("extra", [8, -1, -8])
 def test_upload_rejects_trailing_bytes(extra):
     # a payload 8 bytes too long, or 1 or 8 bytes short, is one InputError
     mu = np.zeros(2)
-    theta = [(np.zeros((1, 1)), np.zeros(1))]
-    buf = serialize_upload(mu, 1.0, theta)
+    buf = serialize_upload(mu, 1.0, np.zeros(2))
     buf = buf + b"\x00" * extra if extra > 0 else buf[:extra]
     with pytest.raises(InputError, match=f"upload payload is {len(buf)} bytes, "
                                          "expected 40"):
@@ -416,9 +415,9 @@ def test_run_round_holds_at_most_one_head_group_of_uploads(workers,
     real_serialize = federation.serialize_upload
     real_deserialize = federation.deserialize_upload
 
-    def serialize_upload(mu, tau, theta):
+    def serialize_upload(mu, tau, base):
         # the same payload as an array, which, unlike bytes, takes weakrefs
-        return np.frombuffer(real_serialize(mu, tau, theta), dtype=np.uint8)
+        return np.frombuffer(real_serialize(mu, tau, base), dtype=np.uint8)
 
     def deserialize_upload(buf, d, n_base):
         uploads.append(weakref.ref(buf))
@@ -642,9 +641,9 @@ def test_run_training_releases_spent_uploads(workers, monkeypatch):
         uploads.append([])
         return real_run_round(*args, **kwargs)
 
-    def serialize_upload(mu, tau, theta):
+    def serialize_upload(mu, tau, base):
         # the same payload as an array, which, unlike bytes, takes weakrefs
-        return np.frombuffer(real_serialize(mu, tau, theta), dtype=np.uint8)
+        return np.frombuffer(real_serialize(mu, tau, base), dtype=np.uint8)
 
     def deserialize_upload(buf, d, n_base):
         uploads[-1].append(weakref.ref(buf))

@@ -221,7 +221,7 @@ def test_sgd_epochs_zero_lr_is_identity():
     params = init_mlp(4, (3,), 2, np.random.default_rng(0))
     out, = sgd_epochs(params, [toy_rows()], 0.0, 3, 4,
                       [np.random.default_rng(0)])
-    np.testing.assert_array_equal(out[-1][0], params[-1][0])
+    np.testing.assert_array_equal(out, flatten(params))
 
 
 def test_sgd_epochs_does_not_mutate_input():
@@ -255,11 +255,11 @@ def test_sgd_epochs_with_head_trains_only_the_base(monkeypatch):
     out = sgd_epochs(base, rows, 0.1, epochs=3, batch=4,
                      rngs=[rng, np.random.default_rng(11)],
                      heads=lambda ids: np.array([draw(j) for j in ids]))
-    assert [len(layers) for layers in out] == [len(base)] * 2
-    assert len(draws[0]) == 3 * 3   # epochs x ceil(11 / 4) batches
-    assert len(draws[1]) == 3 * 2
     shapes = [w.shape for w, _ in base]
     size = sum(w.size + b.size for w, b in base)
+    assert out.shape == (2, size)   # a flat base row per client
+    assert len(draws[0]) == 3 * 3   # epochs x ceil(11 / 4) batches
+    assert len(draws[1]) == 3 * 2
     assert stepped == ([((2, size), shapes, [0, 1])] * 6
                        + [((1, size), shapes, [0])] * 3)
 
@@ -267,16 +267,15 @@ def test_sgd_epochs_with_head_trains_only_the_base(monkeypatch):
 @pytest.mark.parametrize("kind", ["plain", "prox", "head"])
 def test_sgd_epochs_group_equals_each_client_alone(kind):
     # ragged clients at batch 50: less than a batch, an exact multiple, and
-    # tails of 1, 30 and 0 rows, given out of batch-count order
-    from fedvem.baselines import proximal_grads
+    # tails of 1, 30 and 0 rows, given out of batch-count order; FedProx's
+    # pull must touch only the clients still training
     rng = np.random.default_rng(12)
     layers = init_mlp(6, (8, 5), 3, rng)
     if kind == "head":
         layers, d = layers[:-1], 3 * (5 + 1)
     rows = [(rng.standard_normal((n, 6)), rng.integers(0, 3, size=n))
             for n in (51, 7, 130, 50, 100)]
-    extra = ((lambda p: proximal_grads(p, layers, 0.3)) if kind == "prox"
-             else None)
+    mu_prox = 0.3 if kind == "prox" else 0.0
 
     def train(group):
         rngs = [np.random.default_rng(100 + j) for j in group]
@@ -284,15 +283,39 @@ def test_sgd_epochs_group_equals_each_client_alone(kind):
                                         for j in ids]))
                  if kind == "head" else None)
         out = sgd_epochs(layers, [rows[j] for j in group], 0.2, 3, 50, rngs,
-                         heads=heads, extra=extra)
+                         heads=heads, mu_prox=mu_prox)
         return out, [r.random() for r in rngs]
 
     together, next_draws = train(range(len(rows)))
-    for j, model in enumerate(together):
+    for j, row in enumerate(together):
         (alone,), (next_draw,) = train([j])
-        assert flatten(model).tobytes() == flatten(alone).tobytes(), j
+        assert row.tobytes() == alone.tobytes(), j
         assert next_draws[j] == next_draw, j
-        assert flatten(model).tobytes() != flatten(layers).tobytes()
+        assert row.tobytes() != flatten(layers).tobytes()
+
+
+def test_sgd_epochs_proximal_pull_matches_finite_differences():
+    # FedProx's pull is the gradient of (mu / 2) * ||w - w0||^2 about the
+    # layers w0 it starts from: none on the first full-batch step, and on
+    # the second it moves w1 by lr times itself beside the data gradient
+    rng = np.random.default_rng(3)
+    layers = init_mlp(3, (3,), 2, rng)
+    x, y = toy_rows(n=8, dim=3)
+    mu, lr = 1.7, 0.5
+    w0, shapes = flatten(layers), [w.shape for w, _ in layers]
+
+    def train(epochs, mu_prox):
+        return sgd_epochs(layers, [(x, y)], lr, epochs, len(y),
+                          [np.random.default_rng(5)], mu_prox=mu_prox)[0]
+
+    w1 = train(1, mu)
+    assert w1.tobytes() == train(1, 0.0).tobytes()
+    pull = ((w1 - train(2, mu)) / lr
+            - flatten(model_grads(unflatten(w1, shapes), x, y)))
+    np.testing.assert_allclose(pull, mu * (w1 - w0), rtol=1e-9, atol=1e-12)
+    numeric = central_diff(lambda v: mu / 2 * float(((v - w0) ** 2).sum()),
+                           w1)
+    assert rel_err(pull, numeric) <= 1e-6
 
 
 def test_head_flatten_roundtrip():
