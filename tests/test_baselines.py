@@ -7,9 +7,10 @@ from fedvem import rng as rng_mod
 from fedvem.baselines import BaselineConfig, fedavg_round
 from fedvem.data import PartitionSpec, SynthSpec, make_partition, synth_pair
 from fedvem.federation import TrainConfig, TrainingError
-from fedvem.nn import InputError, flatten, init_mlp, sgd_epochs
+from fedvem.nn import InputError, flatten, init_mlp, sgd_epochs, unflatten
 
-from helpers import baseline_reports, training_reports
+from helpers import (baseline_reports, central_diff, model_grads, rel_err,
+                     training_reports)
 
 
 def tiny_problem(clients=3, seed=0):
@@ -26,6 +27,54 @@ def toy_clients(n_clients=3, n=12, dim=4, classes=2, seed=0):
     rng = np.random.default_rng(seed)
     return [(rng.standard_normal((n, dim)), rng.integers(0, classes, size=n))
             for _ in range(n_clients)]
+
+
+# ------------------------------------------------------- FedProx's pull
+
+def proximal_pull(seed, mu, lr=0.5):
+    """(w0, w1, pull): the layers w0 sgd_epochs starts from, the model w1
+    after one full-batch step, and the pull ``mu_prox = mu`` adds to the
+    second step beside the data gradient at w1."""
+    layers = init_mlp(3, (3,), 2, np.random.default_rng(seed))
+    (x, y), = toy_clients(n_clients=1, n=8, dim=3, seed=seed)
+    w0, shapes = flatten(layers), [w.shape for w, _ in layers]
+
+    def train(epochs):
+        return sgd_epochs(layers, [(x, y)], lr, epochs, len(y),
+                          [np.random.default_rng(5)], mu_prox=mu)[0]
+
+    w1 = train(1)
+    data_grad = flatten(model_grads(unflatten(w1, shapes), x, y))
+    return w0, w1, (w1 - train(2)) / lr - data_grad
+
+
+def test_proximal_grads_zero_at_anchor():
+    # the first step starts at the anchor, so the pull leaves it unchanged
+    layers = init_mlp(3, (4,), 2, np.random.default_rng(0))
+    rows = toy_clients(n_clients=1, n=8, dim=3)
+
+    def first_step(mu_prox):
+        return sgd_epochs(layers, rows, 0.5, 1, 8,
+                          [np.random.default_rng(5)], mu_prox=mu_prox)[0]
+
+    assert first_step(2.0).tobytes() == first_step(0.0).tobytes()
+
+
+def test_proximal_grads_linear_in_displacement():
+    w0, w1, pull = proximal_pull(seed=1, mu=0.5)
+    assert np.any(w1 != w0)
+    np.testing.assert_allclose(pull, 0.5 * (w1 - w0), rtol=1e-9, atol=1e-12)
+
+
+def test_proximal_grads_match_finite_differences():
+    mu = 1.7
+    w0, w1, pull = proximal_pull(seed=3, mu=mu)
+
+    def penalty(vec):
+        return mu / 2 * float(((vec - w0) ** 2).sum())
+
+    numeric = central_diff(penalty, w1)
+    assert rel_err(pull, numeric) <= 1e-6
 
 
 # ------------------------------------------------------------ fedavg rounds

@@ -294,30 +294,6 @@ def test_sgd_epochs_group_equals_each_client_alone(kind):
         assert row.tobytes() != flatten(layers).tobytes()
 
 
-def test_sgd_epochs_proximal_pull_matches_finite_differences():
-    # FedProx's pull is the gradient of (mu / 2) * ||w - w0||^2 about the
-    # layers w0 it starts from: none on the first full-batch step, and on
-    # the second it moves w1 by lr times itself beside the data gradient
-    rng = np.random.default_rng(3)
-    layers = init_mlp(3, (3,), 2, rng)
-    x, y = toy_rows(n=8, dim=3)
-    mu, lr = 1.7, 0.5
-    w0, shapes = flatten(layers), [w.shape for w, _ in layers]
-
-    def train(epochs, mu_prox):
-        return sgd_epochs(layers, [(x, y)], lr, epochs, len(y),
-                          [np.random.default_rng(5)], mu_prox=mu_prox)[0]
-
-    w1 = train(1, mu)
-    assert w1.tobytes() == train(1, 0.0).tobytes()
-    pull = ((w1 - train(2, mu)) / lr
-            - flatten(model_grads(unflatten(w1, shapes), x, y)))
-    np.testing.assert_allclose(pull, mu * (w1 - w0), rtol=1e-9, atol=1e-12)
-    numeric = central_diff(lambda v: mu / 2 * float(((v - w0) ** 2).sum()),
-                           w1)
-    assert rel_err(pull, numeric) <= 1e-6
-
-
 def test_head_flatten_roundtrip():
     params = small_mlp()
     vec = flatten([params[-1]])
