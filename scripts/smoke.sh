@@ -1,15 +1,18 @@
 #!/bin/sh
-# Quick sanity check: validate the smoke config, run it on 23 clients (head
-# groups of 10, 10 and 3, so both pool workers get jobs) with a checkpoint
-# every round with one worker and with a two-worker pool, fail unless the
-# two runs' per-seed report, client table, summary and every checkpoint are
-# byte-identical, then run it under every scheme and every confidence mode.
+# Quick sanity check: validate the smoke config and the concept-drift
+# config (every seed's data loaded and partitioned), run the smoke config
+# on 23 clients (head groups of 10, 10 and 3, so both pool workers get
+# jobs) with a checkpoint every round with one worker and with a two-worker
+# pool, fail unless the two runs' per-seed report, client table, summary
+# and every checkpoint are byte-identical, then run it under every scheme
+# and every confidence mode.
 # Runs the package from src/, so it works without installing the fvem
 # script.
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m fedvem.cli validate --config configs/smoke.cfg
+python -m fedvem.cli validate --config configs/synth_conceptdrift.cfg
 mkdir -p reports
 cfg=reports/smoke-checkpoints.cfg
 { sed 's/^partition\.clients = .*/partition.clients = 23/' configs/smoke.cfg

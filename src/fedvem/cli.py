@@ -3,11 +3,11 @@
     fvem run --config PATH [--workers N] [--out PATH]
     fvem validate --config PATH
 
-For each seed in the config: build the dataset and partition and run the
-configured scheme (``run_seed``), appending one JSONL record per round as
-the round ends; then write a cross-seed summary (``validate`` reads IDX
-headers and synthetic partitions only).  Exit codes: 0 success, 1 runtime
-numeric failure, 2 invalid configuration or malformed data file.
+For each seed in the config: load and partition its data (``load_seed``)
+and run the configured scheme (``run_seed``), appending one JSONL record
+per round as the round ends; then write a cross-seed summary.  ``validate``
+loads and partitions every seed as ``run`` does.  Exit codes: 0 success,
+1 runtime numeric failure, 2 invalid configuration or malformed data file.
 """
 
 from __future__ import annotations
@@ -22,10 +22,28 @@ import numpy as np
 from . import metrics
 from .baselines import run_baseline
 from .config import (ConfigError, ExperimentConfig, load_config, validate)
-from .data import (FormatError, group_by_client, idx_shape, load_idx,
-                   make_partition, synth_pair)
+from .data import (Dataset, FormatError, Partition, group_by_client,
+                   load_idx, make_partition, synth_pair)
 from .federation import TrainingError, run_training, write_checkpoint
 from .nn import InputError
+
+
+def load_seed(cfg: ExperimentConfig, seed: int,
+              ) -> tuple[Dataset, Dataset, Partition]:
+    """Seed ``seed``'s (train, test, partition), as run and validate read
+    them; ``FormatError`` or ``InputError`` if they cannot be trained on."""
+    if cfg.dataset_kind == "fmnist":
+        train = load_idx(cfg.train_images, cfg.train_labels)
+        test = load_idx(cfg.test_images, cfg.test_labels)
+        if test.input_dim != train.input_dim:
+            raise FormatError(f"{cfg.test_images}: {test.input_dim} pixels per "
+                              f"image, training images have {train.input_dim}")
+        if test.classes > train.classes:   # a label no head can output
+            raise FormatError(f"{cfg.test_labels}: label {test.classes - 1}, "
+                              f"training labels lie in [0, {train.classes})")
+    else:
+        train, test = synth_pair(replace(cfg.synth, seed=seed))
+    return train, test, make_partition(train, replace(cfg.partition, seed=seed))
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
@@ -40,19 +58,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     ``seed`` in a copy.  The training set is regrouped by client in place,
     so every client's rows are a view of the one array loaded.
     """
-    if cfg.dataset_kind == "fmnist":
-        train = load_idx(cfg.train_images, cfg.train_labels)
-        test = load_idx(cfg.test_images, cfg.test_labels)
-        if test.input_dim != train.input_dim:
-            raise FormatError(f"{cfg.test_images}: {test.input_dim} pixels per "
-                              f"image, training images have {train.input_dim}")
-        if test.classes > train.classes:   # a label no head can output
-            raise FormatError(f"{cfg.test_labels}: label {test.classes - 1}, "
-                              f"training labels lie in [0, {train.classes})")
-    else:
-        train, test = synth_pair(replace(cfg.synth, seed=seed))
-    train, partition = group_by_client(
-        train, make_partition(train, replace(cfg.partition, seed=seed)))
+    train, test, partition = load_seed(cfg, seed)
+    train, partition = group_by_client(train, partition)
     run_cfg = replace(cfg.train, seed=seed)
     ckpt_dir = os.path.join(out_dir, f"checkpoints_seed{seed}")
     last = None
@@ -131,39 +138,27 @@ def main(argv=None) -> int:
         return 2
 
     violations = validate(cfg)
-    if args.command == "validate" and not violations:
-        try:   # what run reads before it trains, failing as run fails
-            if cfg.dataset_kind == "fmnist":
-                for path, dims in ((cfg.train_images, 3), (cfg.train_labels, 1),
-                                   (cfg.test_images, 3), (cfg.test_labels, 1)):
-                    idx_shape(path, dims)
-            else:
-                for s in cfg.seeds:
-                    make_partition(synth_pair(replace(cfg.synth, seed=s))[0],
-                                   replace(cfg.partition, seed=s))
-        except FormatError as exc:
-            violations = [str(exc)]
-        except InputError as exc:
-            violations = [f"config: {exc}"]
+    try:
+        if not violations and args.command == "validate":
+            for seed in cfg.seeds:   # what run reads, failing as run fails
+                load_seed(cfg, seed)
+        elif not violations:
+            # numpy warnings would print before the failure line; the
+            # explicit finiteness checks are what detect a numeric failure
+            with np.errstate(all="ignore"):
+                summary = run_experiment(cfg, workers=args.workers,
+                                         out=args.out)
+    except (TrainingError, FloatingPointError) as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 1
+    except FormatError as exc:
+        violations = [str(exc)]
+    except InputError as exc:
+        violations = [f"config: {exc}"]
     for v in violations:
         print(v, file=sys.stdout if args.command == "validate" else sys.stderr)
     if violations or args.command == "validate":
         return 2 if violations else 0
-
-    try:
-        # numpy warnings would print before the failure line; the explicit
-        # finiteness checks are what detect a numeric failure
-        with np.errstate(all="ignore"):
-            summary = run_experiment(cfg, workers=args.workers, out=args.out)
-    except (TrainingError, FloatingPointError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
-        print(f"config: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     print(f"scheme={summary['scheme']} mean_pm={summary['mean_pm']} "
           f"mean_gm={summary['mean_gm']}")
     return 0

@@ -334,7 +334,12 @@ class SynthSpec:
 def _synth_centers(spec: SynthSpec) -> np.ndarray:
     """(classes * subclasses, dim) mode centers; superclasses sit on rotated axes."""
     r = rng_mod.stream(spec.seed, rng_mod.TAG_SYNTH, 0)
-    q, _ = np.linalg.qr(r.standard_normal((spec.dim, spec.dim)))
+    g = r.standard_normal((spec.dim, spec.dim))
+    # all of g is drawn, so the offsets keep their draws; Q's first 17
+    # columns are bitwise the same from g's first 32 as from all of g
+    # (OpenBLAS, dims 20-139, 200, 784); at 784 dims that QR takes 20 ms,
+    # not 76-80 ms, and 19 MiB less peak memory
+    q, _ = np.linalg.qr(g[:, :32] if spec.classes <= 16 else g)
     centers = []
     for c in range(spec.classes):
         super_center = spec.separation * q[:, c]

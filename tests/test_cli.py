@@ -730,17 +730,22 @@ def test_main_test_labels_past_training_classes_exit_two(tmp_path, capsys):
     assert not (out / "seed0.jsonl").exists()
 
 
+def label_skew_over_two_clients(path, k):
+    """Rewrite an ``idx_config`` to give 2 clients k labels each."""
+    path.write_text(path.read_text().replace(
+        "partition.scenario = iid_equal\npartition.clients = 1\n",
+        "partition.scenario = label_skew\npartition.clients = 2\n"
+        f"partition.labels_per_client = {k}\n"))
+
+
 @pytest.mark.parametrize("k", [11, 13])
 def test_main_label_skew_over_idx_counts_the_loaded_classes(tmp_path, capsys,
                                                             k):
     # IDX files may hold more than FMNIST's 10 classes; these hold 12
     labels = list(range(12)) * 3
     path = idx_config(tmp_path, train=(2, labels), test=(2, labels))
-    path.write_text(path.read_text().replace(
-        "partition.scenario = iid_equal\npartition.clients = 1\n",
-        "partition.scenario = label_skew\npartition.clients = 2\n"
-        f"partition.labels_per_client = {k}\n"))
-    assert main(["validate", "--config", str(path)]) == 0
+    label_skew_over_two_clients(path, k)
+    assert main(["validate", "--config", str(path)]) == (0 if k == 11 else 2)
     capsys.readouterr()
     out = tmp_path / "out"
     code = main(["run", "--config", str(path), "--out", str(out)])
@@ -751,6 +756,45 @@ def test_main_label_skew_over_idx_counts_the_loaded_classes(tmp_path, capsys,
         assert code == 2, err
         assert err == ("config: partition.labels_per_client: exceeds class "
                        "count\n"), err
+
+
+# IDX files whose headers read well, holding data run cannot train on:
+# (train, test) as ``idx_config`` takes them, and the line run prints
+LOADED_DATA_FAULTS = {
+    # 4x4 training images against 5x5 test images
+    "test_image_size": ((4, [0, 1]), (5, [0, 1]),
+                        "{}/test_img: 25 pixels per image, training images "
+                        "have 16"),
+    # training labels 0-2, a test label 3 that a 3-class head never outputs
+    "test_label_range": ((4, [0, 1, 2, 0]), (4, [0, 1, 2, 3]),
+                         "{}/test_lab: label 3, training labels lie in "
+                         "[0, 3)"),
+    # 3 training images, their label file rewritten to hold 2
+    "label_count": ((4, [0, 1, 0]), (4, [0, 1]),
+                    "{}/train_lab: 2 labels for 3 images"),
+    # 13 labels per client over the 12 classes loaded
+    "labels_per_client": ((2, list(range(12)) * 3), (2, list(range(12)) * 3),
+                          "config: partition.labels_per_client: exceeds "
+                          "class count"),
+}
+
+
+@pytest.mark.parametrize("case", LOADED_DATA_FAULTS)
+def test_main_validate_fails_as_run_on_the_loaded_data(tmp_path, capsys,
+                                                       case):
+    train, test, line = LOADED_DATA_FAULTS[case]
+    path = idx_config(tmp_path, train, test)
+    if case == "label_count":
+        (tmp_path / "train_lab").write_bytes(
+            struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+    if case == "labels_per_client":
+        label_skew_over_two_clients(path, 13)
+    line = line.format(tmp_path) + "\n"
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().out == line
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == line
 
 
 def test_main_rejects_empty_out(tmp_path, capsys):

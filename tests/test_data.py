@@ -424,6 +424,36 @@ def test_synth_pair_draws_each_split_in_one_allocation():
         assert ds.labels.tolist() == [m // 3 for m in modes]
 
 
+@pytest.mark.parametrize("dim", [20, 33, 64, 100, 127, 128, 129, 200, 784])
+def test_synth_centers_equal_the_full_qr(dim):
+    from fedvem.data import _synth_centers
+    for classes in (2, 5, 10, 16):
+        for seed in (0, 1):
+            spec = SynthSpec(classes=classes, subclasses_per_class=2, dim=dim,
+                             seed=seed)
+            # the reference: superclass axes from the whole (dim, dim) QR
+            r = rng_mod.stream(seed, rng_mod.TAG_SYNTH, 0)
+            q, _ = np.linalg.qr(r.standard_normal((dim, dim)))
+            centers = []
+            for c in range(classes):
+                for _ in range(spec.subclasses_per_class):
+                    offset = r.standard_normal(dim)
+                    offset *= spec.subclass_spread / np.linalg.norm(offset)
+                    centers.append(spec.separation * q[:, c] + offset)
+            assert (_synth_centers(spec).tobytes()
+                    == np.array(centers).tobytes()), (classes, seed)
+
+
+def test_synth_centers_factor_the_whole_draw_past_16_classes(monkeypatch):
+    from fedvem.data import _synth_centers
+    shapes, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda a: shapes.append(a.shape) or qr(a))
+    for classes in (16, 17):
+        _synth_centers(SynthSpec(classes=classes, dim=100))
+    assert shapes == [(100, 32), (100, 100)]
+
+
 def test_synth_rejects_degenerate_spec():
     with pytest.raises(InputError):
         synth_pair(SynthSpec(classes=1))
