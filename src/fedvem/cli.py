@@ -49,7 +49,8 @@ def load_seed(cfg: ExperimentConfig, seed: int,
 def run_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
              workers: int = 1) -> tuple[float, float] | None:
     """One seeded run of the configured scheme, the only writer of its files
-    in ``out_dir``; returns the final (mean PM, GM), or None if no round ran.
+    in ``out_dir``, made once the seed's data loads; returns the final
+    (mean PM, GM), or None if no round ran.
 
     Each round's record is appended to ``seed<s>.jsonl`` as the round ends,
     pFedVEM's checkpoint to ``checkpoints_seed<s>/`` every
@@ -59,6 +60,11 @@ def run_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     so every client's rows are a view of the one array loaded.
     """
     train, test, partition = load_seed(cfg, seed)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"out: cannot create output directory "
+                         f"{out_dir!r}: {exc.strerror}") from exc
     train, partition = group_by_client(train, partition)
     run_cfg = replace(cfg.train, seed=seed)
     ckpt_dir = os.path.join(out_dir, f"checkpoints_seed{seed}")
@@ -98,11 +104,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     """Run every seed into ``out`` (default ``cfg.out``), write the
     cross-seed ``summary.jsonl`` and return the summary."""
     out_dir = out or cfg.out
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"out: cannot create output directory "
-                         f"{out_dir!r}: {exc.strerror}") from exc
     finals = [run_seed(cfg, seed, out_dir, workers) for seed in cfg.seeds]
     summary = {"scheme": cfg.scheme, "seeds": list(cfg.seeds)}
     for i, key in enumerate(("pm", "gm")):

@@ -11,7 +11,10 @@ Example::
     seeds = 0,1,2,3,4
     out = reports/synth
 
-Each key sets exactly one field.  `model.hidden` and `train.*` fill the
+Each key sets exactly one field.  Every field of a section but the per-seed
+`seed` is a key: `dataset.*` sets `SynthSpec`, and `partition.*`, `train.*`
+and `baseline.*` their namesakes; `_OTHER_KEYS` names the ten keys that set
+a root field or `model.hidden`.  `train.*` and `model.hidden` fill the
 `TrainConfig` that every scheme reads: the baselines take its `T`, `s` and
 `hidden` (Local trains once and ignores `T` and `s`), pFedVEM all of it.
 `baseline.*` holds the local SGD of Local, FedAvg and FedProx, and FedProx's
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import get_type_hints
 
 from .baselines import SCHEMES, BaselineConfig
 from .data import PartitionSpec, SynthSpec
@@ -94,55 +98,48 @@ def _int_tuple(key: str, value: str) -> tuple:
         raise ConfigError(f"{key}: cannot parse {value!r} as int list") from exc
 
 
-# key -> (target object name, attribute, type)
-_SCHEMA = {
-    "dataset.kind": ("root", "dataset_kind", str),
-    "dataset.train_images": ("root", "train_images", str),
-    "dataset.train_labels": ("root", "train_labels", str),
-    "dataset.test_images": ("root", "test_images", str),
-    "dataset.test_labels": ("root", "test_labels", str),
-    "dataset.classes": ("synth", "classes", int),
-    "dataset.subclasses_per_class": ("synth", "subclasses_per_class", int),
-    "dataset.dim": ("synth", "dim", int),
-    "dataset.points_per_subclass": ("synth", "points_per_subclass", int),
-    "dataset.test_points_per_subclass": ("synth", "test_points_per_subclass", int),
-    "dataset.noise": ("synth", "noise", float),
-    "dataset.separation": ("synth", "separation", float),
-    "dataset.subclass_spread": ("synth", "subclass_spread", float),
-    "partition.scenario": ("partition", "scenario", str),
-    "partition.clients": ("partition", "clients", int),
-    "partition.labels_per_client": ("partition", "labels_per_client", int),
-    "scheme": ("root", "scheme", str),
-    "model.hidden": ("train", "hidden", "int_tuple"),
-    "train.T": ("train", "T", int),
-    "train.R": ("train", "R", int),
-    "train.K": ("train", "K", int),
-    "train.eta": ("train", "eta", float),
-    "train.base_lr": ("train", "base_lr", float),
-    "train.base_epochs": ("train", "base_epochs", int),
-    "train.base_batch": ("train", "base_batch", int),
-    "train.s": ("train", "s", float),
-    "train.rho0_sq": ("train", "rho0_sq", float),
-    "train.confidence_mode": ("train", "confidence_mode", str),
-    "baseline.lr": ("baseline", "lr", float),
-    "baseline.epochs": ("baseline", "epochs", int),
-    "baseline.batch": ("baseline", "batch", int),
-    "baseline.mu_prox": ("baseline", "mu_prox", float),
-    "seeds": ("root", "seeds", "int_tuple"),
-    "out": ("root", "out", str),
-    "checkpoint_every": ("root", "checkpoint_every", int),
+# Every section field but the per-seed ``seed`` is the key
+# "<prefix>.<field>"; these keys set a root field or a field of another name.
+_PREFIXES = {"synth": "dataset", "partition": "partition", "train": "train",
+             "baseline": "baseline"}
+_OTHER_KEYS = {
+    "model.hidden": ("train", "hidden"),
+    "dataset.kind": ("root", "dataset_kind"),
+    **{f"dataset.{attr}": ("root", attr) for attr in
+       ("train_images", "train_labels", "test_images", "test_labels")},
+    **{key: ("root", key) for key in ("scheme", "seeds", "out",
+                                      "checkpoint_every")},
 }
+
+
+def _schema() -> dict[str, tuple]:
+    """key -> (target, field, parser), the parser read from the field's
+    annotation: int, float, str, or tuple for an int list."""
+    hints = {"root": get_type_hints(ExperimentConfig)}
+    hints.update((t, get_type_hints(hints["root"][t])) for t in _PREFIXES)
+    keys = {f"{prefix}.{attr}": (target, attr)
+            for target, prefix in _PREFIXES.items() for attr in hints[target]
+            if attr != "seed" and (target, attr) not in _OTHER_KEYS.values()}
+    keys.update(_OTHER_KEYS)
+    for key, (target, attr) in keys.items():
+        kind = hints[target][attr]
+        if kind not in (int, float, str, tuple):
+            raise TypeError(f"{key}: no parser for a {kind} field")
+        keys[key] = (target, attr, kind)
+    return keys
+
+
+_SCHEMA = _schema()
 
 
 def build_config(kv: dict[str, str]) -> ExperimentConfig:
     """The defaults with every key's parsed value, built once."""
-    parsed: dict[str, dict] = {"root": {}, "synth": {}, "partition": {},
-                               "train": {}, "baseline": {}}
+    parsed: dict[str, dict] = {"root": {}, **{t: {} for t in _PREFIXES}}
     for key, value in kv.items():
         if key not in _SCHEMA:
             raise ConfigError(f"{key}: unknown configuration key")
         target, attr, kind = _SCHEMA[key]
-        parsed[target][attr] = (_int_tuple(key, value) if kind == "int_tuple"
+        parsed[target][attr] = (_int_tuple(key, value) if kind is tuple
                                 else _convert(key, value, kind))
     cfg = ExperimentConfig()
     root = parsed.pop("root")

@@ -8,6 +8,8 @@ available in this environment.
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,8 @@ from fedvem.variational import (IsotropicPrior, VariationalPosterior,
                                 confidence, head_loss_closure, kl_to_prior,
                                 mc_objective)
 
-from helpers import (baseline_reports, central_diff, golden_max, model_grads,
-                     rel_err, training_reports)
+from helpers import (baseline_reports, central_diff, model_grads, rel_err,
+                     training_reports)
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -129,6 +131,34 @@ def server_objective(w, rho2s, mus, traces, d):
     return total
 
 
+def newton_max(fn, x):
+    """Damped Newton ascent on central differences of ``fn`` alone: the
+    Hessian is shifted to be negative definite where it is not, each step
+    halved until ``fn`` does not fall, and the ascent ends where no step
+    raises ``fn``."""
+    n, h = x.size, 1e-4
+    eye = np.eye(n)
+    for _ in range(200):
+        grad = central_diff(fn, x)
+        hess = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                hess[i, j] = hess[j, i] = sum(
+                    si * sj * fn(x + h * (si * eye[i] + sj * eye[j]))
+                    for si in (1, -1) for sj in (1, -1)) / (4 * h * h)
+        top = np.linalg.eigvalsh(hess)[-1]
+        if top >= 0:
+            hess = hess - (top + 1e-3 * max(1.0, abs(top))) * eye
+        step = -np.linalg.solve(hess, grad)
+        f0, t = fn(x), 1.0
+        while fn(x + t * step) < f0 and t > 1e-12:
+            t /= 2
+        if not fn(x + t * step) > f0:   # no rise left to find
+            return x
+        x = x + t * step
+    return x
+
+
 def test_criterion_3_server_stationarity():
     start = time.monotonic()
     worst = 0.0
@@ -153,32 +183,11 @@ def test_criterion_3_server_stationarity():
         taus = [confidence(p, w).tau for p in posts]
         rho2_closed = [1.0 / t for t in taus]
 
-        # independent numerical maximization, golden-section per coordinate
-        w_num = np.mean(mus, axis=0)
-        rho2_num = [1.0 for _ in range(J)]
-        lo = min(mu.min() for mu in mus) - 2.0
-        hi = max(mu.max() for mu in mus) + 2.0
-        for _ in range(300):
-            delta = 0.0
-            for j in range(J):
-                t = golden_max(
-                    lambda lr2, j=j: server_objective(
-                        w_num, rho2_num[:j] + [np.exp(lr2)] + rho2_num[j + 1:],
-                        mus, traces, d),
-                    np.log(1e-8), np.log(1e8))
-                new = float(np.exp(t))
-                delta = max(delta, abs(new - rho2_num[j]))
-                rho2_num[j] = new
-            for c in range(d):
-                def along(v, c=c):
-                    w_try = w_num.copy()
-                    w_try[c] = v
-                    return server_objective(w_try, rho2_num, mus, traces, d)
-                new = golden_max(along, lo, hi)
-                delta = max(delta, abs(new - w_num[c]))
-                w_num[c] = new
-            if delta < 1e-9:
-                break
+        # independent numerical maximization over (w, ln rho2_j)
+        x = newton_max(
+            lambda x: server_objective(x[:d], np.exp(x[d:]), mus, traces, d),
+            np.concatenate([np.mean(mus, axis=0), np.zeros(J)]))
+        w_num, rho2_num = x[:d], np.exp(x[d:])
 
         worst = max(worst, rel_err(w_num, w), rel_err(rho2_num, rho2_closed))
     elapsed = time.monotonic() - start
@@ -257,14 +266,30 @@ def run_baseline_seed(seed, scheme):
     return reports[-1].mean_pm()
 
 
+def run_bench(job):
+    """One seed run of the shared benchmark; ``job`` is (scheme or pFedVEM
+    ablation mode, seed)."""
+    name, seed = job
+    if name in ("local", "fedavg"):
+        return run_baseline_seed(seed, name)
+    return run_pfedvem_seed(seed, mode="full" if name == "pfedvem" else name)
+
+
+# the pFedVEM runs take longest, so they go to the pool first
+BENCH_RUNS = ("pfedvem", "uncertainty_only", "deviation_only", "local",
+              "fedavg")
+
+
 @pytest.fixture(scope="module")
 def bench_results():
+    # every run is deterministic, so two processes give what one would
     start = time.monotonic()
-    out = {
-        "pfedvem": [run_pfedvem_seed(s) for s in SEEDS],
-        "local": [run_baseline_seed(s, "local") for s in SEEDS],
-        "fedavg": [run_baseline_seed(s, "fedavg") for s in SEEDS],
-    }
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=get_context("spawn")) as pool:
+        pms = list(pool.map(run_bench, [(name, s) for name in BENCH_RUNS
+                                        for s in SEEDS]))
+    out = {name: pms[i * len(SEEDS):(i + 1) * len(SEEDS)]
+           for i, name in enumerate(BENCH_RUNS)}
     out["elapsed"] = time.monotonic() - start
     return out
 
@@ -289,9 +314,8 @@ def test_criterion_5_synthetic_ordering(bench_results):
 
 
 def test_criterion_7_confidence_ablations(bench_results):
-    full = bench_results["pfedvem"]
-    unc = [run_pfedvem_seed(s, mode="uncertainty_only") for s in SEEDS]
-    dev = [run_pfedvem_seed(s, mode="deviation_only") for s in SEEDS]
+    full, unc, dev = (bench_results[name] for name in
+                      ("pfedvem", "uncertainty_only", "deviation_only"))
     m_full, m_unc, m_dev = (float(np.mean(v)) for v in (full, unc, dev))
     # non-binding trend log: ablations are expected to trail the full mode
     trend = "matches" if m_full >= max(m_unc, m_dev) else "does not match"

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -142,6 +143,75 @@ def stand_in_idx_paths(cfg, tmp_path):
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
 def test_shipped_configs_validate(tmp_path, path):
     assert validate(stand_in_idx_paths(load_config(path), tmp_path)) == []
+
+
+# The config file format: every key users and perfbench write
+KEYS = [
+    "baseline.batch", "baseline.epochs", "baseline.lr", "baseline.mu_prox",
+    "checkpoint_every", "dataset.classes", "dataset.dim", "dataset.kind",
+    "dataset.noise", "dataset.points_per_subclass", "dataset.separation",
+    "dataset.subclass_spread", "dataset.subclasses_per_class",
+    "dataset.test_images", "dataset.test_labels",
+    "dataset.test_points_per_subclass", "dataset.train_images",
+    "dataset.train_labels", "model.hidden", "out", "partition.clients",
+    "partition.labels_per_client", "partition.scenario", "scheme", "seeds",
+    "train.K", "train.R", "train.T", "train.base_batch", "train.base_epochs",
+    "train.base_lr", "train.confidence_mode", "train.eta", "train.rho0_sq",
+    "train.s",
+]
+WORKLOADS = CONFIGS.parent / "perfbench" / "workloads.py"
+
+
+def written_configs(monkeypatch):
+    """(name, text) of every shipped config and perfbench workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return ([(p.name, p.read_text()) for p in SHIPPED]
+            + [(name, w.config_text(0, "out"))
+               for name, w in workloads.WORKLOADS.items()])
+
+
+def named_field(key):
+    """(section, field) the key names, section None for the config's own
+    fields: ``dataset.*`` names the synthetic spec but for its kind and IDX
+    paths, and ``model.hidden`` the train section's width."""
+    section, _, attr = key.rpartition(".")
+    if key == "dataset.kind":
+        return None, "dataset_kind"
+    if section == "dataset" and attr.endswith(("_images", "_labels")):
+        return None, attr
+    return {"": None, "dataset": "synth", "model": "train"}.get(section,
+                                                                section), attr
+
+
+def test_config_keys_are_the_file_format():
+    assert sorted(_SCHEMA) == KEYS
+
+
+def test_written_configs_set_the_fields_their_keys_name(monkeypatch):
+    texts = written_configs(monkeypatch)
+    assert len(texts) == len(SHIPPED) + 3
+    for name, text in texts:
+        kv = parse_kv(text)
+        assert set(kv) <= set(_SCHEMA), name
+        cfg = build_config(kv)
+        for key in KEYS:
+            # a value neither the file nor the defaults hold sets the named
+            # field, and no other
+            section, attr = named_field(key)
+            holder = getattr(cfg, section) if section else cfg
+            old = getattr(holder, attr)
+            new = old + {int: 1, float: 0.5, str: "x", tuple: (7,)}[type(old)]
+            text_value = (",".join(map(str, new)) if type(new) is tuple
+                          else repr(new) if type(new) is float else str(new))
+            want = replace(holder, **{attr: new})
+            if section:
+                want = replace(cfg, **{section: want})
+            assert build_config({**kv, key: text_value}) == want, (name, key)
 
 
 def test_validate_rejects_concept_drift_over_idx(tmp_path):
@@ -792,9 +862,10 @@ def test_main_validate_fails_as_run_on_the_loaded_data(tmp_path, capsys,
     line = line.format(tmp_path) + "\n"
     assert main(["validate", "--config", str(path)]) == 2
     assert capsys.readouterr().out == line
-    assert main(["run", "--config", str(path), "--out",
-                 str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == line
+    assert not out.exists()   # made only once a seed's data loads
 
 
 def test_main_rejects_empty_out(tmp_path, capsys):
@@ -809,8 +880,9 @@ def test_main_rejects_empty_out(tmp_path, capsys):
 def test_main_unusable_out_dir_exits_two(tmp_path, capsys, monkeypatch,
                                          where):
     (tmp_path / "file").touch()
-    seeds = []
-    monkeypatch.setattr(cli, "run_seed", lambda *args: seeds.append(args))
+    seeds = []   # the directory is made once a seed's data loads, untrained
+    monkeypatch.setattr(cli, "run_training", lambda *args, **kw:
+                        seeds.append(args))
     out = tmp_path / where
     assert main(["run", "--config", str(smoke_config(tmp_path)), "--out",
                  str(out)]) == 2
