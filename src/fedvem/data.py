@@ -326,6 +326,8 @@ class SynthSpec:
             out.append("dataset.dim: must be >= class count for separable centers")
         if self.points_per_subclass < 1:
             out.append("dataset.points_per_subclass: must be >= 1")
+        if self.test_points_per_subclass < 1:
+            out.append("dataset.test_points_per_subclass: must be >= 1")
         if self.noise < 0:
             out.append("dataset.noise: must be nonnegative")
         return out

@@ -17,18 +17,21 @@ weights reporter heads by confidence and reporter bases by data size: as
 each upload arrives, one weighted fold (``aggregate_base``, the baselines'
 fold too) adds its flat head and base into two sums, each divided once.
 
-A client's state is its head posterior and confidence: its rows are built
-once (``init_state``), and its upload lives only within a round.
-Per-(seed, round, client) random streams make results independent of worker
-scheduling and grouping; client updates within a round may run on a process
-pool whose workers hold all clients' rows (``client_pool``), one job per
-head group, and exit with the seed process.  Uploads and checkpoints hold
-``nn.flatten``'s layout as little-endian float64 (``_f64``), read back with
-``nn.unflatten``.
+A round reads ``GlobalState`` (w, theta and t: what a checkpoint holds) and
+its reporter ids.  A client's state is its head posterior and confidence,
+which ``init_state`` sets to 1/rho0^2 for round 0; its upload lives only
+within a round.  Per-(seed, round, client) random streams make results
+independent of worker scheduling and grouping; client updates within a
+round may run on a process pool whose workers hold all clients' rows
+(``client_pool``), one job per head group carrying the state, the reporter
+ids and the run config, and exit with the seed process.  Uploads and
+checkpoints hold ``nn.flatten``'s layout as little-endian float64
+(``_f64``), read back with ``nn.unflatten``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import threading
@@ -36,7 +39,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -119,7 +122,6 @@ class GlobalState:
     w: np.ndarray          # latent head vector
     theta: list[Layer]     # shared base model
     t: int = 0
-    reporters: frozenset[int] = frozenset()   # ids that upload this round
 
 
 @dataclass
@@ -160,22 +162,22 @@ def aggregate_base(sums: np.ndarray | None, vec: np.ndarray,
 
 
 def update_clients(group: list[ClientState], rows: Rows, globals_: GlobalState,
-                   cfg: TrainConfig) -> list[Update]:
+                   reporters: frozenset[int], cfg: TrainConfig) -> list[Update]:
     """One round of local work for one head group against the freshly
     received (w, theta).
 
     Order per the protocol: every client recomputes its confidence against
-    the new w (round 0 uses the configured initial variance) and trains its
-    head posterior for R full-batch steps, the group as one stack, each on
-    its own (seed, round, client) stream; then each client in
-    ``globals_.reporters`` trains its base copy (``client_update``) on the
-    rest of that stream and uploads it in the wire format.
+    the new w (round 0 keeps the stored tau, which ``init_state`` sets to
+    1/rho0^2) and trains its head posterior for R full-batch steps, the
+    group as one stack, each on its own (seed, round, client) stream; then
+    each client in ``reporters`` trains its base copy (``client_update``)
+    on the rest of that stream and uploads it in the wire format.
     """
     rngs = [rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, globals_.t, c.id)
             for c in group]
     return [(c, serialize_upload(c.posterior.mu, c.tau, client_update(
                 c, globals_, cfg, rng, *rows[c.id]))
-             if c.id in globals_.reporters else None)
+             if c.id in reporters else None)
             for c, rng in zip(_fit_heads(group, rows, globals_, cfg, rngs),
                               rngs)]
 
@@ -184,11 +186,9 @@ def _fit_heads(group: list[ClientState], rows: Rows, globals_: GlobalState,
                cfg: TrainConfig, rngs: list[np.random.Generator],
                ) -> list[ClientState]:
     """The group's confidences and head posteriors, fitted as one stack."""
-    if globals_.t == 0:
-        taus = [1.0 / cfg.rho0_sq] * len(group)
-    else:
-        taus = [confidence(c.posterior, globals_.w,
-                           mode=cfg.confidence_mode).tau for c in group]
+    taus = [c.tau if globals_.t == 0 else confidence(
+                c.posterior, globals_.w, mode=cfg.confidence_mode).tau
+            for c in group]
     closure = head_loss_closure(
         [forward_base(globals_.theta, rows[c.id][0]) for c in group],
         [rows[c.id][1] for c in group])
@@ -227,11 +227,11 @@ _ROWS: Rows = []   # in a client_pool worker: every client's rows
 
 
 def _update_worker(group: list[ClientState], globals_: GlobalState,
-                   cfg: TrainConfig) -> list[Update]:
+                   reporters: frozenset[int], cfg: TrainConfig) -> list[Update]:
     """Pool job: ``update_clients`` of one head group on this worker's rows."""
     if not _ROWS:
         raise RuntimeError("pool worker holds no client rows; use client_pool")
-    return update_clients(group, _ROWS, globals_, cfg)
+    return update_clients(group, _ROWS, globals_, reporters, cfg)
 
 
 def _init_worker(rows, errstate) -> None:
@@ -284,13 +284,13 @@ def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
               ) -> tuple[GlobalState, list[ClientState], np.ndarray]:
     """Execute one communication round; returns (state, clients, reporter ids).
 
-    The updates are walked in client order as they arrive, one head group
-    at a time, in process or one pool job per group.  Each reporter's
-    upload arrives in the wire format, goes into the server's sums and is
-    then let go.
+    The round's reporter ids go with ``globals_`` to every head group, in
+    process or as one pool job per group, and the updates are walked in
+    client order as they arrive.  Each reporter's upload arrives in the
+    wire format, goes into the server's sums and is then let go.
     """
     reporters = select_reporters(cfg, globals_.t, len(clients))
-    broadcast = replace(globals_, reporters=frozenset(reporters.tolist()))
+    ids = frozenset(reporters.tolist())
     d = globals_.w.size
     n_base = sum(w.size + b.size for w, b in globals_.theta)
     new_clients, taus, heads, sums = [], [], None, None
@@ -298,10 +298,11 @@ def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
               for start in range(0, len(clients), HEAD_GROUP)]
     try:
         if pool is None:
-            results = (update_clients(g, rows, broadcast, cfg) for g in groups)
+            results = (update_clients(g, rows, globals_, ids, cfg)
+                       for g in groups)
         else:
             # each job's future is dropped once the fold reaches it
-            futures = deque(pool.submit(_update_worker, g, broadcast, cfg)
+            futures = deque(pool.submit(_update_worker, g, globals_, ids, cfg)
                             for g in groups)
             results = (futures.popleft().result() for _ in groups)
         for c, upload in (u for group in results for u in group):
@@ -374,18 +375,14 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     globals_, clients, rows = init_state(cfg, train_ds, partition)
     pm_idx = [pm_test_indices(partition, test_ds, c.id) for c in clients]
     # one job per head group: more workers than groups would sit idle
-    pool = (client_pool(rows, min(workers, -(-len(rows) // HEAD_GROUP)))
-            if workers > 1 else None)
-    try:
+    with (client_pool(rows, min(workers, -(-len(rows) // HEAD_GROUP)))
+          if workers > 1 else contextlib.nullcontext()) as pool:
         for _ in range(cfg.T):
             globals_, clients, reporters = run_round(globals_, clients, rows,
                                                      cfg, pool)
             on_round(_round_report(globals_, clients, partition.sizes,
                                    test_ds, pm_idx, reporters),
                      globals_, clients)
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return globals_, clients
 
 

@@ -615,11 +615,11 @@ def test_cli_failure_line_comes_first(tmp_path, edit, workers, entry):
 _real_update_worker = federation._update_worker
 
 
-def _worker_dying_in_round_1(group, globals_, cfg):
+def _worker_dying_in_round_1(group, globals_, reporters, cfg):
     """A pool job that kills its worker process in round 1."""
     if globals_.t == 1:
         os._exit(1)
-    return _real_update_worker(group, globals_, cfg)
+    return _real_update_worker(group, globals_, reporters, cfg)
 
 
 def test_main_broken_pool_names_round(tmp_path, capsys, monkeypatch):
@@ -866,6 +866,23 @@ def test_main_validate_fails_as_run_on_the_loaded_data(tmp_path, capsys,
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == line
     assert not out.exists()   # made only once a seed's data loads
+
+
+@pytest.mark.parametrize("value", [-1, 0])
+def test_main_test_points_per_subclass_below_one_exits_two(tmp_path, capsys,
+                                                           value):
+    text = (CONFIGS / "smoke.cfg").read_text()
+    key = "dataset.test_points_per_subclass"
+    assert f"{key} = 10\n" in text
+    path = tmp_path / "smoke.cfg"
+    path.write_text(text.replace(f"{key} = 10\n", f"{key} = {value}\n"))
+    line = f"{key}: must be >= 1\n"
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().out == line
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line
+    assert not out.exists()
 
 
 def test_main_rejects_empty_out(tmp_path, capsys):

@@ -4,7 +4,7 @@ import sys
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -223,8 +223,9 @@ def test_update_clients_reporter_uploads_wire_bytes():
     train, _, part = tiny_problem()
     cfg = tiny_config()
     gs, clients, rows = init_state(cfg, train, part)
-    gs = replace(gs, t=1, reporters=frozenset({1}))
-    [(_, none), (out, upload), _] = update_clients(clients, rows, gs, cfg)
+    gs = replace(gs, t=1)
+    [(_, none), (out, upload), _] = update_clients(clients, rows, gs,
+                                                   frozenset({1}), cfg)
     n_base = sum(w.size + b.size for w, b in gs.theta)
     assert none is None
     assert isinstance(upload, bytes)
@@ -237,9 +238,14 @@ def test_client_update_round0_uses_initial_variance():
     train, _, part = tiny_problem()
     cfg = tiny_config()
     gs, clients, rows = init_state(cfg, train, part)
-    out, upload = update_clients([clients[0]], rows, gs, cfg)[0]
+    out, upload = update_clients([clients[0]], rows, gs, frozenset(), cfg)[0]
     assert out.tau == pytest.approx(1.0 / cfg.rho0_sq)
     assert upload is None
+    # round 0 reads each client's stored tau, which init_state sets
+    assert all(c.tau == 1.0 / cfg.rho0_sq for c in clients)
+    out, _ = update_clients([replace(clients[0], tau=3.5)], rows, gs,
+                            frozenset(), cfg)[0]
+    assert out.tau == 3.5
 
 
 def test_client_update_later_rounds_recompute_confidence():
@@ -248,7 +254,7 @@ def test_client_update_later_rounds_recompute_confidence():
     gs, clients, rows = init_state(cfg, train, part)
     gs.t = 3
     expected = confidence(clients[1].posterior, gs.w).tau
-    out, _ = update_clients([clients[1]], rows, gs, cfg)[0]
+    out, _ = update_clients([clients[1]], rows, gs, frozenset(), cfg)[0]
     assert out.tau == pytest.approx(expected)
 
 
@@ -256,8 +262,8 @@ def test_client_update_moves_posterior_and_base():
     train, _, part = tiny_problem()
     cfg = tiny_config()
     gs, clients, rows = init_state(cfg, train, part)
-    gs.reporters = frozenset({0})
-    out, upload = update_clients([clients[0]], rows, gs, cfg)[0]
+    out, upload = update_clients([clients[0]], rows, gs, frozenset({0}),
+                                 cfg)[0]
     assert not np.array_equal(out.posterior.mu, clients[0].posterior.mu)
     assert not np.array_equal(upload_base(upload, gs)[0][0], gs.theta[0][0])
     # broadcast state must be untouched
@@ -268,8 +274,8 @@ def test_client_update_zero_rates_freeze_everything():
     train, _, part = tiny_problem()
     cfg = tiny_config(eta=0.0, base_lr=0.0)
     gs, clients, rows = init_state(cfg, train, part)
-    gs.reporters = frozenset({0})
-    out, upload = update_clients([clients[0]], rows, gs, cfg)[0]
+    out, upload = update_clients([clients[0]], rows, gs, frozenset({0}),
+                                 cfg)[0]
     np.testing.assert_array_equal(out.posterior.mu, clients[0].posterior.mu)
     np.testing.assert_array_equal(upload_base(upload, gs)[0][0],
                                   gs.theta[0][0])
@@ -280,9 +286,10 @@ def test_client_update_non_reporter_fits_head_only():
     cfg = tiny_config()
     gs, clients, rows = init_state(cfg, train, part)
     gs.t = 2
-    reporter, upload = update_clients(
-        [clients[1]], rows, replace(gs, reporters=frozenset({1})), cfg)[0]
-    straggler, no_upload = update_clients([clients[1]], rows, gs, cfg)[0]
+    reporter, upload = update_clients([clients[1]], rows, gs, frozenset({1}),
+                                      cfg)[0]
+    straggler, no_upload = update_clients([clients[1]], rows, gs, frozenset(),
+                                          cfg)[0]
     # base-SGD draws come after the head fit's, so the head is unaffected
     np.testing.assert_array_equal(straggler.posterior.mu, reporter.posterior.mu)
     np.testing.assert_array_equal(straggler.posterior.pi, reporter.posterior.pi)
@@ -296,10 +303,10 @@ def test_update_clients_group_equals_one_client_groups():
     train, _, part = tiny_problem(clients=HEAD_GROUP + 3)
     cfg = tiny_config()
     gs, clients, rows = init_state(cfg, train, part)
-    gs = replace(gs, t=1, reporters=frozenset({2, HEAD_GROUP + 1}))
-    together = update_clients(clients, rows, gs, cfg)
+    gs, reporters = replace(gs, t=1), frozenset({2, HEAD_GROUP + 1})
+    together = update_clients(clients, rows, gs, reporters, cfg)
     for c, (out, upload) in zip(clients, together, strict=True):
-        alone, upload1 = update_clients([c], rows, gs, cfg)[0]
+        alone, upload1 = update_clients([c], rows, gs, reporters, cfg)[0]
         np.testing.assert_array_equal(out.posterior.mu, alone.posterior.mu)
         np.testing.assert_array_equal(out.posterior.pi, alone.posterior.pi)
         assert out.tau == alone.tau
@@ -323,10 +330,10 @@ def test_client_update_failure_names_round_and_client(monkeypatch, stage):
 
         monkeypatch.setattr(nn, "backward", nonfinite)
     gs, clients, rows = init_state(cfg, train, part)
-    gs = replace(gs, t=4, reporters=frozenset({0}))
+    gs = replace(gs, t=4)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match=r"round 4, client 0"):
-            update_clients([clients[0]], rows, gs, cfg)
+            update_clients([clients[0]], rows, gs, frozenset({0}), cfg)
 
 
 def test_update_clients_failure_in_a_group_names_its_client():
@@ -337,7 +344,7 @@ def test_update_clients_failure_in_a_group_names_its_client():
     rows[2] = (rows[2][0] * 1e200, rows[2][1])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match=r"round 4, client 2: posterior"):
-            update_clients(clients, rows, replace(gs, t=4), cfg)
+            update_clients(clients, rows, replace(gs, t=4), frozenset(), cfg)
 
 
 # --------------------------------------------------------------- run_round
@@ -367,8 +374,8 @@ def test_run_round_all_reporters_aggregate():
     ns = [len(y) for _, y in rows]
     # the round spends its uploads: the oracle's bases come from the same
     # round's updates
-    updated = update_clients(clients, rows, replace(
-        gs, reporters=frozenset(reporters.tolist())), cfg)
+    updated = update_clients(clients, rows, gs, frozenset(reporters.tolist()),
+                             cfg)
     expected_base = average_bases(
         [upload_base(upload, gs) for _, upload in updated], ns)
     np.testing.assert_allclose(gs2.theta[0][0], expected_base[0][0], atol=1e-12)
@@ -470,10 +477,13 @@ def test_pool_sends_one_job_per_head_group_in_client_order(monkeypatch):
     assert len(pool.jobs) == len(pool.futures) == cfg.T * per_round
     for t in range(cfg.T):
         jobs = pool.jobs[t * per_round:(t + 1) * per_round]
-        assert all(globals_.t == t for _, globals_, _ in jobs)
-        assert [c.id for group, _, _ in jobs for c in group] == list(
+        assert all(globals_.t == t for _, globals_, _, _ in jobs)
+        # every job carries the round's reporter ids, drawn once
+        ids = frozenset(select_reporters(cfg, t, n_clients).tolist())
+        assert all(reporters == ids for _, _, reporters, _ in jobs)
+        assert [c.id for group, _, _, _ in jobs for c in group] == list(
             range(n_clients))
-    for (group, _, _), future in zip(pool.jobs, pool.futures, strict=True):
+    for (group, *_), future in zip(pool.jobs, pool.futures, strict=True):
         assert [c.id for c, _ in future.result()] == [c.id for c in group]
 
 
@@ -523,20 +533,20 @@ def test_pool_without_rows_fails_loudly():
 _real_update_worker = federation._update_worker
 
 
-def _worker_dying_on_last_client(group, globals_, cfg):
+def _worker_dying_on_last_client(group, globals_, reporters, cfg):
     """A pool job that kills its worker process when its group holds client
     2 * HEAD_GROUP + 2."""
     if any(c.id == 2 * HEAD_GROUP + 2 for c in group):
         os._exit(1)
-    return _real_update_worker(group, globals_, cfg)
+    return _real_update_worker(group, globals_, reporters, cfg)
 
 
-def _worker_slow_on_first_group(group, globals_, cfg):
+def _worker_slow_on_first_group(group, globals_, reporters, cfg):
     """A pool job that finishes last when its group is the round's first,
     and logs the first client of its group once done."""
     if group[0].id == 0:
         time.sleep(1.0)
-    out = _real_update_worker(group, globals_, cfg)
+    out = _real_update_worker(group, globals_, reporters, cfg)
     with open(os.environ["FEDVEM_TEST_DONE_LOG"], "a") as log:
         log.write(f"{group[0].id}\n")
     return out
@@ -658,6 +668,34 @@ def test_run_training_releases_spent_uploads(workers, monkeypatch):
     assert uploads[-1] and all(r() is None for r in uploads[-1])
 
 
+def test_run_training_shuts_its_pool_down_on_return_and_on_failure(
+        monkeypatch):
+    train, test, part = tiny_problem(clients=2 * HEAD_GROUP + 3)
+    cfg = tiny_config(T=2, s=0.3)
+    shutdowns = []   # one count per pool, in the order the pools start
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.index = len(shutdowns)
+            shutdowns.append(0)
+
+        def shutdown(self, *args, **kwargs):
+            shutdowns[self.index] += 1
+            super().shutdown(*args, **kwargs)
+
+    # run_training starts its pool through the module's name
+    monkeypatch.setattr(federation, "ProcessPoolExecutor", CountingPool)
+    training_reports(cfg, train, test, part, workers=2)
+    assert shutdowns == [1]
+    # forked workers see the patched job function
+    monkeypatch.setattr(federation, "_update_worker",
+                        _worker_dying_on_last_client)
+    with pytest.raises(TrainingError, match=r"^round 0: worker pool failed: "):
+        training_reports(cfg, train, test, part, workers=2)
+    assert shutdowns == [1, 1]
+
+
 def test_run_training_learns_tiny_problem():
     train, test, part = tiny_problem()
     cfg = tiny_config(T=15, R=5, base_epochs=3, eta=0.05, base_lr=0.05, s=1.0)
@@ -678,11 +716,10 @@ def test_checkpoint_roundtrip(tmp_path):
     assert path.exists()
     gs2, dumped = read_checkpoint(path)
     assert gs2.t == 1
-    np.testing.assert_array_equal(gs2.w, gs.w)
-    assert len(gs2.theta) == len(gs.theta)
-    for (w, b), (w2, b2) in zip(gs.theta, gs2.theta):
-        np.testing.assert_array_equal(w2, w)
-        np.testing.assert_array_equal(b2, b)
+    # the state a round returns is all a checkpoint holds, field by field
+    assert [f.name for f in fields(GlobalState)] == ["w", "theta", "t"]
+    for f in fields(GlobalState):
+        np.testing.assert_equal(getattr(gs2, f.name), getattr(gs, f.name))
     assert len(dumped) == len(clients)
     for c, d in zip(clients, dumped, strict=True):
         assert isinstance(d, ClientState) and d.id == c.id
