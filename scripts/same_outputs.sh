@@ -1,6 +1,6 @@
 #!/bin/sh
 # Byte-identity check against another revision: exports REV with
-# `git archive`, runs the same sixteen configs under REV and under this
+# `git archive`, runs the same eighteen configs under REV and under this
 # working tree, and fails unless every output file (per-seed JSONL, client
 # CSV, summary, every checkpoint) is byte-identical.
 #   - the smoke config (3 classes, 23 clients) on one worker;
@@ -30,8 +30,11 @@
 #     data, unlike at the smoke config's 30 points);
 #   - the smoke config with 160 input dimensions, seeds 0-1, on one worker:
 #     the only config here past 32 dimensions, where the synthetic centers
-#     come from a QR of the first 32 columns of the drawn matrix.
-# The seven pFedVEM runs write a checkpoint every round; the nine baseline
+#     come from a QR of the first 32 columns of the drawn matrix;
+#   - the smoke config with 23 clients, seeds 0-1, under each confidence
+#     ablation (train.confidence_mode = uncertainty_only, deviation_only),
+#     on one worker: the only runs whose tau has one denominator term.
+# The nine pFedVEM runs write a checkpoint every round; the nine baseline
 # runs write none.  The configs are generated with sed from the shipped
 # ones, with few rounds and points so the check takes seconds.
 # Usage: scripts/same_outputs.sh REV
@@ -100,6 +103,12 @@ GEN
 { sed -e 's/^dataset\.dim = .*/dataset.dim = 160/' \
       -e 's/^seeds = .*/seeds = 0,1/' configs/smoke.cfg
   echo "checkpoint_every = 1"; } > "$tmp/cfg/wide.cfg"
+for mode in uncertainty_only deviation_only; do
+    { sed -e 's/^partition\.clients = .*/partition.clients = 23/' \
+          -e 's/^seeds = .*/seeds = 0,1/' configs/smoke.cfg
+      echo "train.confidence_mode = $mode"
+      echo "checkpoint_every = 1"; } > "$tmp/cfg/$mode.cfg"
+done
 for scheme in fedavg fedprox local; do
     sed -e "s/^scheme = .*/scheme = $scheme/" -e 's/^seeds = .*/seeds = 0,1,2/' \
         configs/smoke.cfg > "$tmp/cfg/$scheme.cfg"
@@ -137,7 +146,8 @@ for tree in "$tmp/rev" "$here"; do
     side=$( [ "$tree" = "$here" ] && echo here || echo rev )
     for run in smoke:1 quantity:1 drift5:1 skew10:2 fedavg:1 fedprox:1 \
                prox:1 local:1 idx:1 deep:2 deepavg:1 raggedfedavg:1 \
-               raggedlocal:1 split:1 splitprox:1 wide:1; do
+               raggedlocal:1 split:1 splitprox:1 wide:1 uncertainty_only:1 \
+               deviation_only:1; do
         name=${run%:*}
         (cd "$tree" && PYTHONPATH=src python -m fedvem.cli run \
             --config "$tmp/cfg/$name.cfg" --workers "${run#*:}" \

@@ -6,16 +6,17 @@ latent head w, the shared base theta and the reporter ids.  Every client
 recomputes its confidence and trains its head posterior by full-batch
 gradient descent on the Monte-Carlo objective: stragglers fit their heads
 too, because the posterior feeds their next confidence and their PM
-accuracy.  The heads of ``HEAD_GROUP`` clients at a time are fitted as one
-stack (``update_clients``); rows never mix, so a client's fit does not
-depend on its group.  Only reporters then train a base copy by mini-batch
-SGD (``nn.sgd_epochs``, a group of one), since only an uploaded base is
-ever read.  A reporter sends its head mean, the flat base row that
-``sgd_epochs`` returns and its confidence as wire bytes
-(``serialize_upload``), built where the client runs.  The server
-weights reporter heads by confidence and reporter bases by data size: as
-each upload arrives, one weighted fold (``aggregate_base``, the baselines'
-fold too) adds its flat head and base into two sums, each divided once.
+accuracy.  The heads of ``HEAD_GROUP`` clients at a time form one stack
+(``update_clients``): one confidence pass gives each client's tau, Tr(Sigma)
+and deviation, then one fit trains the stack; rows never mix, so a client's
+confidence and fit do not depend on its group.  Only reporters then train a
+base copy by mini-batch SGD (``nn.sgd_epochs``, a group of one), since only
+an uploaded base is ever read.  A reporter sends its head mean, the flat
+base row that ``sgd_epochs`` returns and its confidence as wire bytes
+(``serialize_upload``), built where the client runs.  The server weights
+reporter heads by confidence and reporter bases by data size: as each
+upload arrives, one weighted fold (``aggregate_base``, the baselines' fold
+too) adds its flat head and base into two sums, each divided once.
 
 A round reads ``GlobalState`` (w, theta and t: what a checkpoint holds) and
 its reporter ids.  A client's state is its head posterior and confidence,
@@ -166,12 +167,13 @@ def update_clients(group: list[ClientState], rows: Rows, globals_: GlobalState,
     """One round of local work for one head group against the freshly
     received (w, theta).
 
-    Order per the protocol: every client recomputes its confidence against
-    the new w (round 0 keeps the stored tau, which ``init_state`` sets to
-    1/rho0^2) and trains its head posterior for R full-batch steps, the
-    group as one stack, each on its own (seed, round, client) stream; then
-    each client in ``reporters`` trains its base copy (``client_update``)
-    on the rest of that stream and uploads it in the wire format.
+    Order per the protocol: the group's confidences are recomputed against
+    the new w in one pass on its posterior stack (round 0 keeps the stored
+    tau, which ``init_state`` sets to 1/rho0^2), and the stack trains for R
+    full-batch steps, each client on its own (seed, round, client) stream;
+    then each client in ``reporters`` trains its base copy
+    (``client_update``) on the rest of that stream and uploads it in the
+    wire format.
     """
     rngs = [rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, globals_.t, c.id)
             for c in group]
@@ -185,15 +187,16 @@ def update_clients(group: list[ClientState], rows: Rows, globals_: GlobalState,
 def _fit_heads(group: list[ClientState], rows: Rows, globals_: GlobalState,
                cfg: TrainConfig, rngs: list[np.random.Generator],
                ) -> list[ClientState]:
-    """The group's confidences and head posteriors, fitted as one stack."""
-    taus = [c.tau if globals_.t == 0 else confidence(
-                c.posterior, globals_.w, mode=cfg.confidence_mode).tau
-            for c in group]
+    """The group's confidences, one ``confidence`` call on its posterior
+    stack (round 0 keeps the stored tau), and its head posteriors, that
+    stack fitted as one."""
+    post = VariationalPosterior(np.stack([c.posterior.mu for c in group]),
+                                np.stack([c.posterior.pi for c in group]))
+    taus = ([c.tau for c in group] if globals_.t == 0 else confidence(
+        post, globals_.w, mode=cfg.confidence_mode).tau.tolist())
     closure = head_loss_closure(
         [forward_base(globals_.theta, rows[c.id][0]) for c in group],
         [rows[c.id][1] for c in group])
-    post = VariationalPosterior(np.stack([c.posterior.mu for c in group]),
-                                np.stack([c.posterior.pi for c in group]))
     try:
         post = fit_posterior(post, IsotropicPrior(globals_.w, np.array(taus)),
                              closure, steps=cfg.R, lr=cfg.eta, K=cfg.K,

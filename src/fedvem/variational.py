@@ -8,10 +8,10 @@ sampling, the closed-form KL with its analytic gradient, the Monte-Carlo
 local objective, and the confidence value used for aggregation.  Its
 gradients come from ``_gradients`` alone, which ``fit_posterior`` descends.
 
-The head fit works on a stack of G clients at once: a posterior with (G, d)
-means and scales, a prior with one precision per row, and (G, K, d) noise.
-Rows never mix, so row j of a stacked fit is client j's fit alone, bit for
-bit.
+The head fit and the confidence work on a stack of G clients at once: a
+posterior with (G, d) means and scales, a prior with one precision per row,
+and (G, K, d) noise.  Rows never mix, so row j of a stacked fit or
+confidence is client j's alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class VariationalPosterior:
     @property
     def sigma(self) -> np.ndarray:
         return softplus(self.pi)
-
-    def trace(self) -> float:
-        """Total posterior variance Tr(Sigma) = sum sigma_i^2."""
-        return float((self.sigma ** 2).sum())
 
 
 @dataclass
@@ -287,36 +283,36 @@ def _check_rows(ok: np.ndarray, message: str) -> None:
 
 @dataclass
 class ConfidenceValue:
-    """Client precision tau with its two denominator terms kept separately."""
+    """Client precision tau with its two denominator terms kept separately:
+    scalars for one posterior, (G,) arrays for a (G, d) stack."""
 
-    tau: float
-    uncertainty: float   # Tr(Sigma)
-    deviation: float     # ||mu - center||^2
+    tau: float | np.ndarray
+    uncertainty: float | np.ndarray   # Tr(Sigma)
+    deviation: float | np.ndarray     # ||mu - center||^2
 
 
 def confidence(post: VariationalPosterior, center: np.ndarray,
                mode: str = "full") -> ConfidenceValue:
-    """tau = d / (Tr(Sigma) + ||mu - center||^2) within [TAU_MIN, TAU_MAX].
+    """tau = d / (Tr(Sigma) + ||mu - center||^2) within [TAU_MIN, TAU_MAX],
+    TAU_MAX at a zero denominator; row j of a (G, d) stack gets the bits of
+    a call on row j alone.
 
     ``mode`` restricts the denominator to one of its terms for ablations:
     "uncertainty_only" keeps Tr(Sigma), "deviation_only" keeps the squared
     deviation.
     """
     center = np.asarray(center, dtype=float)
-    if center.shape != post.mu.shape:
+    if center.shape != post.mu.shape[-1:]:
         raise ShapeError("center dimension mismatch")
     if post.d < 1:
         raise InputError("dimension must be >= 1")
-    uncertainty = post.trace()
-    deviation = float(((post.mu - center) ** 2).sum())
-    if mode == "full":
-        denom = uncertainty + deviation
-    elif mode == "uncertainty_only":
-        denom = uncertainty
-    elif mode == "deviation_only":
-        denom = deviation
-    else:
+    uncertainty = (post.sigma ** 2).sum(axis=-1)
+    deviation = ((post.mu - center) ** 2).sum(axis=-1)
+    denoms = {"full": uncertainty + deviation,
+              "uncertainty_only": uncertainty, "deviation_only": deviation}
+    if mode not in denoms:
         raise ValueError(f"unknown confidence mode: {mode}")
-    tau = TAU_MAX if denom <= 0 else min(max(post.d / denom, TAU_MIN), TAU_MAX)
-    return ConfidenceValue(tau=float(tau), uncertainty=uncertainty,
-                           deviation=deviation)
+    with np.errstate(divide="ignore"):   # d / 0 is replaced by TAU_MAX
+        tau = np.where(denoms[mode] <= 0, TAU_MAX,
+                       np.clip(post.d / denoms[mode], TAU_MIN, TAU_MAX))
+    return ConfidenceValue(tau[()], uncertainty, deviation)   # 0-d: a scalar

@@ -1,13 +1,52 @@
-"""Shared test utilities: finite differences, golden-section search, and
-the reports a run hands to its ``on_round``."""
+"""Shared test utilities: finite differences, golden-section search, the
+reports a run hands to its ``on_round``, and the numeric environment that
+the golden hashes depend on."""
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 from fedvem.baselines import run_baseline
 from fedvem.federation import run_training
 from fedvem.nn import backward
+
+
+def numeric_env() -> str:
+    """What decides the bits of a run besides (config, seed): numpy's
+    version, its BLAS name and version, the OpenBLAS core it loaded, and
+    the targets numpy dispatches float64 ``exp`` and ``log`` to."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        from numpy.lib.introspect import opt_func_info
+        funcs = opt_func_info(func_name="^(exp|log)$", signature="float64")
+        targets = {name: next(iter(sigs.values()))["current"]
+                   for name, sigs in funcs.items()}
+    except ImportError:   # numpy < 2.0
+        targets = {}
+    return (f"numpy {np.__version__}, {blas.get('name')} "
+            f"{blas.get('version')}, core {_openblas_core()}, exp "
+            f"{targets.get('exp')}, log {targets.get('log')}")
+
+
+def _openblas_core() -> str | None:
+    """The kernel core the loaded OpenBLAS picked, if numpy loaded one."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = {line.split()[-1] for line in f
+                    if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_corename64_",
+                    "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(handle, sym):
+                fn = getattr(handle, sym)
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return None
 
 
 def training_reports(cfg, train, test, partition, workers=1):

@@ -169,7 +169,7 @@ def test_criterion_3_server_stationarity():
         mus = [rng.standard_normal(d) for _ in range(J)]
         posts = [VariationalPosterior(mu=mu, pi=rng.uniform(-1, 1, size=d))
                  for mu in mus]
-        traces = [p.trace() for p in posts]
+        traces = [float((p.sigma ** 2).sum()) for p in posts]
 
         # closed-form alternation: confidence weights then weighted mean
         w = np.mean(mus, axis=0)

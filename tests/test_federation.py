@@ -314,6 +314,30 @@ def test_update_clients_group_equals_one_client_groups():
         assert upload == upload1
 
 
+def test_update_clients_computes_confidence_once_per_group(monkeypatch):
+    # one confidence pass on the group's posterior stack, each client's tau
+    # equal to its own one-client call
+    train, _, part = tiny_problem(clients=HEAD_GROUP)
+    cfg = tiny_config()
+    gs, clients, rows = init_state(cfg, train, part)
+    rng = np.random.default_rng(5)
+    clients = [replace(c, posterior=VariationalPosterior(
+                   c.posterior.mu + rng.normal(0, 0.3, gs.w.size),
+                   c.posterior.pi + rng.normal(0, 0.3, gs.w.size)))
+               for c in clients]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].mu.shape)
+        return confidence(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "confidence", counted)
+    out = update_clients(clients, rows, replace(gs, t=1), frozenset(), cfg)
+    assert calls == [(HEAD_GROUP, gs.w.size)]
+    for c, (new, _) in zip(clients, out, strict=True):
+        assert new.tau == confidence(c.posterior, gs.w).tau
+
+
 @pytest.mark.parametrize("stage", ["head_fit", "base_sgd"])
 def test_client_update_failure_names_round_and_client(monkeypatch, stage):
     train, _, part = tiny_problem()

@@ -3,9 +3,10 @@
 Every scheme runs ``configs/smoke.cfg`` and the SHA-256 of its per-seed
 report (and, for pFedVEM, of the last checkpoint) must equal the recorded
 value, so a refactor that claims to leave the computation alone can prove it
-byte for byte.  The hashes were recorded with numpy 2.4.6 on OpenBLAS
-0.3.31; another numpy or BLAS build may round differently and then needs its
-own recording.
+byte for byte.  The hashes were recorded in ``RECORDED_ENV``, the numeric
+environment key of ``helpers.numeric_env``.  Another numpy or BLAS build,
+OpenBLAS kernel core or numpy dispatch target may round differently and then
+needs its own recording; a failure names both keys.
 
 At smoke scale FedProx writes the same report as FedAvg (the proximal pull
 does not change any accuracy), so the FedProx unit tests in
@@ -33,7 +34,11 @@ from fedvem.variational import (IsotropicPrior, VariationalPosterior,
                                 fit_posterior, head_loss_closure,
                                 mc_objective)
 
+from helpers import numeric_env
+
 SMOKE = Path(__file__).resolve().parent.parent / "configs" / "smoke.cfg"
+RECORDED_ENV = ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, core SkylakeX, "
+                "exp X86_V4, log X86_V4")
 
 PFEDVEM_JSONL = \
     "279c0ab738d9577c77dd0c3c88dc6c5ba858c24911643f40683699106621069a"
@@ -82,9 +87,9 @@ def smoke_run(tmp_path: Path, overrides: dict[str, str],
 
 
 def versions() -> str:
-    """The build in use, for the failure message (recorded on 2.4.6/0.3.31)."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+    """The numeric environment in use, for the failure message; the hashes
+    were recorded in ``RECORDED_ENV``."""
+    return f"{numeric_env()} (recorded: {RECORDED_ENV})"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
