@@ -4,8 +4,9 @@
 # on 23 clients (head groups of 10, 10 and 3, so both pool workers get
 # jobs) with a checkpoint every round with one worker and with a two-worker
 # pool, fail unless the two runs' per-seed report, client table, summary
-# and every checkpoint are byte-identical, then run it under every scheme
-# and every confidence mode.
+# and every checkpoint are byte-identical, then compare it across every
+# scheme and, on a two-worker pool, every confidence mode with
+# `fvem compare`, which writes each variant to reports/smoke/KEY=V.
 # Runs the package from src/, so it works without installing the fvem
 # script.
 set -e
@@ -26,8 +27,10 @@ done
 for f in reports/smoke/checkpoints_seed0/round*.fvem; do
     cmp "$f" "reports/smoke-w2/checkpoints_seed0/${f##*/}"
 done
-python scripts/run_benchmark.py configs/smoke.cfg
-python scripts/run_ablations.py configs/smoke.cfg
+python -m fedvem.cli compare --config configs/smoke.cfg \
+    --vary scheme=pfedvem,fedavg,fedprox,local
+python -m fedvem.cli compare --config configs/smoke.cfg --workers 2 \
+    --vary train.confidence_mode=full,uncertainty_only,deviation_only
 echo "reports written to reports/smoke and reports/smoke-w2 (byte-identical,"
-echo "checkpoints included), to reports/smoke/<scheme> for every scheme and"
-echo "to reports/smoke/ablation_<mode> for every confidence mode"
+echo "checkpoints included), to reports/smoke/scheme=<scheme> for every scheme"
+echo "and to reports/smoke/train.confidence_mode=<mode> for every confidence mode"

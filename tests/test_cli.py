@@ -19,7 +19,8 @@ from fedvem.baselines import BaselineConfig
 from fedvem.cli import main, run_experiment, run_seed
 from fedvem.config import (_SCHEMA, ConfigError, build_config, load_config,
                            parse_kv, validate)
-from fedvem.metrics import read_report
+from fedvem.metrics import read_report, sem
+from fedvem.nn import InputError
 
 SMOKE = """\
 # tiny synthetic run
@@ -256,6 +257,20 @@ def test_run_experiment_checkpoints(tmp_path):
     run_experiment(cfg, out=str(out))
     ckpts = sorted((out / "checkpoints_seed0").iterdir())
     assert [p.name for p in ckpts] == ["round0001.fvem", "round0002.fvem"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_run_experiment_rejects_an_empty_seed_list(tmp_path, existing):
+    # the line validate prints, raised before any file is written
+    cfg = replace(load_config(smoke_config(tmp_path)), seeds=())
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+    with pytest.raises(InputError) as exc:
+        run_experiment(cfg, out=str(out))
+    assert validate(cfg) == [str(exc.value)]
+    assert str(exc.value) == "seeds: at least one seed required"
+    assert out.exists() == existing and not (existing and any(out.iterdir()))
 
 
 def test_run_experiment_checkpoint_interval(tmp_path):
@@ -940,6 +955,140 @@ def test_main_local_scheme_runs(tmp_path):
                  "--workers", "1"]) == 0
     rounds, _ = read_report(out / "seed0.jsonl")
     assert len(rounds) == 1
+
+
+# ------------------------------------------------------------------ compare
+
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def table_rows(stdout: str) -> dict:
+    """variant -> its four printed cells: PM, GM and their differences from
+    the first variant, each ``mean +/- SEM`` or ``-``."""
+    rows = {}
+    for line in stdout.splitlines()[1:]:
+        name = line.split()[0]
+        rows[name] = re.findall(r"-?\d\.\d{4} \+/- \d\.\d{4}|(?<!\S)-(?!\S)",
+                                line[len(name):])
+        assert len(rows[name]) == 4, line
+    return rows
+
+
+def compare_schemes(tmp_path, capsys):
+    """``fvem compare`` of pFedVEM and FedAvg on the smoke config, seeds 0
+    and 1, into ``tmp_path/cmp``; returns the config path and stdout."""
+    path = smoke_config(tmp_path, replace={"seeds = 0": "seeds = 0,1"})
+    assert main(["compare", "--config", str(path), "--vary",
+                 "scheme=pfedvem,fedavg", "--out", str(tmp_path / "cmp")]) == 0
+    return path, capsys.readouterr().out
+
+
+def test_compare_writes_what_run_writes_for_each_variant(tmp_path, capsys):
+    path, _ = compare_schemes(tmp_path, capsys)
+    assert sorted(os.listdir(tmp_path / "cmp")) == ["scheme=fedavg",
+                                                    "scheme=pfedvem"]
+    for scheme in ("pfedvem", "fedavg"):
+        variant = tmp_path / f"{scheme}.cfg"
+        variant.write_text(path.read_text().replace(
+            "scheme = pfedvem", f"scheme = {scheme}"))
+        out = tmp_path / f"run-{scheme}"
+        assert main(["run", "--config", str(variant), "--out", str(out)]) == 0
+        ran = tree_bytes(out)
+        assert "seed1.jsonl" in ran
+        assert tree_bytes(tmp_path / "cmp" / f"scheme={scheme}") == ran
+
+
+def test_compare_prints_paired_differences(tmp_path, capsys):
+    _, stdout = compare_schemes(tmp_path, capsys)
+    rows = table_rows(stdout)
+    assert list(rows) == ["scheme=pfedvem", "scheme=fedavg"]
+    finals = {}
+    for name in rows:
+        reports = [read_report(tmp_path / "cmp" / name / f"seed{s}.jsonl")[0]
+                   for s in (0, 1)]
+        finals[name] = np.array([(r[-1].mean_pm(), r[-1].gm_accuracy)
+                                 for r in reports])
+    diff = finals["scheme=fedavg"] - finals["scheme=pfedvem"]
+    # the seeds' differences differ, so there is a paired SEM to print
+    assert any(sem(diff[:, col]) > 0 for col in range(2))
+    for col in range(2):
+        d = diff[:, col]
+        assert rows["scheme=fedavg"][2 + col] == f"{d.mean():.4f} +/- {sem(d):.4f}"
+        for name, f in finals.items():
+            v = f[:, col]
+            assert rows[name][col] == f"{v.mean():.4f} +/- {sem(v):.4f}"
+        assert rows["scheme=pfedvem"][2 + col] == "0.0000 +/- 0.0000"
+
+
+def test_compare_invalid_value_exits_two_naming_the_variant(tmp_path, capsys):
+    bad = smoke_config(tmp_path, extra="train.confidence_mode = bogus\n")
+    assert main(["run", "--config", str(bad), "--out",
+                 str(tmp_path / "run")]) == 2
+    line = capsys.readouterr().err
+    path = smoke_config(tmp_path)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(path), "--vary",
+                 "train.confidence_mode=full,bogus", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"train.confidence_mode=bogus: {line}"
+    assert not out.exists()
+
+
+def test_compare_unknown_key_exits_two(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(smoke_config(tmp_path)), "--vary",
+                 "train.gamma=1,2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config: train.gamma=1: train.gamma: unknown configuration key\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("vary,message", [
+    ("scheme=pfedvem,fedavg,pfedvem", "value 'pfedvem' repeats or holds '/'"),
+    ("scheme=pfedvem,../fedavg", "value '../fedavg' repeats or holds '/'"),
+    ("scheme", "expected KEY=V1,V2,..., got 'scheme'"),
+    ("=pfedvem,fedavg", "expected KEY=V1,V2,..., got '=pfedvem,fedavg'"),
+], ids=["repeated", "slash", "no-equals", "no-key"])
+def test_compare_malformed_vary_exits_two(tmp_path, capsys, vary, message):
+    out = tmp_path / "cmp"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", str(smoke_config(tmp_path)), "--vary",
+              vary, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --vary: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_runtime_failure_names_variant(tmp_path, capsys):
+    # the base step test_cli_failure_line_comes_first fails a run with
+    assert HUGE_BASE_LR[1] == "train.base_lr = 1e300"
+    assert main(["compare", "--config", str(CONFIGS / "smoke.cfg"), "--vary",
+                 "train.base_lr=0.01,1e300", "--out",
+                 str(tmp_path / "cmp")]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"runtime failure: train\.base_lr=1e300: round \d+, "
+                    r"client \d+: ", err), err
+
+
+@pytest.mark.parametrize("extra,vary,expected", [
+    # no round runs at T=0: every cell, and every difference from it, is -
+    ("", "train.T=0,2", {"train.T=0": [False] * 4,
+                         "train.T=2": [True, True, False, False]}),
+    # Local's GM is NaN
+    ("", "scheme=pfedvem,local", {"scheme=pfedvem": [True] * 4,
+                                  "scheme=local": [True, False, True, False]}),
+    # seeds 0 and 1 are not a pair
+    ("", "seeds=0,1", {"seeds=0": [True] * 4,
+                       "seeds=1": [True, True, False, False]}),
+], ids=["no-rounds", "local-gm", "unpaired-seeds"])
+def test_compare_missing_values_print_dash(tmp_path, capsys, extra, vary,
+                                           expected):
+    assert main(["compare", "--config", str(smoke_config(tmp_path, extra)),
+                 "--vary", vary, "--out", str(tmp_path / "cmp")]) == 0
+    rows = table_rows(capsys.readouterr().out)
+    assert {name: [cell != "-" for cell in cells]
+            for name, cells in rows.items()} == expected
 
 
 def test_console_entry_point_installed():
