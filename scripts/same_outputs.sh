@@ -1,6 +1,6 @@
 #!/bin/sh
 # Byte-identity check against another revision: exports REV with
-# `git archive`, runs the same eighteen configs under REV and under this
+# `git archive`, runs the same twenty configs under REV and under this
 # working tree, and fails unless every output file (per-seed JSONL, client
 # CSV, summary, every checkpoint) is byte-identical.
 #   - the smoke config (3 classes, 23 clients) on one worker;
@@ -33,8 +33,12 @@
 #     come from a QR of the first 32 columns of the drawn matrix;
 #   - the smoke config with 23 clients, seeds 0-1, under each confidence
 #     ablation (train.confidence_mode = uncertainty_only, deviation_only),
-#     on one worker: the only runs whose tau has one denominator term.
-# The nine pFedVEM runs write a checkpoint every round; the nine baseline
+#     on one worker: the only runs whose tau has one denominator term;
+#   - the smoke config with 23 clients at train.s = 0.05, seeds 0-2, under
+#     pFedVEM and under fedavg: the only runs with rounds that no client
+#     reports in (round 2 of seed 0, round 1 of seed 1), whose w and theta
+#     carry over.
+# The ten pFedVEM runs write a checkpoint every round; the ten baseline
 # runs write none.  The configs are generated with sed from the shipped
 # ones, with few rounds and points so the check takes seconds.
 # Usage: scripts/same_outputs.sh REV
@@ -141,13 +145,19 @@ done
       -e 's/^dataset\.points_per_subclass = .*/dataset.points_per_subclass = 300/' \
       "$tmp/cfg/split.cfg"
   echo "baseline.lr = 0.1"; } > "$tmp/cfg/splitprox.cfg"
+{ sed -e 's/^partition\.clients = .*/partition.clients = 23/' \
+      -e 's/^train\.s = .*/train.s = 0.05/' \
+      -e 's/^seeds = .*/seeds = 0,1,2/' configs/smoke.cfg
+  echo "checkpoint_every = 1"; } > "$tmp/cfg/sparse.cfg"
+sed -e 's/^scheme = .*/scheme = fedavg/' -e '/^checkpoint_every/d' \
+    "$tmp/cfg/sparse.cfg" > "$tmp/cfg/sparseavg.cfg"
 
 for tree in "$tmp/rev" "$here"; do
     side=$( [ "$tree" = "$here" ] && echo here || echo rev )
     for run in smoke:1 quantity:1 drift5:1 skew10:2 fedavg:1 fedprox:1 \
                prox:1 local:1 idx:1 deep:2 deepavg:1 raggedfedavg:1 \
                raggedlocal:1 split:1 splitprox:1 wide:1 uncertainty_only:1 \
-               deviation_only:1; do
+               deviation_only:1 sparse:1 sparseavg:1; do
         name=${run%:*}
         (cd "$tree" && PYTHONPATH=src python -m fedvem.cli run \
             --config "$tmp/cfg/$name.cfg" --workers "${run#*:}" \

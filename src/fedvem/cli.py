@@ -78,17 +78,14 @@ def run_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     # pool workers fork with this file open; flushing every record keeps
     # their copy of its buffer empty
     with open(os.path.join(out_dir, f"seed{seed}.jsonl"), "w") as f:
-        def record(report):
+        def record(report, *state):   # pFedVEM's state: (globals_, clients)
             nonlocal last
             last = report
             metrics.append_record(f, report.to_record())
-
-        def record_and_checkpoint(report, globals_, clients):
-            record(report)
-            if cfg.checkpoint_every and globals_.t % cfg.checkpoint_every == 0:
-                write_checkpoint(
-                    os.path.join(ckpt_dir, f"round{globals_.t:04d}.fvem"),
-                    globals_, clients)
+            if state and cfg.checkpoint_every and (
+                    state[0].t % cfg.checkpoint_every == 0):
+                write_checkpoint(os.path.join(
+                    ckpt_dir, f"round{state[0].t:04d}.fvem"), *state)
 
         if cfg.scheme != "pfedvem":
             run_baseline(cfg.scheme, run_cfg, cfg.baseline, train, test,
@@ -96,8 +93,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
         else:
             if cfg.checkpoint_every:
                 os.makedirs(ckpt_dir, exist_ok=True)
-            run_training(run_cfg, train, test, partition,
-                         record_and_checkpoint, workers=workers)
+            run_training(run_cfg, train, test, partition, record,
+                         workers=workers)
     if last is None:
         return None
     metrics.write_client_csv(

@@ -329,8 +329,11 @@ def run_round(globals_: GlobalState, clients: list[ClientState], rows: Rows,
 
 def init_state(cfg: TrainConfig, train_ds: Dataset, partition: Partition,
                ) -> tuple[GlobalState, list[ClientState], Rows]:
-    """Seeded parameter initialization, per-client posterior setup and each
-    client's rows (``client_rows``)."""
+    """Every scheme's seeded start: the state, client posteriors and rows
+    (``client_rows``); ``InputError`` names every ``cfg`` violation."""
+    bad = cfg.violations()
+    if bad:
+        raise InputError("; ".join(bad))
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_INIT)
     *base, head = init_mlp(train_ds.input_dim, tuple(cfg.hidden),
                            train_ds.classes, rng)
@@ -372,9 +375,6 @@ def run_training(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     ``on_round(report, globals_, clients)`` receives every round's report
     and state as the round ends, e.g. to write it out or checkpoint.
     """
-    bad = cfg.violations()
-    if bad:
-        raise InputError("; ".join(bad))
     globals_, clients, rows = init_state(cfg, train_ds, partition)
     pm_idx = [pm_test_indices(partition, test_ds, c.id) for c in clients]
     # one job per head group: more workers than groups would sit idle

@@ -6,8 +6,10 @@ import pytest
 from fedvem import rng as rng_mod
 from fedvem.baselines import BaselineConfig, fedavg_round
 from fedvem.data import PartitionSpec, SynthSpec, make_partition, synth_pair
-from fedvem.federation import TrainConfig, TrainingError
-from fedvem.nn import InputError, flatten, init_mlp, sgd_epochs, unflatten
+from fedvem.federation import (GlobalState, TrainConfig, TrainingError,
+                               select_reporters)
+from fedvem.nn import (InputError, flatten, init_mlp, sgd_epochs, unflatten,
+                       unflatten_head)
 
 from helpers import (baseline_reports, central_diff, model_grads, rel_err,
                      training_reports)
@@ -21,6 +23,17 @@ def tiny_problem(clients=3, seed=0):
     part = make_partition(train, PartitionSpec(
         scenario="label_skew", clients=clients, labels_per_client=2, seed=seed))
     return train, test, part
+
+
+def toy_state(t=0, seed=0, dim=4, hidden=3, classes=2):
+    """A ``GlobalState`` at round t: a seeded model's base and flat head."""
+    *theta, head = init_mlp(dim, (hidden,), classes,
+                            np.random.default_rng(seed))
+    return GlobalState(w=flatten([head]), theta=theta, t=t)
+
+
+def head_weight(gs):
+    return unflatten_head(gs.w, gs.theta[-1][0].shape[0])[0]
 
 
 def toy_clients(n_clients=3, n=12, dim=4, classes=2, seed=0):
@@ -80,12 +93,34 @@ def test_proximal_grads_match_finite_differences():
 # ------------------------------------------------------------ fedavg rounds
 
 def test_fedavg_round_no_reporters_returns_broadcast():
-    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
-    out, reporter_count = fedavg_round(params, toy_clients(),
-                                       TrainConfig(s=1e-12, seed=0),
-                                       BaselineConfig(), t=0)
-    assert out is params
-    assert reporter_count == 0
+    gs = toy_state(t=4)
+    out, reporters = fedavg_round(gs, toy_clients(),
+                                  TrainConfig(s=1e-12, seed=0),
+                                  BaselineConfig())
+    assert out.w is gs.w and out.theta is gs.theta
+    assert out.t == 5
+    assert len(reporters) == 0
+
+
+def test_fedavg_round_returns_reporter_ids_and_next_state():
+    # the state's round picks the reporters, as run_round's does; a round
+    # with none carries w and theta over bit for bit
+    clients = toy_clients()
+    cfg = TrainConfig(s=0.3, seed=2)
+    bl = BaselineConfig(epochs=1)
+    gs, seen = toy_state(), set()
+    for t in range(12):
+        out, reporters = fedavg_round(gs, clients, cfg, bl)
+        expected = select_reporters(cfg, t, len(clients))
+        assert out.t == t + 1
+        assert reporters.tolist() == expected.tolist()
+        same = (out.w.tobytes() == gs.w.tobytes()
+                and [a.tobytes() for layer in out.theta for a in layer]
+                == [a.tobytes() for layer in gs.theta for a in layer])
+        assert same == (len(expected) == 0)
+        seen.add(len(expected) == 0)
+        gs = out
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("diverging,named", [((1,), 1), ((0, 1), 0)])
@@ -94,7 +129,7 @@ def test_fedavg_round_names_the_diverging_client(diverging, named):
     # the order 1, 2, 0; rows scaled to 1e300 overflow the gradient at the
     # first step.  Of the reporters failing at that step, the first in
     # reporter order is named.
-    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
+    gs = toy_state(t=2)
     rng = np.random.default_rng(1)
     clients = [(rng.standard_normal((n, 4)), rng.integers(0, 2, size=n))
                for n in (5, 30, 12)]
@@ -105,11 +140,11 @@ def test_fedavg_round_names_the_diverging_client(diverging, named):
         with pytest.raises(TrainingError,
                            match=rf"^round 2, client {named}: non-finite "
                                  r"gradient in layer \d$"):
-            fedavg_round(params, clients, TrainConfig(s=1.0, seed=0), bl, t=2)
+            fedavg_round(gs, clients, TrainConfig(s=1.0, seed=0), bl)
         # without the diverging rows the same round trains
         for j in diverging:
             clients[j] = (clients[j][0] * 1e-300, clients[j][1])
-        fedavg_round(params, clients, TrainConfig(s=1.0, seed=0), bl, t=2)
+        fedavg_round(gs, clients, TrainConfig(s=1.0, seed=0), bl)
 
 
 def test_gm_report_pm_rates_equal_the_hit_means():
@@ -118,55 +153,59 @@ def test_gm_report_pm_rates_equal_the_hit_means():
     from fedvem.baselines import _gm_report
     from fedvem.nn import forward
     train, test, _ = tiny_problem()
-    model = init_mlp(train.input_dim, (4,), train.classes,
-                     np.random.default_rng(2))
+    gs = toy_state(t=6, seed=2, dim=train.input_dim, hidden=4,
+                   classes=train.classes)
+    model = [*gs.theta, unflatten_head(gs.w, 4)]
     rng = np.random.default_rng(3)
     pm_idx = [np.sort(rng.choice(len(test.labels), size=n, replace=False))
               for n in (7, 0, 30, 1, len(test.labels))]
-    report = _gm_report(5, model, [1] * 5, test, (
+    report = _gm_report(gs, [1] * 5, test, (
         np.concatenate(pm_idx).astype(np.intp),
-        np.array([len(idx) for idx in pm_idx])), 2)
+        np.array([len(idx) for idx in pm_idx])), np.array([0, 3]))
     hits = forward(model, test.images).argmax(axis=1) == test.labels
     expected = [float(hits[idx].mean()) if len(idx) else None
                 for idx in pm_idx]
     assert report.pm_accuracies == expected
     assert report.pm_accuracies[1] is None
+    assert (report.round, report.reporter_count) == (5, 2)
 
 
 def test_fedavg_round_single_client_equals_local_sgd():
-    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
+    gs = toy_state()
     clients = toy_clients(1)
     cfg = TrainConfig(s=1.0, seed=3)
     bl = BaselineConfig(lr=0.05, epochs=2, batch=4)
-    out, reporter_count = fedavg_round(params, clients, cfg, bl, t=0)
-    assert reporter_count == 1
+    out, reporters = fedavg_round(gs, clients, cfg, bl)
+    assert reporters.tolist() == [0]
     rng = rng_mod.stream(cfg.seed, rng_mod.TAG_CLIENT, 0, 0)
     x, y = clients[0]
-    expected = sgd_epochs(params, [(x, y)], bl.lr, bl.epochs, bl.batch,
-                          [rng])[0]
-    np.testing.assert_allclose(flatten(out), expected, atol=1e-15)
+    expected = sgd_epochs([*gs.theta, unflatten_head(gs.w, 3)], [(x, y)],
+                          bl.lr, bl.epochs, bl.batch, [rng])[0]
+    np.testing.assert_allclose(np.concatenate([flatten(out.theta), out.w]),
+                               expected, atol=1e-15)
 
 
 def test_fedprox_zero_mu_equals_fedavg():
-    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
+    gs = toy_state()
     clients = toy_clients()
     cfg = TrainConfig(s=1.0, seed=1)
-    avg, _ = fedavg_round(params, clients, cfg, BaselineConfig(epochs=1), t=0)
-    prox, _ = fedavg_round(params, clients, cfg,
-                           BaselineConfig(epochs=1, mu_prox=0.0), t=0)
-    np.testing.assert_allclose(prox[-1][0], avg[-1][0], atol=1e-15)
+    avg, _ = fedavg_round(gs, clients, cfg, BaselineConfig(epochs=1))
+    prox, _ = fedavg_round(gs, clients, cfg,
+                           BaselineConfig(epochs=1, mu_prox=0.0))
+    np.testing.assert_allclose(head_weight(prox), head_weight(avg),
+                               atol=1e-15)
 
 
 def test_fedprox_large_mu_pins_models_to_broadcast():
-    params = init_mlp(4, (3,), 2, np.random.default_rng(0))
+    gs = toy_state()
     clients = toy_clients()
     cfg = TrainConfig(s=1.0, seed=1)
-    prox, _ = fedavg_round(params, clients, cfg,
-                           BaselineConfig(epochs=3, lr=0.01, mu_prox=50.0), t=0)
-    avg, _ = fedavg_round(params, clients, cfg,
-                          BaselineConfig(epochs=3, lr=0.01), t=0)
-    drift_prox = float(np.abs(prox[-1][0] - params[-1][0]).max())
-    drift_avg = float(np.abs(avg[-1][0] - params[-1][0]).max())
+    prox, _ = fedavg_round(gs, clients, cfg,
+                           BaselineConfig(epochs=3, lr=0.01, mu_prox=50.0))
+    avg, _ = fedavg_round(gs, clients, cfg,
+                          BaselineConfig(epochs=3, lr=0.01))
+    drift_prox = float(np.abs(head_weight(prox) - head_weight(gs)).max())
+    drift_avg = float(np.abs(head_weight(avg) - head_weight(gs)).max())
     assert drift_prox < drift_avg
 
 

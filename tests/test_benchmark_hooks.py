@@ -5,14 +5,21 @@ and reads their arguments, so renaming one or changing its shape breaks
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fedvem import baselines, cli, federation, metrics
 from fedvem.data import PartitionSpec, SynthSpec, make_partition, synth_pair
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+SEED_RUN = ROOT / "perfbench" / "seed_run.py"
+SMOKE = ROOT / "configs" / "smoke.cfg"
 
 
 def test_tracer_entry_points_resolve():
@@ -37,6 +44,28 @@ def test_timed_loops_are_plain_functions():
     for fn in (federation.run_training, federation.run_round,
                baselines.run_baseline, baselines.fedavg_round):
         assert not inspect.isgeneratorfunction(fn), fn.__name__
+
+
+# 23 clients are three head groups, so a 2-worker pool starts both workers
+@pytest.mark.parametrize("scheme,clients,workers", [
+    ("pfedvem", 4, 1), ("pfedvem", 23, 2), ("fedavg", 4, 1)])
+def test_seed_run_clocks_every_round(tmp_path, scheme, clients, workers):
+    # the markers wrap run_round/fedavg_round and run_training/run_baseline
+    # by module attribute; a loop that reached its round function any other
+    # way (a table built at import) would be clocked for no round
+    text = (SMOKE.read_text()
+            .replace("scheme = pfedvem", f"scheme = {scheme}")
+            .replace("partition.clients = 4", f"partition.clients = {clients}"))
+    assert "train.T = 3" in text
+    (tmp_path / "exp.cfg").write_text(text)
+    proc = subprocess.run(
+        [sys.executable, str(SEED_RUN), "--config", str(tmp_path / "exp.cfg"),
+         "--out", str(tmp_path / "out"), "--workers", str(workers)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert len(result["round_starts"]) == 3
+    assert result["loop_end"] > result["round_starts"][-1]
 
 
 def test_write_report_takes_the_path_second():

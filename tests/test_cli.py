@@ -338,10 +338,10 @@ def test_interrupted_seed_leaves_whole_records(tmp_path, monkeypatch, scheme,
             raise Interrupted
         return real_run_round(globals_, *args)
 
-    def fedavg_round(*args):
-        if args[-1] == k + 1:
+    def fedavg_round(globals_, *args):
+        if globals_.t == k + 1:
             raise Interrupted
-        return real_fedavg_round(*args)
+        return real_fedavg_round(globals_, *args)
 
     monkeypatch.setattr(federation, "run_round", run_round)
     monkeypatch.setattr(baselines, "fedavg_round", fedavg_round)
@@ -428,9 +428,9 @@ def test_run_seed_clients_view_one_grouped_training_set(tmp_path, monkeypatch,
         seen["rows"] = list(rows)
         return real_update(group, rows, *args)
 
-    def fedavg_round(theta, clients_xy, *args):
-        seen["rows"] = list(clients_xy)
-        return real_round(theta, clients_xy, *args)
+    def fedavg_round(globals_, rows, *args):
+        seen["rows"] = list(rows)
+        return real_round(globals_, rows, *args)
 
     monkeypatch.setattr(federation, "update_clients", update_clients)
     monkeypatch.setattr(baselines, "fedavg_round", fedavg_round)

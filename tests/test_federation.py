@@ -209,6 +209,13 @@ def test_init_state_is_seed_deterministic():
     assert not np.array_equal(gs1.w, gs3.w)
 
 
+def test_init_state_names_every_config_violation():
+    # every scheme's start checks the run config, before any draw
+    train, _, part = tiny_problem()
+    with pytest.raises(InputError, match=r"^train\.s: .*; train\.K: "):
+        init_state(tiny_config(s=0.0, K=0), train, part)
+
+
 # ----------------------------------------------------------- update_clients
 
 def upload_base(upload, gs):

@@ -4,9 +4,10 @@ The smoke-run report of FedProx equals FedAvg's (the proximal pull changes
 no accuracy at that scale), so the report hashes in ``test_golden.py`` do not
 pin the proximal term.  These tests hash the float64 bytes of the parameters
 that Local's ``sgd_epochs`` call and ``fedavg_round`` return on the
-``configs/smoke.cfg`` data instead, so any change to the batch order, the
-proximal gradient or the step shows up byte for byte.  Recorded with numpy
-2.4.6 on OpenBLAS 0.3.31.
+``configs/smoke.cfg`` data instead, from the start ``init_state`` gives
+every scheme, so any change to the batch order, the proximal gradient or
+the step shows up byte for byte.  Recorded with numpy 2.4.6 on OpenBLAS
+0.3.31.
 """
 
 import hashlib
@@ -19,7 +20,8 @@ from fedvem import rng as rng_mod
 from fedvem.baselines import fedavg_round
 from fedvem.config import load_config
 from fedvem.data import make_partition, synth_pair
-from fedvem.nn import init_mlp, sgd_epochs
+from fedvem.federation import init_state
+from fedvem.nn import sgd_epochs, unflatten_head
 
 from test_golden import versions
 
@@ -35,16 +37,20 @@ FEDAVG_PARAMS = {
 
 
 def smoke_setup():
-    """The smoke config, its seed-0 client rows and initial model."""
+    """The smoke config, its seed-0 run config, and its client rows and
+    initial state from ``init_state``, as every scheme starts."""
     cfg = load_config(SMOKE)
     train, _ = synth_pair(replace(cfg.synth, seed=SEED))
     partition = make_partition(train, replace(cfg.partition, seed=SEED))
-    clients_xy = [(train.images[ix], train.labels[ix])
-                  for ix in partition.client_indices]
     run_cfg = replace(cfg.train, seed=SEED)
-    params0 = init_mlp(train.input_dim, tuple(run_cfg.hidden), train.classes,
-                       rng_mod.stream(SEED, rng_mod.TAG_INIT))
-    return cfg, run_cfg, clients_xy, params0
+    globals_, _, rows = init_state(run_cfg, train, partition)
+    return cfg, run_cfg, rows, globals_
+
+
+def state_layers(globals_) -> list:
+    """The state's layers in order: theta's, then the head w lays out."""
+    return [*globals_.theta,
+            unflatten_head(globals_.w, globals_.theta[-1][0].shape[0])]
 
 
 def param_bytes(model: list) -> bytes:
@@ -53,25 +59,25 @@ def param_bytes(model: list) -> bytes:
 
 
 def test_golden_local_train_params():
-    cfg, _, clients_xy, params0 = smoke_setup()
+    cfg, _, rows, globals_ = smoke_setup()
     bl = cfg.baseline
     digest = hashlib.sha256()
-    for j, (x, y) in enumerate(clients_xy):
+    for j, (x, y) in enumerate(rows):
         rng = rng_mod.stream(SEED, rng_mod.TAG_BASELINE, j)
-        row = sgd_epochs(params0, [(x, y)], bl.lr, bl.epochs, bl.batch,
+        row = sgd_epochs(state_layers(globals_), [(x, y)], bl.lr, bl.epochs, bl.batch,
                          [rng])[0]   # flatten's layout: the layers' bytes
         digest.update(row.astype("<f8").tobytes())
     assert digest.hexdigest() == LOCAL_PARAMS, versions()
 
 
 def fedavg_digest(mu_prox: float) -> str:
-    cfg, run_cfg, clients_xy, params = smoke_setup()
+    cfg, run_cfg, rows, globals_ = smoke_setup()
     bl = replace(cfg.baseline, mu_prox=mu_prox)
     digest = hashlib.sha256()
     for t in range(run_cfg.T):
-        params, reporters = fedavg_round(params, clients_xy, run_cfg, bl, t)
-        assert reporters > 0
-        digest.update(param_bytes(params))
+        globals_, reporters = fedavg_round(globals_, rows, run_cfg, bl)
+        assert len(reporters) > 0 and globals_.t == t + 1
+        digest.update(param_bytes(state_layers(globals_)))
     return digest.hexdigest()
 
 
