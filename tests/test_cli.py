@@ -161,19 +161,27 @@ KEYS = [
     "train.s",
 ]
 WORKLOADS = CONFIGS.parent / "perfbench" / "workloads.py"
+SAME_OUTPUTS = CONFIGS.parent / "scripts" / "same_outputs.py"
+
+
+def load_file(monkeypatch, name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def written_configs(monkeypatch):
-    """(name, text) of every shipped config and perfbench workload."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # dataclasses resolve the module's string annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    """(name, text) of every shipped config, perfbench workload and
+    same_outputs.sh run."""
+    workloads = load_file(monkeypatch, "perfbench_workloads", WORKLOADS)
+    runs = load_file(monkeypatch, "same_outputs", SAME_OUTPUTS).RUNS
     return ([(p.name, p.read_text()) for p in SHIPPED]
             + [(name, w.config_text(0, "out"))
-               for name, w in workloads.WORKLOADS.items()])
+               for name, w in workloads.WORKLOADS.items()]
+            + [(run.name, run.config_text("tmp")) for run in runs])
 
 
 def named_field(key):
@@ -195,7 +203,7 @@ def test_config_keys_are_the_file_format():
 
 def test_written_configs_set_the_fields_their_keys_name(monkeypatch):
     texts = written_configs(monkeypatch)
-    assert len(texts) == len(SHIPPED) + 3
+    assert len(texts) == len(SHIPPED) + 3 + 20
     for name, text in texts:
         kv = parse_kv(text)
         assert set(kv) <= set(_SCHEMA), name
